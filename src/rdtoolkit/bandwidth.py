@@ -238,11 +238,6 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
         degenerate=bool(degenerate))
 
 
-def select_ce_bandwidth(selection: BandwidthSelection, n: int, p: int) -> float:
-    """CE-optimal bandwidth: h_mse shrunk by the coverage-error factor."""
-    return float(selection.h_mse * ce_factor(n, p))
-
-
 # --------------------------------------------------------------------
 # Monte Carlo oracle (testing aid)
 # --------------------------------------------------------------------

@@ -18,7 +18,7 @@ import csv
 import sys
 
 from . import __version__
-from .bandwidth import select_ce_bandwidth, select_mse_bandwidth
+from .bandwidth import select_mse_bandwidth
 from .continuity import (
     fuzzy_estimate,
     kink_estimate,
@@ -44,15 +44,13 @@ from .locrand import (
     neyman_ci,
     select_window,
 )
+from .lpoly import KERNELS
 from .parallel import resolve_threads
 from .plotting import build_rdplot, render_svg
 from .powersim import power_curve, required_n, simulate_coverage
 from .reports import canonical_json, make_report, sha256_file, write_report
 from .sample import ingest_csv
 from .validation import run_battery
-
-KERNELS = ("triangular", "uniform", "epanechnikov")
-
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -287,7 +285,7 @@ def cmd_estimate(args):
         selection = select_mse_bandwidth(sample, p=args.p, kernel=args.kernel)
         h_below = selection.h_mse
         if args.ce:
-            h_below = select_ce_bandwidth(selection, sample.n, args.p)
+            h_below = selection.h_ce
     else:
         h_below = args.h
     h_above = args.h_above if args.h_above is not None else h_below

@@ -5,6 +5,13 @@ fits, conventional and robust bias-corrected confidence intervals, the
 discrete-score estimand for mass-point designs, and normalize-and-pool
 for multi-cutoff samples.
 
+Every estimator here reaches the one side-fit kernel,
+:func:`rdtoolkit.lpoly.fit_values`, through ``_side_fit``: one SVD per
+(side window, polynomial order).  The fuzzy design fits outcome and
+treatment as a two-column response on each side and reads the
+outcome-treatment intercept covariance from the cross-response block of
+that fit's covariance.
+
 Conventions: the side split is below = score < cutoff, above = score >=
 cutoff (ties at the cutoff are treated).  Confidence intervals use normal
 quantiles at the requested level.  Robust bias correction follows the
@@ -176,62 +183,32 @@ def _resolve_bandwidths(h_below, h_above):
     return float(h_below), float(h_above)
 
 
-def _stacked_side(x, y, d, p, kernel, h, side):
-    """Fit outcome and treatment on shared weights; joint intercept cov.
-
-    Returns the two fits plus the covariance between the outcome and
-    treatment intercepts from the stacked sandwich (shared bread, cross
-    meat from the residual products).
-    """
-    fit_y = _side_fit(x, y, p, kernel, h, side)
-    fit_d = _side_fit(x, d, p, kernel, h, side)
-    keep = fit_y.weights > 0
-    xk = x[keep]
-    wk = fit_y.weights[keep]
-    design = np.vander(xk, N=p + 1, increasing=True)
-    sw = np.sqrt(wk)
-    wz = design * sw[:, None]
-    bread = np.linalg.inv(wz.T @ wz)
-    cross_rows = design * (wk * fit_y.residuals)[:, None]
-    other_rows = design * (wk * fit_d.residuals)[:, None]
-    meat = cross_rows.T @ other_rows
-    dof = fit_y.n_eff - (p + 1)
-    scale = fit_y.n_eff / dof if dof > 0 else 1.0
-    cov = bread @ meat @ bread * scale
-    return fit_y, fit_d, float(cov[0, 0])
-
-
 def fuzzy_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
                    h_below: float = None, h_above: float = None,
                    level: float = 0.95) -> RdEstimate:
     """Fuzzy RD effect: reduced-form jump over first-stage jump.
 
-    The standard error treats the two intercepts on each side as jointly
-    estimated (stacked sandwich on shared kernel weights) and applies the
-    delta method to the ratio; the two sides are independent.
+    Outcome and treatment are fitted together on each side, so the
+    standard error treats the two intercepts as jointly estimated (the
+    cross-response block of the stacked sandwich) and applies the delta
+    method to the ratio; the two sides are independent.
     """
     if sample.received is None:
         raise MissingTreatmentColumn(
             "fuzzy estimation requires a received-treatment column")
     h_below, h_above = _resolve_bandwidths(h_below, h_above)
-    xc, below, above = _split_sides(sample)
-    d = sample.received.astype(float)
-    fy_b, fd_b, cov_b = _stacked_side(xc[below], sample.outcome[below],
-                                      d[below], p, kernel, h_below, "below")
-    fy_a, fd_a, cov_a = _stacked_side(xc[above], sample.outcome[above],
-                                      d[above], p, kernel, h_above, "above")
+    yd = np.column_stack([sample.outcome, sample.received.astype(float)])
+    fit_b, fit_a = _two_fits(sample, p, kernel, h_below, h_above, outcome=yd)
 
-    reduced = fy_a.beta[0] - fy_b.beta[0]
-    first_stage = fd_a.beta[0] - fd_b.beta[0]
+    reduced, first_stage = fit_a.beta[0] - fit_b.beta[0]
     if abs(first_stage) < WEAK_FIRST_STAGE_THRESHOLD:
         raise WeakFirstStage(
             f"first-stage jump {first_stage:.4g} is below the "
             f"{WEAK_FIRST_STAGE_THRESHOLD} threshold")
     tau = reduced / first_stage
 
-    var_y = fy_a.cov[0, 0] + fy_b.cov[0, 0]
-    var_d = fd_a.cov[0, 0] + fd_b.cov[0, 0]
-    cov_yd = cov_a + cov_b
+    icov = fit_a.cov[0, :, 0, :] + fit_b.cov[0, :, 0, :]
+    var_y, var_d, cov_yd = icov[0, 0], icov[1, 1], icov[0, 1]
     var = (var_y + tau * tau * var_d - 2.0 * tau * cov_yd) / (first_stage ** 2)
     se = float(np.sqrt(max(var, 0.0)))
     z = _zvalue(level)
@@ -239,7 +216,7 @@ def fuzzy_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
         kind="fuzzy", tau_hat=float(tau), se_conventional=se,
         ci_conventional=(tau - z * se, tau + z * se),
         h_below=h_below, h_above=h_above,
-        n_eff_below=fy_b.n_eff, n_eff_above=fy_a.n_eff,
+        n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
         p=p, kernel=kernel, level=level, first_stage=float(first_stage))
 
 

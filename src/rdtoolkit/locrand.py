@@ -32,10 +32,9 @@ from .errors import (
     TooFewObservations,
     WeakFirstStage,
 )
+from .continuity import WEAK_FIRST_STAGE_THRESHOLD
 from .rng import substream
 from .sample import RdSample
-
-WEAK_FIRST_STAGE_THRESHOLD = 0.05
 
 FRAMEWORKS = ("fisher", "neyman", "superpop")
 
@@ -246,59 +245,52 @@ def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
            "sTY": float(o_sTY[0]), "sY2": float(o_sY2[0])}
 
     if isinstance(model, FixedMargins):
+        weights = None
         total = comb(n, n_plus)
-        if total <= max_exhaustive:
+        exact = total <= max_exhaustive
+        if exact:
             sY, n1, m, sTY, sY2 = _exhaustive_fixed(y, t, ty, y2, n, n_plus)
-            return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
-                             weights=None, exact=True, draws=0, total=total,
-                             n=n, tot_y=float(y.sum()), tot_y2=float(y2.sum()),
-                             n_plus_obs=n_plus)
-        rng = substream(seed)
-        u = rng.random((draws, n))
-        idx = np.sort(np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus], axis=1)
-        sY, m, sTY, sY2 = _aggregate_rows(idx, y, t, ty, y2)
-        n1 = np.full(draws, float(n_plus))
-        return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
-                         weights=None, exact=False, draws=draws, total=draws,
-                         n=n, tot_y=float(y.sum()), tot_y2=float(y2.sum()),
-                         n_plus_obs=n_plus)
-
-    if isinstance(model, Bernoulli):
+        else:
+            rng = substream(seed)
+            u = rng.random((draws, n))
+            idx = np.sort(np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus],
+                          axis=1)
+            sY, m, sTY, sY2 = _aggregate_rows(idx, y, t, ty, y2)
+            n1 = np.full(draws, float(n_plus))
+            total = draws
+    elif isinstance(model, Bernoulli):
         p = model.prob
-        if 2 ** n <= max_exhaustive:
+        exact = 2 ** n <= max_exhaustive
+        if exact:
             codes = np.arange(1, 2 ** n - 1, dtype=np.int64)
-            bits = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
-            n1 = bits.sum(axis=1)
-            sY = bits @ y
-            m = bits @ t
-            sTY = bits @ ty
-            sY2 = bits @ y2
-            weights = p ** n1 * (1.0 - p) ** (n - n1)
-            return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
-                             weights=weights, exact=True, draws=0,
-                             total=int(codes.size), n=n, tot_y=float(y.sum()),
-                             tot_y2=float(y2.sum()), n_plus_obs=n_plus)
-        rng = substream(seed)
-        mat = (rng.random((draws, n)) < p).astype(float)
-        # Condition on non-degenerate assignments: redraw rows where one
-        # group is empty (the statistic is undefined there).
-        while True:
-            row_n1 = mat.sum(axis=1)
-            bad = (row_n1 == 0) | (row_n1 == n)
-            if not bad.any():
-                break
-            mat[bad] = (rng.random((int(bad.sum()), n)) < p).astype(float)
+            mat = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
+            total = int(codes.size)
+        else:
+            rng = substream(seed)
+            mat = (rng.random((draws, n)) < p).astype(float)
+            # Condition on non-degenerate assignments: redraw rows where
+            # one group is empty (the statistic is undefined there).
+            while True:
+                row_n1 = mat.sum(axis=1)
+                bad = (row_n1 == 0) | (row_n1 == n)
+                if not bad.any():
+                    break
+                mat[bad] = (rng.random((int(bad.sum()), n)) < p).astype(float)
+            total = draws
         n1 = mat.sum(axis=1)
         sY = mat @ y
         m = mat @ t
         sTY = mat @ ty
         sY2 = mat @ y2
-        return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
-                         weights=None, exact=False, draws=draws, total=draws,
-                         n=n, tot_y=float(y.sum()), tot_y2=float(y2.sum()),
-                         n_plus_obs=n_plus)
+        weights = p ** n1 * (1.0 - p) ** (n - n1) if exact else None
+    else:
+        raise ValueError(f"unknown assignment model {model!r}")
 
-    raise ValueError(f"unknown assignment model {model!r}")
+    return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
+                     weights=weights, exact=exact,
+                     draws=0 if exact else draws, total=total, n=n,
+                     tot_y=float(y.sum()), tot_y2=float(y2.sum()),
+                     n_plus_obs=n_plus)
 
 
 def _exhaustive_fixed(y, t, ty, y2, n, n_plus, chunk=50000):
@@ -430,7 +422,10 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
     y, t, _ = _window_arrays(sample, window)
     if tau_grid is None:
         est = diff_in_means(sample, window, model, framework="fisher")
-        se = _plain_neyman_se(y, t)
+        try:
+            se = _neyman_se(y, t)[0]
+        except TooFewObservations:
+            se = 0.0
         span = 5.0 * se if se > 0 else max(1.0, abs(est.tau_hat))
         tau_grid = np.linspace(est.tau_hat - span, est.tau_hat + span, 201)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -450,15 +445,18 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
                     convex=convex, empty=False)
 
 
-def _plain_neyman_se(y, t):
+def _neyman_se(y, t):
+    """Conservative standard error sqrt(s2+/N+ + s2-/N-) and the two
+    group variances s2+, s2- (ddof 1)."""
     plus = t == 1
     n_plus = int(plus.sum())
     n_minus = y.shape[0] - n_plus
     if n_plus < 2 or n_minus < 2:
-        return 0.0
+        raise TooFewObservations(
+            f"need at least 2 units per group, got {n_plus} and {n_minus}")
     var_p = float(np.var(y[plus], ddof=1))
     var_m = float(np.var(y[~plus], ddof=1))
-    return float(np.sqrt(var_p / n_plus + var_m / n_minus))
+    return float(np.sqrt(var_p / n_plus + var_m / n_minus)), var_p, var_m
 
 
 # --------------------------------------------------------------------
@@ -487,16 +485,8 @@ def neyman_ci(sample: RdSample, window: Window, framework: str = "neyman",
     from scipy.stats import norm
 
     y, t, _ = _window_arrays(sample, window)
-    plus = t == 1
-    n_plus = int(plus.sum())
-    n_minus = y.shape[0] - n_plus
-    if n_plus < 2 or n_minus < 2:
-        raise TooFewObservations(
-            f"need at least 2 units per group, got {n_plus} and {n_minus}")
+    se, var_p, var_m = _neyman_se(y, t)
     est = diff_in_means(sample, window, model, framework)
-    var_p = float(np.var(y[plus], ddof=1))
-    var_m = float(np.var(y[~plus], ddof=1))
-    se = float(np.sqrt(var_p / n_plus + var_m / n_minus))
     z = float(norm.ppf(1.0 - alpha / 2.0))
     return NeymanResult(estimate=est, se=se,
                         ci=(est.tau_hat - z * se, est.tau_hat + z * se),

@@ -2,10 +2,15 @@
 
 The design is centered at the cutoff: regressors are powers of (x - c),
 so the intercept estimates the boundary level mu(c) and nu! * beta_nu
-estimates the nu-th derivative.  Coefficients come from weighted least
-squares solved through an SVD-based routine rather than the normal
-equations; the heteroskedasticity-robust (HC1) sandwich covariance uses
-the kernel weights as regression weights.
+estimates the nu-th derivative.  :func:`fit_values` is the one side-fit
+kernel behind every continuity-based method.  It factorises each
+(window, order) once, with a single SVD of the sqrt-weighted design; that
+SVD yields the coefficients, the rank test, the condition number and the
+bread V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich,
+which uses the kernel weights as regression weights.  The response may
+hold several columns fitted on the same weights; the covariance then
+includes the cross-response blocks, which the fuzzy design needs for
+the outcome-treatment intercept covariance.
 """
 
 from __future__ import annotations
@@ -16,18 +21,12 @@ from math import factorial
 import numpy as np
 
 from .errors import DerivativeOrderTooHigh, EmptySide, RankDeficient
-from .sample import RdSample
 
 KERNELS = ("triangular", "uniform", "epanechnikov")
-SIDES = ("below", "above")
 
 # Singular-value ratio below which the weighted design is declared
 # rank deficient.
 _RCOND = 1e-12
-
-# User-facing polynomial orders stop at 4; order 5 occurs only as the
-# internal inference order for robust bias correction of p = 4.
-_MAX_ORDER = 5
 
 
 def kernel_weight(u, kind: str = "triangular") -> np.ndarray:
@@ -49,33 +48,16 @@ def kernel_weight(u, kind: str = "triangular") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FitSpec:
-    """Configuration of a one-sided local polynomial fit."""
-
-    p: int = 1
-    kernel: str = "triangular"
-    h: float = np.nan
-    side: str = "below"
-
-    def __post_init__(self):
-        if not 0 <= self.p <= _MAX_ORDER:
-            raise ValueError(f"polynomial order must be in [0, {_MAX_ORDER}]")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not np.isnan(self.h) and self.h <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.h}")
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-
-
-@dataclass(frozen=True)
 class LocalFit:
     """Result of a one-sided weighted polynomial fit.
 
     ``beta`` has length p+1 for regressors 1, (x-c), ..., (x-c)^p.
-    ``cov`` is the HC1 sandwich covariance of beta.  ``n_eff`` counts
-    observations with positive kernel weight; ``condition`` is the
-    singular-value ratio of the weighted design.
+    ``cov`` is the HC1 sandwich covariance of beta.  For k responses
+    fitted together ``beta`` is (p+1, k) and ``cov`` is (p+1, k, p+1, k):
+    ``cov[a, i, b, j]`` pairs coefficient a of response i with coefficient
+    b of response j.  ``n_eff`` counts observations with positive kernel
+    weight; ``condition`` is the singular-value ratio of the weighted
+    design.  The derivative methods apply to single-response fits.
     """
 
     beta: np.ndarray
@@ -85,8 +67,6 @@ class LocalFit:
     p: int
     kernel: str
     h: float
-    residuals: np.ndarray
-    weights: np.ndarray
 
     def derivative(self, nu: int) -> float:
         """nu-th derivative estimate nu! * beta_nu."""
@@ -109,16 +89,17 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
     """Weighted polynomial fit of y on centered powers of x.
 
     The caller supplies the observations belonging to one side; points
-    with zero kernel weight are dropped before solving.  This is the
-    computational core shared by every continuity-based method.
+    with zero kernel weight are dropped before solving.  ``y`` is a
+    vector, or an (n, k) matrix of k responses sharing the weights.
 
     Raises
     ------
     EmptySide
         Fewer than p+1 observations carry positive weight.
     RankDeficient
-        The weighted design's smallest singular value falls below 1e-12
-        of the largest (e.g. all within-window scores identical).
+        The weighted design's smallest singular value is at most
+        eps * n_eff of the largest, or below 1e-12 of it (e.g. all
+        within-window scores identical).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -132,57 +113,34 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
         raise EmptySide(
             f"{n_eff} observation(s) with positive weight inside bandwidth "
             f"{h:g}; need at least {p + 1} for order {p}")
-    xk = x[keep] - cutoff
-    yk = y[keep]
     wk = w[keep]
-
-    design = np.vander(xk, N=p + 1, increasing=True)
+    yk = y[keep].reshape(n_eff, -1)
+    design = np.vander(x[keep] - cutoff, N=p + 1, increasing=True)
     sw = np.sqrt(wk)
-    wz = design * sw[:, None]
-    wy = yk * sw
-
-    beta, _, rank, svals = np.linalg.lstsq(wz, wy, rcond=None)
+    u, svals, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
     condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
+    # The rank cut is lstsq's default: eps * max(rows, cols) of the largest.
+    rank = int(np.count_nonzero(
+        svals > np.finfo(float).eps * n_eff * svals[0]))
     if rank < p + 1 or svals[-1] < _RCOND * svals[0]:
         raise RankDeficient(
             f"weighted design is rank deficient (rank {rank}, "
             f"condition {condition:.3e})")
 
+    beta = vt.T @ ((u.T @ (yk * sw[:, None])) / svals[:, None])
     residuals = yk - design @ beta
 
-    # HC1 sandwich with kernel weights:
-    #   (Z'WZ)^-1 [sum w_i^2 e_i^2 z_i z_i'] (Z'WZ)^-1 * n_eff/(n_eff-p-1)
-    bread = np.linalg.inv(wz.T @ wz)
-    meat_rows = design * (wk * residuals)[:, None]
-    meat = meat_rows.T @ meat_rows
+    # HC1 sandwich with kernel weights, for every pair of responses i, j:
+    #   B [sum w^2 e_i e_j z z'] B * n_eff/(n_eff-p-1),  B = (Z'WZ)^-1,
+    # summed as products of the per-observation influence rows w e_i z'B.
+    bread = (vt.T / (svals * svals)) @ vt
+    lever = (design * wk[:, None]) @ bread
+    influence = (lever[:, :, None] * residuals[:, None, :]).reshape(n_eff, -1)
     dof = n_eff - (p + 1)
     scale = n_eff / dof if dof > 0 else 1.0
-    cov = bread @ meat @ bread * scale
-
-    weights_full = np.zeros_like(w)
-    weights_full[keep] = wk
+    k = yk.shape[1]
+    cov = (influence.T @ influence * scale).reshape(p + 1, k, p + 1, k)
+    if y.ndim == 1:
+        beta, cov = beta[:, 0], cov[:, 0, :, 0]
     return LocalFit(beta=beta, cov=cov, n_eff=n_eff, condition=condition,
-                    p=p, kernel=kernel, h=h, residuals=residuals,
-                    weights=weights_full)
-
-
-def fit_one_side(sample: RdSample, spec: FitSpec) -> LocalFit:
-    """Fit the side of the sample that the FitSpec requests.
-
-    Side membership follows the assignment rule: below means score
-    strictly less than the cutoff, above means score at or beyond it.
-    """
-    xc = sample.centered_score()
-    mask = xc < 0 if spec.side == "below" else xc >= 0
-    return fit_values(xc[mask], sample.outcome[mask], 0.0, p=spec.p,
-                      kernel=spec.kernel, h=spec.h)
-
-
-def predict_at_cutoff(fit: LocalFit, derivative: int = 0) -> tuple[float, float]:
-    """Point estimate and standard error of the derivative at the cutoff.
-
-    Returns (nu! * beta_nu, nu! * sqrt(cov[nu, nu])).
-    """
-    value = fit.derivative(derivative)
-    se = float(np.sqrt(fit.derivative_variance(derivative)))
-    return value, se
+                    p=p, kernel=kernel, h=h)

@@ -157,15 +157,6 @@ class RdSample:
 
 
 @dataclass(frozen=True)
-class AssignmentView:
-    """Derived treatment assignment T_i = 1 when score >= cutoff."""
-
-    assigned: np.ndarray
-    n_above: int
-    n_below: int
-
-
-@dataclass(frozen=True)
 class MassPointSummary:
     """Census of distinct score values.
 
@@ -177,14 +168,6 @@ class MassPointSummary:
     m: int
     counts: np.ndarray
     below_neighbor: float | None
-
-
-def assignment(sample: RdSample) -> AssignmentView:
-    """Deterministic assignment indicator; ties at the cutoff are treated."""
-    assigned = (sample.score >= sample.effective_cutoffs()).astype(np.int8)
-    n_above = int(assigned.sum())
-    return AssignmentView(assigned=assigned, n_above=n_above,
-                          n_below=sample.n - n_above)
 
 
 def mass_points(sample: RdSample) -> MassPointSummary:
@@ -212,7 +195,9 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
         Scalar cutoff; overridden per unit when a cutoff column is mapped.
 
     Rows whose score or outcome is missing or non-finite are rejected with
-    the offending row index (0-based data row, excluding the header).
+    the offending row index (0-based data row, excluding the header).  A
+    row with fewer cells than the header reads its missing trailing cells
+    as empty, i.e. missing.
     """
     if not np.isfinite(cutoff):
         raise BadSpec("cutoff must be finite")
@@ -243,9 +228,13 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
         treatment = [] if treat_col else None
         unit_cutoffs = [] if cutoff_col else None
         covariates = {name: [] for name in cov_cols}
+        width = len(header)
         for row_idx, row in enumerate(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < width:
+                # A row shorter than the header has empty (NA) trailing cells.
+                row += [""] * (width - len(row))
             raw_score = row[positions[score_col]]
             x = _parse_cell(raw_score)
             if not np.isfinite(x):

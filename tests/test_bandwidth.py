@@ -9,7 +9,6 @@ from rdtoolkit.bandwidth import (
     kernel_constants,
     mse_constant,
     oracle_mse_bandwidth,
-    select_ce_bandwidth,
     select_mse_bandwidth,
 )
 from rdtoolkit.dgps import curved_benchmark, linear_dgp, simulate_sample
@@ -113,8 +112,7 @@ class TestCeFactor:
         dgp = curved_benchmark()
         s = simulate_sample(dgp, 800, seed=3)
         sel = select_mse_bandwidth(s)
-        h_ce = select_ce_bandwidth(sel, s.n, 1)
-        assert h_ce == sel.h_mse * ce_factor(s.n, 1)
+        assert sel.h_ce == sel.h_mse * ce_factor(s.n, 1)
 
 
 class TestPlugIn:

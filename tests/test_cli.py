@@ -104,6 +104,20 @@ class TestEstimate:
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "data"
 
+    def test_short_row_exits_2(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("score,outcome\n0.1,1\n-0.2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", "estimate", "--input",
+             str(path), "--score-col", "score", "--outcome-col", "outcome",
+             "--h", "0.5"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stderr)  # exactly one JSON document
+        assert doc["error"]["kind"] == "data"
+        assert "row 1" in doc["error"]["message"]
+
     def test_bad_flag_exits_1(self, step_csv, capsys):
         code, out, err = run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",

@@ -19,6 +19,7 @@ from rdtoolkit.lpoly import fit_values
 from rdtoolkit.sample import RdSample
 
 from conftest import make_sample
+from test_lpoly import oracle_wls
 
 KERNELS = ["triangular", "uniform", "epanechnikov"]
 
@@ -98,8 +99,12 @@ class TestSharp:
         assert est2.tau_hat == pytest.approx(est.tau_hat, abs=1e-12)
 
     def test_counts_reported_per_side(self, noisy_sample):
-        est = sharp_estimate(noisy_sample, h_below=0.4)
-        xc = noisy_sample.centered_score()
+        # one unit exactly at the cutoff: ties are treated (counted above)
+        x = noisy_sample.score.copy()
+        x[0] = 0.0
+        s = make_sample(x, noisy_sample.outcome)
+        est = sharp_estimate(s, h_below=0.4)
+        xc = s.centered_score()
         assert est.n_eff_below == int(((xc < 0) & (xc > -0.4)).sum())
         assert est.n_eff_above == int(((xc >= 0) & (xc < 0.4)).sum())
 
@@ -128,6 +133,29 @@ class TestFuzzy:
         assert fuzzy.tau_hat == pytest.approx(
             reduced.tau_hat / first.tau_hat, abs=1e-12)
         assert fuzzy.first_stage == pytest.approx(first.tau_hat, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_se_matches_stacked_sandwich_oracle(self, p):
+        # imperfect compliance: the Y-D intercept covariance is not zero
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1, 1, 600)
+        d = (rng.uniform(size=600) < np.where(x >= 0, 0.8, 0.2)).astype(int)
+        y = 0.5 * x + 1.5 * d + rng.normal(0, 0.5, 600)
+        est = fuzzy_estimate(make_sample(x, y, received=d), p=p, h_below=0.5)
+        jumps, icov = 0.0, np.zeros((2, 2))
+        for side, sign in ((x < 0, -1.0), (x >= 0, 1.0)):
+            beta, cov, _ = oracle_wls(x[side], np.column_stack([y, d])[side],
+                                      0.0, p, "triangular", 0.5)
+            jumps = jumps + sign * beta[0]
+            icov += cov[::p + 1, ::p + 1]
+        reduced, first = jumps
+        tau = reduced / first
+        var = (icov[0, 0] + tau * tau * icov[1, 1]
+               - 2.0 * tau * icov[0, 1]) / first ** 2
+        assert abs(icov[0, 1]) > 0.1 * np.sqrt(icov[0, 0] * icov[1, 1])
+        assert est.first_stage == pytest.approx(first, rel=1e-9)
+        assert est.tau_hat == pytest.approx(tau, rel=1e-9)
+        assert est.se_conventional == pytest.approx(np.sqrt(var), rel=1e-8)
 
     def test_missing_treatment_column(self, step_sample):
         with pytest.raises(MissingTreatmentColumn):

@@ -51,6 +51,7 @@ class TestWindow:
         s = make_sample([-0.9, -0.4, -0.1, 0.0, 0.3, 0.8], range(6))
         w = make_window(s, 0.5)
         assert (w.lower, w.upper) == (-0.5, 0.5)
+        # the unit at exactly the cutoff counts in n_plus
         assert w.n_w == 4 and w.n_plus == 2 and w.n_minus == 2
 
     def test_asymmetric(self):

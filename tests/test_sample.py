@@ -12,7 +12,7 @@ from rdtoolkit.errors import (
     NonFiniteOutcome,
     NonFiniteScore,
 )
-from rdtoolkit.sample import RdSample, assignment, ingest_csv, mass_points
+from rdtoolkit.sample import RdSample, ingest_csv, mass_points
 
 from conftest import make_sample, write_csv
 
@@ -66,6 +66,24 @@ class TestIngest:
         z = s.covariates["z"]
         assert np.isnan(z[0]) and np.isnan(z[1]) and z[2] == 1.5
 
+    def test_short_row_cells_are_missing(self, tmp_path):
+        # a row shorter than the header reads its missing cells as NA
+        cases = [("x,y\n0.1,1\n-0.2\n", {}, NonFiniteOutcome),
+                 ("y,x\n1,0.1\n2\n", {}, NonFiniteScore),
+                 ("x,y,t\n0.1,1,1\n-0.2,2\n", {"treatment": "t"},
+                  BadTreatmentCode)]
+        for text, extra, error in cases:
+            path = tmp_path / "d.csv"
+            path.write_text(text)
+            with pytest.raises(error) as err:
+                ingest_csv(str(path), {"score": "x", "outcome": "y", **extra},
+                           cutoff=0.0)
+            assert err.value.row == 1
+        path.write_text("x,y,z\n0.1,1,2.5\n-0.2,2\n")
+        s = ingest_csv(str(path), {"score": "x", "outcome": "y",
+                                   "covariates": ["z"]}, cutoff=0.0)
+        assert s.covariates["z"][0] == 2.5 and np.isnan(s.covariates["z"][1])
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n0.1,1\n\n0.2,2\n")
@@ -103,16 +121,6 @@ class TestSampleModel:
     def test_arrays_are_frozen(self, step_sample):
         with pytest.raises(ValueError):
             step_sample.score[0] = 9.0
-
-    def test_tie_at_cutoff_assigned_above(self):
-        s = make_sample([-1.0, 0.0, 1.0], [0, 0, 0])
-        view = assignment(s)
-        assert view.assigned.tolist() == [False, True, True]
-        assert view.n_above == 2 and view.n_below == 1
-
-    def test_assignment_counts_sum(self, noisy_sample):
-        view = assignment(noisy_sample)
-        assert view.n_above + view.n_below == noisy_sample.n
 
     def test_mass_points_census(self):
         s = make_sample([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], range(6), cutoff=2.0)

@@ -55,7 +55,14 @@ def _sorted_side(x, y):
     return x[order], y[order]
 
 
+def _bin_bounds(idx, j):
+    """Bin b holds sorted rows bounds[b]:bounds[b + 1]; ``idx`` (the bin
+    of each sorted row) is non-decreasing, so every bin is one slice."""
+    return np.searchsorted(idx, np.arange(j + 1))
+
+
 def _evenly_spaced_bins(x, y, j):
+    """Equal-width bins over [x[0], x[-1]]; one bin when all x are equal."""
     lo, hi = float(x[0]), float(x[-1])
     if hi == lo:
         # All scores identical: one interval holds everything.
@@ -64,14 +71,14 @@ def _evenly_spaced_bins(x, y, j):
     else:
         edges = np.linspace(lo, hi, j + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, j - 1)
+    bounds = _bin_bounds(idx, j)
     bins = []
     for b in range(j):
-        members = idx == b
-        count = int(members.sum())
-        mean = float(y[members].mean()) if count else None
+        s, e = bounds[b], bounds[b + 1]
+        mean = float(y[s:e].mean()) if e > s else None
         bins.append(PlotBin(lower=float(edges[b]), upper=float(edges[b + 1]),
                             midpoint=float(0.5 * (edges[b] + edges[b + 1])),
-                            mean_outcome=mean, count=count))
+                            mean_outcome=mean, count=int(e - s)))
     return bins
 
 
@@ -85,16 +92,15 @@ def _quantile_bins(x, y, j):
     first_idx[new_val] = new_val
     np.maximum.accumulate(first_idx, out=first_idx)
     idx = np.minimum(j - 1, first_idx * j // n)
+    bounds = _bin_bounds(idx, j)
     bins = []
     for b in range(j):
-        members = idx == b
-        count = int(members.sum())
-        if count:
-            xs = x[members]
-            bins.append(PlotBin(lower=float(xs[0]), upper=float(xs[-1]),
-                                midpoint=float(0.5 * (xs[0] + xs[-1])),
-                                mean_outcome=float(y[members].mean()),
-                                count=count))
+        s, e = bounds[b], bounds[b + 1]
+        if e > s:
+            bins.append(PlotBin(lower=float(x[s]), upper=float(x[e - 1]),
+                                midpoint=float(0.5 * (x[s] + x[e - 1])),
+                                mean_outcome=float(y[s:e].mean()),
+                                count=int(e - s)))
         else:
             # Heavy ties can starve a rank bin; emit it empty to keep
             # the bin count honest.
@@ -139,10 +145,10 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
             bins = _evenly_spaced_bins(x, y, j)
         else:
             bins = _quantile_bins(x, y, j)
-        sides[label] = (x, y, bins, j)
+        sides[label] = (x, y, bins)
 
-    xb, yb, bins_b, j_b = sides["below"]
-    xa, ya, bins_a, j_a = sides["above"]
+    xb, yb, bins_b = sides["below"]
+    xa, ya, bins_a = sides["above"]
     grid_b = np.linspace(xb[0], c, grid_points, endpoint=False)
     grid_a = np.linspace(c, xa[-1], grid_points)
     return RdPlotData(
@@ -150,7 +156,7 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
         curve_below=_global_curve(xb, yb, c, poly_order, grid_b),
         curve_above=_global_curve(xa, ya, c, poly_order, grid_a),
         cutoff=float(c), poly_order=poly_order, binning=binning,
-        j_below=j_b, j_above=j_a)
+        j_below=len(bins_b), j_above=len(bins_a))
 
 
 # --------------------------------------------------------------------

@@ -9,12 +9,18 @@ construction and safe to share across parallel workers.
 Assignment convention: a unit with score exactly equal to its cutoff is
 assigned to treatment (weak inequality).  Datasets with score mass at the
 cutoff are sensitive to this choice.
+
+:func:`ingest_csv` reads a delimited file in two tiers that agree bit for
+bit.  numpy's C parser reads a file whose mapped cells are all numbers
+that pass validation; a row-by-row ``csv.reader`` parser reads every
+other file and raises the row-indexed errors.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,19 +135,15 @@ class RdSample:
         return self.score - self.effective_cutoffs()
 
     def replace_outcome(self, outcome: np.ndarray) -> "RdSample":
-        """Same design, different outcome (used by balance and placebo tests)."""
-        return RdSample(score=self.score.copy(), outcome=np.asarray(outcome, dtype=float),
-                        cutoff=self.cutoff, received=None if self.received is None
-                        else self.received.copy(), covariates={k: v.copy() for k, v in self.covariates.items()},
-                        unit_cutoffs=None if self.unit_cutoffs is None else self.unit_cutoffs.copy())
+        """Same design, different outcome (used by balance and placebo tests).
+
+        The new sample shares this one's frozen arrays."""
+        return replace(self, outcome=outcome)
 
     def normalized(self) -> "RdSample":
         """Single-cutoff view: score minus its per-unit cutoff, cutoff 0."""
-        return RdSample(score=self.centered_score().copy(),
-                        outcome=self.outcome.copy(), cutoff=0.0,
-                        received=None if self.received is None
-                        else self.received.copy(),
-                        covariates={k: v.copy() for k, v in self.covariates.items()})
+        return replace(self, score=self.centered_score(), cutoff=0.0,
+                       unit_cutoffs=None)
 
     def subset(self, mask: np.ndarray) -> "RdSample":
         """Row subset preserving cutoff metadata."""
@@ -179,6 +181,40 @@ def mass_points(sample: RdSample) -> MassPointSummary:
                             counts=counts, below_neighbor=neighbor)
 
 
+def _bindings(column_map: dict[str, object], cutoff: float):
+    """Validated (score, outcome, treatment, cutoff, covariate) columns."""
+    if not np.isfinite(cutoff):
+        raise BadSpec("cutoff must be finite")
+    score_col = column_map.get("score")
+    outcome_col = column_map.get("outcome")
+    if not score_col or not outcome_col:
+        raise MissingColumn("column_map must bind 'score' and 'outcome'")
+    cov_cols = list(column_map.get("covariates") or [])
+    for name in cov_cols:
+        if cov_cols.count(name) > 1:
+            raise BadSpec(f"covariate {name!r} is mapped more than once")
+    return (score_col, outcome_col, column_map.get("treatment"),
+            column_map.get("cutoff"), cov_cols)
+
+
+def _read_header(reader, names) -> tuple[dict[str, int], int]:
+    """Read the header row: the column index of each bound name, and the
+    header's width."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn("file is empty (no header row)") from None
+    header = [h.strip() for h in header]
+    positions = {}
+    for name in names:
+        if name is None:
+            continue
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not found in header {header}")
+        positions[name] = header.index(name)
+    return positions, len(header)
+
+
 def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
                delimiter: str = ",") -> RdSample:
     """Read and validate an RD dataset from a delimited text file.
@@ -198,37 +234,79 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     the offending row index (0-based data row, excluding the header).  A
     row with fewer cells than the header reads its missing trailing cells
     as empty, i.e. missing.
-    """
-    if not np.isfinite(cutoff):
-        raise BadSpec("cutoff must be finite")
-    score_col = column_map.get("score")
-    outcome_col = column_map.get("outcome")
-    if not score_col or not outcome_col:
-        raise MissingColumn("column_map must bind 'score' and 'outcome'")
-    treat_col = column_map.get("treatment")
-    cutoff_col = column_map.get("cutoff")
-    cov_cols = list(column_map.get("covariates") or [])
 
+    The data rows are parsed in one of two tiers.  A file with no quote
+    character whose mapped cells are all numbers, with finite scores,
+    outcomes and cutoffs and treatment codes in {0, 1}, is read by
+    numpy's C parser.  Any other file is read by the row parser, which
+    alone handles missing-value tokens, quoted cells, short rows and
+    unparseable covariate cells, and raises the row-indexed errors.
+    Both tiers parse a number with the same routine, so on every file
+    the first tier accepts they return bit-identical arrays.
+    """
+    sample = _ingest_numeric(path, column_map, cutoff, delimiter)
+    if sample is None:
+        sample = _ingest_rows(path, column_map, cutoff, delimiter)
+    return sample
+
+
+def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
+    """The C-parser tier of :func:`ingest_csv`; None when the file needs
+    the row parser."""
+    score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
+        column_map, cutoff)
+    with open(path, "rb") as raw:
+        if b'"' in raw.read():
+            # A quoted cell may hold the delimiter, which only the csv
+            # module splits correctly.
+            return None
     with open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
+        positions, _ = _read_header(
+            reader, [score_col, outcome_col, treat_col, cutoff_col, *cov_cols])
+        # numpy warns on a file without data rows; leave those to the
+        # row parser, which raises BadSpec for them.
+        first = next((line for line in handle if line.strip("\r\n")), None)
+        if first is None:
+            return None
+        usecols = sorted(set(positions.values()))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("file is empty (no header row)") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for name in [score_col, outcome_col, treat_col, cutoff_col, *cov_cols]:
-            if name is None:
-                continue
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not found in header {header}")
-            positions[name] = header.index(name)
+            table = np.loadtxt(itertools.chain([first], handle),
+                               delimiter=delimiter, comments=None,
+                               usecols=usecols, ndmin=2, dtype=float)
+        except (ValueError, TypeError):
+            # Unparseable cell, missing column, or a delimiter numpy
+            # does not accept.
+            return None
+    column = {name: np.ascontiguousarray(table[:, usecols.index(pos)])
+              for name, pos in positions.items()}
+    finite = [score_col, outcome_col] + ([cutoff_col] if cutoff_col else [])
+    if not all(np.isfinite(column[name]).all() for name in finite):
+        return None
+    if treat_col and not np.isin(column[treat_col], (0.0, 1.0)).all():
+        return None
+    return RdSample(
+        score=column[score_col], outcome=column[outcome_col],
+        cutoff=float(cutoff),
+        received=column[treat_col] if treat_col else None,
+        covariates={name: column[name] for name in cov_cols},
+        unit_cutoffs=column[cutoff_col] if cutoff_col else None,
+    )
 
+
+def _ingest_rows(path, column_map, cutoff, delimiter) -> RdSample:
+    """The row-parser tier of :func:`ingest_csv`: one ``csv.reader`` row
+    at a time, raising the row-indexed errors."""
+    score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
+        column_map, cutoff)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        positions, width = _read_header(
+            reader, [score_col, outcome_col, treat_col, cutoff_col, *cov_cols])
         score, outcome = [], []
         treatment = [] if treat_col else None
         unit_cutoffs = [] if cutoff_col else None
         covariates = {name: [] for name in cov_cols}
-        width = len(header)
         for row_idx, row in enumerate(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -35,6 +35,23 @@ def locrand_csv(tmp_path):
     return path
 
 
+def _data_error_in_subprocess(tmp_path, text):
+    """Run `estimate` on a CSV in a fresh interpreter; check the data-error
+    contract and return the error message."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdtoolkit", "estimate", "--input",
+         str(path), "--score-col", "score", "--outcome-col", "outcome",
+         "--h", "0.5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stderr)  # exactly one JSON document
+    assert doc["error"]["kind"] == "data"
+    return doc["error"]["message"]
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -105,18 +122,14 @@ class TestEstimate:
         assert json.loads(err)["error"]["kind"] == "data"
 
     def test_short_row_exits_2(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("score,outcome\n0.1,1\n-0.2\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "estimate", "--input",
-             str(path), "--score-col", "score", "--outcome-col", "outcome",
-             "--h", "0.5"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        doc = json.loads(proc.stderr)  # exactly one JSON document
-        assert doc["error"]["kind"] == "data"
-        assert "row 1" in doc["error"]["message"]
+        message = _data_error_in_subprocess(
+            tmp_path, "score,outcome\n0.1,1\n-0.2\n")
+        assert "row 1" in message
+
+    def test_header_only_exits_2(self, tmp_path):
+        # no warning text may precede the one JSON error on stderr
+        message = _data_error_in_subprocess(tmp_path, "score,outcome\n")
+        assert "at least one unit" in message
 
     def test_bad_flag_exits_1(self, step_csv, capsys):
         code, out, err = run_cli(

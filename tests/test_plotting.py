@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit.errors import TooFewObservations
-from rdtoolkit.plotting import build_rdplot, render_svg
+from rdtoolkit.plotting import (
+    PlotBin,
+    _evenly_spaced_bins,
+    _quantile_bins,
+    _sorted_side,
+    build_rdplot,
+    render_svg,
+)
 
 from conftest import make_sample
 
@@ -66,6 +73,32 @@ class TestBins:
         assert all(b.mean_outcome is None for b in plot.bins_below[1:])
         assert all(math.isnan(b.midpoint) for b in plot.bins_below[1:])
 
+    def test_identical_scores_report_bins_used(self):
+        # all below-side scores equal: one evenly spaced bin, and j says so
+        rng = np.random.default_rng(3)
+        x = np.r_[np.full(50, -0.5), rng.uniform(0, 1, 50)]
+        plot = build_rdplot(make_sample(x, rng.normal(size=100)),
+                            poly_order=0)
+        assert len(plot.bins_below) == plot.j_below == 1
+        assert plot.bins_below[0].count == 50
+        assert len(plot.bins_above) == plot.j_above == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.integers(1, 300), st.sampled_from([0, 3, 1000]))
+    def test_bins_match_mask_construction(self, seed, j, n, distinct):
+        # distinct = 0 draws continuous scores; otherwise scores take at
+        # most `distinct` values, which ties them and starves bins
+        rng = np.random.default_rng(seed)
+        x = (rng.uniform(-1, 1, n) if distinct == 0
+             else rng.integers(0, distinct, n) / distinct)
+        x, y = _sorted_side(x, rng.normal(size=n))
+        # repr is exact for floats and, unlike ==, equates NaN with NaN
+        for built, mask_built in ((_evenly_spaced_bins, _mask_even_bins),
+                                  (_quantile_bins, _mask_quantile_bins)):
+            assert (list(map(repr, built(x, y, j)))
+                    == list(map(repr, mask_built(x, y, j))))
+
     def test_default_bin_count_scales_with_sqrt_n(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-1, 1, 3200)
@@ -73,6 +106,51 @@ class TestBins:
         plot = build_rdplot(s)
         n_below = int((x < 0).sum())
         assert plot.j_below == max(10, round(math.sqrt(n_below) / 2))
+
+
+def _mask_even_bins(x, y, j):
+    """Reference: evenly spaced bins built with one mask per bin."""
+    lo, hi = float(x[0]), float(x[-1])
+    if hi == lo:
+        edges, j = np.array([lo, hi]), 1
+    else:
+        edges = np.linspace(lo, hi, j + 1)
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, j - 1)
+    bins = []
+    for b in range(j):
+        members = idx == b
+        count = int(members.sum())
+        bins.append(PlotBin(
+            lower=float(edges[b]), upper=float(edges[b + 1]),
+            midpoint=float(0.5 * (edges[b] + edges[b + 1])),
+            mean_outcome=float(y[members].mean()) if count else None,
+            count=count))
+    return bins
+
+
+def _mask_quantile_bins(x, y, j):
+    """Reference: rank quantile bins built with one mask per bin."""
+    n = x.shape[0]
+    first_idx = np.zeros(n, dtype=np.intp)
+    new_val = np.flatnonzero(np.diff(x) != 0) + 1
+    first_idx[new_val] = new_val
+    np.maximum.accumulate(first_idx, out=first_idx)
+    idx = np.minimum(j - 1, first_idx * j // n)
+    bins = []
+    for b in range(j):
+        members = idx == b
+        count = int(members.sum())
+        if count:
+            xs = x[members]
+            bins.append(PlotBin(lower=float(xs[0]), upper=float(xs[-1]),
+                                midpoint=float(0.5 * (xs[0] + xs[-1])),
+                                mean_outcome=float(y[members].mean()),
+                                count=count))
+        else:
+            bins.append(PlotBin(lower=math.nan, upper=math.nan,
+                                midpoint=math.nan, mean_outcome=None,
+                                count=0))
+    return bins
 
 
 class TestCurves:

@@ -19,13 +19,7 @@ import sys
 
 from . import __version__
 from .bandwidth import select_mse_bandwidth
-from .continuity import (
-    fuzzy_estimate,
-    kink_estimate,
-    normalize_and_pool,
-    rbc_inference,
-    sharp_estimate,
-)
+from .continuity import normalize_and_pool, rbc_inference
 from .dgps import (
     curved_benchmark,
     linear_dgp,
@@ -107,9 +101,6 @@ def _add_out_flags(parser):
     g = parser.add_argument_group("output")
     g.add_argument("--output", default=None,
                    help="report JSON path (default: stdout)")
-    g.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: RD_TOOLKIT_THREADS or 1); "
-                        "results never depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,6 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "replication (default auto)")
     _add_fit_flags(sim)
     sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--threads", type=int, default=None,
+                     help="worker cap (default: RD_TOOLKIT_THREADS or 1); "
+                          "results never depend on it")
     _add_out_flags(sim)
 
     return parser
@@ -281,32 +275,22 @@ def cmd_estimate(args):
     sample = _ingest(args)
     h_requested = "auto" if args.h is None else args.h
     selection = None
+    h_below = args.h
     if args.h is None:
         selection = select_mse_bandwidth(sample, p=args.p, kernel=args.kernel)
-        h_below = selection.h_mse
-        if args.ce:
-            h_below = selection.h_ce
-    else:
-        h_below = args.h
+        h_below = selection.h_ce if args.ce else selection.h_mse
     h_above = args.h_above if args.h_above is not None else h_below
 
     kwargs = dict(p=args.p, kernel=args.kernel, h_below=h_below,
                   h_above=h_above, level=args.level)
+    # The pooled design is the sharp estimator on the whole (centred)
+    # sample, plus per-cutoff detail.  rbc.base is the order-p estimate.
+    kind = "sharp" if args.design == "pooled" else args.design
+    rbc = rbc_inference(sample, kind=kind, **kwargs)
+    est = rbc.base
     pooled = None
-    if args.design == "sharp":
-        est = sharp_estimate(sample, **kwargs)
-        rbc = rbc_inference(sample, kind="sharp", **kwargs)
-    elif args.design == "fuzzy":
-        est = fuzzy_estimate(sample, **kwargs)
-        rbc = rbc_inference(sample, kind="fuzzy", **kwargs)
-    elif args.design == "kink":
-        est = kink_estimate(sample, **kwargs)
-        rbc = rbc_inference(sample, kind="kink", **kwargs)
-    else:
+    if args.design == "pooled":
         pooled = normalize_and_pool(sample, **kwargs)
-        est = pooled.pooled
-        normalized = sample.normalized()
-        rbc = rbc_inference(normalized, kind="sharp", **kwargs)
 
     config = _data_config(args)
     config.update(design=args.design, p=args.p, kernel=args.kernel,

@@ -120,17 +120,12 @@ def _side_fit(x, y, p, kernel, h, side):
         raise type(err)(f"{side} side: {err}") from None
 
 
-def _split_sides(sample: RdSample):
+def _two_fits(sample: RdSample, p, kernel, h_below, h_above, outcome=None):
     xc = sample.centered_score()
     below = xc < 0
-    return xc, below, ~below
-
-
-def _two_fits(sample: RdSample, p, kernel, h_below, h_above, outcome=None):
-    xc, below, above = _split_sides(sample)
     y = sample.outcome if outcome is None else outcome
     fit_b = _side_fit(xc[below], y[below], p, kernel, h_below, "below")
-    fit_a = _side_fit(xc[above], y[above], p, kernel, h_above, "above")
+    fit_a = _side_fit(xc[~below], y[~below], p, kernel, h_above, "above")
     return fit_b, fit_a
 
 
@@ -277,20 +272,21 @@ def normalize_and_pool(sample: RdSample, p: int = 1,
                        ) -> PooledEstimate:
     """Multi-cutoff analysis on the normalized score X - C with cutoff 0.
 
-    The pooled estimate runs the sharp estimator on the transformed
-    sample.  Per-cutoff estimates are attempted on each cutoff's
-    subsample and flagged (estimate = None with a message) when that
-    subsample cannot support a fit.
+    A multi-cutoff sample already holds that score, so the pooled
+    estimate is the sharp estimator on the sample as given, and
+    ``unit_cutoffs`` only groups the units.  Per-cutoff estimates are
+    attempted on each group and flagged (estimate = None with a message)
+    when that group cannot support a fit.
     """
-    cutoffs = sample.effective_cutoffs()
-    normalized = sample.normalized()
-    pooled = sharp_estimate(normalized, p=p, kernel=kernel,
+    pooled = sharp_estimate(sample, p=p, kernel=kernel,
                             h_below=h_below, h_above=h_above, level=level)
+    labels = (sample.unit_cutoffs if sample.unit_cutoffs is not None
+              else np.full(sample.n, sample.cutoff))
     per_cutoff = []
-    for c in np.unique(cutoffs):
-        mask = cutoffs == c
+    for c in np.unique(labels):
+        mask = labels == c
         sub = RdSample(score=sample.score[mask], outcome=sample.outcome[mask],
-                       cutoff=float(c))
+                       cutoff=sample.cutoff)
         try:
             est = sharp_estimate(sub, p=p, kernel=kernel, h_below=h_below,
                                  h_above=h_above, level=level)

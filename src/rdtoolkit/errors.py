@@ -45,6 +45,12 @@ class BadTreatmentCode(DataError):
                          + (f" (value {value!r})" if value else ""))
 
 
+class MalformedRow(DataError):
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        super().__init__(f"unreadable row {row}: {reason}")
+
+
 class BadSpec(DataError):
     pass
 

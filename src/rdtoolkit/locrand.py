@@ -87,16 +87,11 @@ def make_window(sample: RdSample, w_left: float,
                   n_minus=int(inside.sum() - plus.sum()))
 
 
-def window_mask(sample: RdSample, window: Window) -> np.ndarray:
+def _window_arrays(sample: RdSample, window: Window, outcome=None):
     xc = sample.centered_score()
     c = sample.cutoff
-    return (xc >= window.lower - c) & (xc <= window.upper - c)
-
-
-def _window_arrays(sample: RdSample, window: Window, outcome=None):
-    mask = window_mask(sample, window)
-    xc = sample.centered_score()[mask]
-    t = (xc >= 0).astype(np.int8)
+    mask = (xc >= window.lower - c) & (xc <= window.upper - c)
+    t = (xc[mask] >= 0).astype(np.int8)
     y = (sample.outcome if outcome is None else np.asarray(outcome, float))[mask]
     d = None if sample.received is None else sample.received[mask].astype(float)
     return y, t, d

@@ -2,9 +2,9 @@
 
 An :class:`RdSample` holds the running variable (score), the outcome, the
 optional received-treatment indicator, named pre-intervention covariates,
-and the cutoff (scalar, or per-unit for multi-cutoff designs).  All
-downstream estimation consumes this object; it is immutable after
-construction and safe to share across parallel workers.
+and the cutoff; multi-cutoff data holds the centred score X - C with
+cutoff 0.  All downstream estimation consumes this object; it is
+immutable after construction and safe to share across parallel workers.
 
 Assignment convention: a unit with score exactly equal to its cutoff is
 assigned to treatment (weak inequality).  Datasets with score mass at the
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BadSpec,
     BadTreatmentCode,
+    MalformedRow,
     MissingColumn,
     NonFiniteOutcome,
     NonFiniteScore,
@@ -54,7 +55,8 @@ class RdSample:
     Attributes
     ----------
     score : ndarray
-        Running variable X_i, finite, length n.
+        Running variable X_i, finite, length n.  With ``unit_cutoffs``
+        it is already centred: X_i - C_i.
     outcome : ndarray
         Outcome Y_i, finite, length n.
     received : ndarray or None
@@ -63,10 +65,10 @@ class RdSample:
         Pre-intervention covariates; NaN entries allowed (handled by
         listwise deletion inside balance tests).
     cutoff : float
-        Scalar cutoff c.
+        Scalar cutoff c; 0 when ``unit_cutoffs`` is given.
     unit_cutoffs : ndarray or None
-        Per-unit cutoffs C_i; when present they override ``cutoff``
-        for every unit.
+        Per-unit cutoffs C_i of multi-cutoff data.  They only label the
+        units for per-cutoff estimates; the score is centred on them.
     """
 
     score: np.ndarray
@@ -93,13 +95,14 @@ class RdSample:
         if not np.isfinite(self.cutoff):
             raise BadSpec("cutoff must be finite")
         if self.received is not None:
-            received = np.asarray(self.received, dtype=float)
+            received = np.asarray(self.received)
             if received.shape != (n,):
                 raise BadSpec("received must have the same length as score")
-            bad = ~np.isin(received, (0.0, 1.0))
+            bad = (received != 0) & (received != 1)
             if bad.any():
                 raise BadTreatmentCode(int(np.flatnonzero(bad)[0]))
-            object.__setattr__(self, "received", received.astype(np.int8))
+            object.__setattr__(self, "received",
+                               received.astype(np.int8, copy=False))
         covs = {}
         for name, values in self.covariates.items():
             values = np.asarray(values, dtype=float)
@@ -113,6 +116,9 @@ class RdSample:
                 raise BadSpec("unit_cutoffs must have the same length as score")
             if not np.all(np.isfinite(cuts)):
                 raise BadSpec("unit_cutoffs must be finite")
+            if self.cutoff != 0:
+                raise BadSpec("unit_cutoffs label a centred score X - C; "
+                              "the cutoff must be 0")
             object.__setattr__(self, "unit_cutoffs", cuts)
         # Freeze the arrays so the sample really is immutable.
         for arr in (self.score, self.outcome, self.received,
@@ -124,26 +130,15 @@ class RdSample:
     def n(self) -> int:
         return self.score.shape[0]
 
-    def effective_cutoffs(self) -> np.ndarray:
-        """Per-unit cutoff vector (unit_cutoffs when present, else scalar)."""
-        if self.unit_cutoffs is not None:
-            return self.unit_cutoffs
-        return np.full(self.n, self.cutoff)
-
     def centered_score(self) -> np.ndarray:
-        """Score minus the applicable per-unit cutoff."""
-        return self.score - self.effective_cutoffs()
+        """Score minus the cutoff."""
+        return self.score - self.cutoff
 
     def replace_outcome(self, outcome: np.ndarray) -> "RdSample":
         """Same design, different outcome (used by balance and placebo tests).
 
         The new sample shares this one's frozen arrays."""
         return replace(self, outcome=outcome)
-
-    def normalized(self) -> "RdSample":
-        """Single-cutoff view: score minus its per-unit cutoff, cutoff 0."""
-        return replace(self, score=self.centered_score(), cutoff=0.0,
-                       unit_cutoffs=None)
 
     def subset(self, mask: np.ndarray) -> "RdSample":
         """Row subset preserving cutoff metadata."""
@@ -204,6 +199,8 @@ def _read_header(reader, names) -> tuple[dict[str, int], int]:
         header = next(reader)
     except StopIteration:
         raise MissingColumn("file is empty (no header row)") from None
+    except csv.Error as err:
+        raise BadSpec(f"unreadable header row: {err}") from None
     header = [h.strip() for h in header]
     positions = {}
     for name in names:
@@ -228,7 +225,9 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
         ``cutoff`` (per-unit cutoff column), and ``covariates`` (list of
         column names), all optional.
     cutoff : float, default 0
-        Scalar cutoff; overridden per unit when a cutoff column is mapped.
+        Scalar cutoff.  Ignored when a cutoff column is mapped: the
+        sample then holds the centred score X - C with cutoff 0, and the
+        column only labels the units for per-cutoff estimates.
 
     Rows whose score or outcome is missing or non-finite are rejected with
     the offending row index (0-based data row, excluding the header).  A
@@ -285,13 +284,11 @@ def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
         return None
     if treat_col and not np.isin(column[treat_col], (0.0, 1.0)).all():
         return None
-    return RdSample(
-        score=column[score_col], outcome=column[outcome_col],
-        cutoff=float(cutoff),
-        received=column[treat_col] if treat_col else None,
-        covariates={name: column[name] for name in cov_cols},
-        unit_cutoffs=column[cutoff_col] if cutoff_col else None,
-    )
+    return _parsed_sample(
+        column[score_col], column[outcome_col], cutoff,
+        column[treat_col] if treat_col else None,
+        {name: column[name] for name in cov_cols},
+        column[cutoff_col] if cutoff_col else None)
 
 
 def _ingest_rows(path, column_map, cutoff, delimiter) -> RdSample:
@@ -307,7 +304,7 @@ def _ingest_rows(path, column_map, cutoff, delimiter) -> RdSample:
         treatment = [] if treat_col else None
         unit_cutoffs = [] if cutoff_col else None
         covariates = {name: [] for name in cov_cols}
-        for row_idx, row in enumerate(reader):
+        for row_idx, row in _data_rows(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < width:
@@ -338,9 +335,31 @@ def _ingest_rows(path, column_map, cutoff, delimiter) -> RdSample:
             for name in cov_cols:
                 covariates[name].append(_parse_cell(row[positions[name]]))
 
-    return RdSample(
-        score=np.asarray(score), outcome=np.asarray(outcome), cutoff=float(cutoff),
-        received=None if treatment is None else np.asarray(treatment),
-        covariates={k: np.asarray(v) for k, v in covariates.items()},
-        unit_cutoffs=None if unit_cutoffs is None else np.asarray(unit_cutoffs),
-    )
+    return _parsed_sample(
+        np.asarray(score), np.asarray(outcome), cutoff,
+        None if treatment is None else np.asarray(treatment),
+        {k: np.asarray(v) for k, v in covariates.items()},
+        None if unit_cutoffs is None else np.asarray(unit_cutoffs))
+
+
+def _data_rows(reader):
+    """Enumerate the data rows; a row the csv module cannot split, such as
+    one with a cell over ``csv.field_size_limit()``, raises MalformedRow."""
+    index = itertools.count()
+    try:
+        for row in reader:
+            yield next(index), row
+    except csv.Error as err:
+        raise MalformedRow(next(index), str(err)) from None
+
+
+def _parsed_sample(score, outcome, cutoff, received, covariates,
+                   unit_cutoffs) -> RdSample:
+    """The sample both ingest tiers return.  A mapped cutoff column
+    centres the score on it and sets the cutoff to 0."""
+    if unit_cutoffs is not None:
+        score = score - unit_cutoffs
+        cutoff = 0.0
+    return RdSample(score=score, outcome=outcome, cutoff=float(cutoff),
+                    received=received, covariates=covariates,
+                    unit_cutoffs=unit_cutoffs)

@@ -14,6 +14,16 @@ def write_csv(path, header, rows, delimiter=","):
     return str(path)
 
 
+def multi_cutoff_rows(n=4000, seed=5):
+    """Columns (x, y, c) of multi-cutoff data: cutoffs 10, 20 and 30,
+    raw scores with X - C ~ U(-1, 1), and a jump of 0.4."""
+    rng = np.random.default_rng(seed)
+    c = rng.choice([10.0, 20.0, 30.0], n)
+    xc = rng.uniform(-1, 1, n)
+    y = 0.5 * xc + 0.4 * (xc >= 0) + rng.normal(0, 0.3, n)
+    return c + xc, y, c
+
+
 def make_sample(x, y, cutoff=0.0, received=None, covariates=None):
     return RdSample(score=np.asarray(x, dtype=float),
                     outcome=np.asarray(y, dtype=float),

@@ -13,9 +13,9 @@ from rdtoolkit.bandwidth import (
 )
 from rdtoolkit.dgps import curved_benchmark, linear_dgp, simulate_sample
 from rdtoolkit.errors import EmptySide, TooFewObservations
-from rdtoolkit.sample import RdSample
+from rdtoolkit.sample import RdSample, ingest_csv
 
-from conftest import make_sample
+from conftest import make_sample, multi_cutoff_rows, write_csv
 
 
 # Exact rational moments int_0^1 u^m K(u) du and int_0^1 u^m K(u)^2 du.
@@ -217,3 +217,13 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_mse_bandwidth(linear_dgp(), 1, "triangular", [-0.5],
                                  n=100, replications=100, seed=0)
+
+
+def test_multi_cutoff_pilot_reads_centred_score(tmp_path):
+    # the Silverman pilot must see X - C, not the spread of the cutoffs
+    x, y, c = multi_cutoff_rows()
+    raw = write_csv(tmp_path / "raw.csv", ["x", "y", "c"], zip(x, y, c))
+    centred = write_csv(tmp_path / "centred.csv", ["x", "y"], zip(x - c, y))
+    multi = ingest_csv(raw, {"score": "x", "outcome": "y", "cutoff": "c"})
+    single = ingest_csv(centred, {"score": "x", "outcome": "y"})
+    assert select_mse_bandwidth(multi) == select_mse_bandwidth(single)

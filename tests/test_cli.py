@@ -11,7 +11,7 @@ from rdtoolkit.cli import main
 from rdtoolkit.powersim import mde
 from rdtoolkit.reports import SCHEMA, sha256_file
 
-from conftest import write_csv
+from conftest import multi_cutoff_rows, write_csv
 
 
 @pytest.fixture()
@@ -32,6 +32,13 @@ def locrand_csv(tmp_path):
     y = 0.4 * (x >= 0) + rng.standard_normal(300)
     path = tmp_path / "loc.csv"
     write_csv(path, ["x", "y", "z"], zip(x, y, z))
+    return path
+
+
+@pytest.fixture()
+def multi_cutoff_csv(tmp_path):
+    path = tmp_path / "multi.csv"
+    write_csv(path, ["x", "y", "c"], zip(*multi_cutoff_rows()))
     return path
 
 
@@ -126,6 +133,15 @@ class TestEstimate:
             tmp_path, "score,outcome\n0.1,1\n-0.2\n")
         assert "row 1" in message
 
+    def test_oversized_cell_in_row_parser_exits_2(self, tmp_path):
+        # the NA outcome sends the file to the row parser, whose csv
+        # module refuses a cell over csv.field_size_limit()
+        big = "a" * 200_000
+        message = _data_error_in_subprocess(
+            tmp_path, f"score,outcome,note\n0.1,1,x\n-0.2,2,{big}\n"
+                      "0.3,NA,x\n")
+        assert "row 1" in message and "field limit" in message
+
     def test_header_only_exits_2(self, tmp_path):
         # no warning text may precede the one JSON error on stderr
         message = _data_error_in_subprocess(tmp_path, "score,outcome\n")
@@ -162,6 +178,21 @@ class TestEstimate:
         assert len(per) == 2
         assert report["result"]["estimate"]["tau_hat"] == pytest.approx(
             1.5, abs=0.2)
+
+
+class TestMultiCutoff:
+    """Every file subcommand reads a cutoff column the same way: the
+    score centred on it, with cutoff 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["plot"], ["locrand", "--window", "0.5"],
+        ["estimate"], ["estimate", "--design", "pooled"]])
+    def test_subcommand_exits_0(self, multi_cutoff_csv, argv, capsys):
+        code, out, err = run_cli(
+            argv + ["--input", str(multi_cutoff_csv), "--score-col", "x",
+                    "--outcome-col", "y", "--cutoff-col", "c"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["kind"] == argv[0]
 
 
 class TestLocrand:
@@ -343,6 +374,23 @@ class TestSimulate:
         assert main(base + ["--threads", "4", "--output", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "d.csv", "--score-col", "x",
+         "--outcome-col", "y"],
+        ["locrand", "--input", "d.csv", "--score-col", "x",
+         "--outcome-col", "y"],
+        ["validate", "--input", "d.csv", "--score-col", "x",
+         "--outcome-col", "y"],
+        ["plot", "--input", "d.csv", "--score-col", "x",
+         "--outcome-col", "y"],
+        ["power", "--se", "0.1"]])
+    def test_thread_flag_only_on_simulate(self, argv, capsys):
+        # only simulate has workers; elsewhere the flag is a usage error
+        code, out, err = run_cli(argv + ["--threads", "2"], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "usage" and "--threads" in doc["message"]
 
 
 class TestEntryPoint:

@@ -1,7 +1,13 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtoolkit.continuity import (
+    PooledEstimate,
     discrete_estimate,
     fuzzy_estimate,
     kink_estimate,
@@ -13,12 +19,13 @@ from rdtoolkit.errors import (
     MissingTreatmentColumn,
     NoBelowNeighbor,
     NoMassAtCutoff,
+    RdError,
     WeakFirstStage,
 )
 from rdtoolkit.lpoly import fit_values
-from rdtoolkit.sample import RdSample
+from rdtoolkit.sample import RdSample, ingest_csv
 
-from conftest import make_sample
+from conftest import make_sample, write_csv
 from test_lpoly import oracle_wls
 
 KERNELS = ["triangular", "uniform", "epanechnikov"]
@@ -248,23 +255,66 @@ class TestPooled:
         c = np.repeat([0.0, 1.0], 300)
         x = c + rng.uniform(-1, 1, 600)
         y = (x >= c) * 0.8 + 0.3 * (x - c) + rng.normal(0, 0.1, 600)
-        s = RdSample(score=x, outcome=y, cutoff=0.0, unit_cutoffs=c)
+        # a multi-cutoff sample holds the centred score
+        s = RdSample(score=x - c, outcome=y, cutoff=0.0, unit_cutoffs=c)
         pooled = normalize_and_pool(s, h_below=0.5)
         assert len(pooled.per_cutoff) == 2
         assert {pc.cutoff for pc in pooled.per_cutoff} == {0.0, 1.0}
         for pc in pooled.per_cutoff:
             assert pc.estimate is not None
             assert pc.estimate.tau_hat == pytest.approx(0.8, abs=0.1)
+            # each cutoff's estimate is the sharp fit of its own units
+            # around their own cutoff
+            mine = c == pc.cutoff
+            own = sharp_estimate(RdSample(score=x[mine], outcome=y[mine],
+                                          cutoff=pc.cutoff), h_below=0.5)
+            assert pc.estimate == own
         assert pooled.pooled.tau_hat == pytest.approx(0.8, abs=0.05)
+        assert pooled.pooled == sharp_estimate(s, h_below=0.5)
 
     def test_unsupported_cutoff_flagged_not_fatal(self):
         # second cutoff has a single unit: per-cutoff fit impossible
         c = np.array([0.0] * 80 + [5.0])
         x = np.concatenate([np.linspace(-1, 1, 80), [5.2]])
         y = (x >= c) * 1.0
-        s = RdSample(score=x, outcome=y, cutoff=0.0, unit_cutoffs=c)
+        s = RdSample(score=x - c, outcome=y, cutoff=0.0, unit_cutoffs=c)
         pooled = normalize_and_pool(s, h_below=0.5)
         flagged = [pc for pc in pooled.per_cutoff if pc.estimate is None]
         assert len(flagged) == 1
         assert flagged[0].cutoff == 5.0
         assert "insufficient support" in flagged[0].message
+
+
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except RdError as exc:
+        return type(exc), str(exc)
+
+
+class TestCutoffConvention:
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(-50, 50, allow_nan=False, width=64),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 200),
+           h=st.floats(0.2, 1.5))
+    def test_constant_cutoff_column_is_scalar_cutoff(self, c, seed, n, h):
+        rng = np.random.default_rng(seed)
+        x = c + rng.uniform(-1, 1, n)
+        y = 0.5 * (x - c) + (x >= c) * 0.7 + rng.normal(0, 0.2, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(pathlib.Path(tmp) / "d.csv", ["x", "y", "c"],
+                             zip(x, y, np.full(n, c)))
+            labelled = ingest_csv(path, {"score": "x", "outcome": "y",
+                                         "cutoff": "c"})
+            scalar = ingest_csv(path, {"score": "x", "outcome": "y"},
+                                cutoff=c)
+        for fn in (sharp_estimate, normalize_and_pool):
+            assert _outcome(fn, labelled, h_below=h) == \
+                _outcome(fn, scalar, h_below=h)
+        pooled = _outcome(normalize_and_pool, scalar, h_below=h)
+        if isinstance(pooled, PooledEstimate):
+            # one cutoff: its per-cutoff estimate is the pooled one
+            (only,) = pooled.per_cutoff
+            assert only.cutoff == c and only.n == n
+            assert only.estimate == pooled.pooled

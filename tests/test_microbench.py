@@ -1,4 +1,5 @@
-"""Microbenchmarks of CSV ingest and RD-plot construction at 1e5 rows.
+"""Microbenchmarks at 1e5 rows: CSV ingest, RD-plot construction, the
+side-fit kernel and robust bias-corrected inference.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -9,6 +10,8 @@ Tier-1 runs each body once: ``--benchmark-disable`` is set in
 import numpy as np
 import pytest
 
+from rdtoolkit.continuity import rbc_inference
+from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 
@@ -49,3 +52,18 @@ def test_build_rdplot(benchmark):
     x, y, _, _ = _draw(ROWS)
     plot = benchmark(build_rdplot, RdSample(score=x, outcome=y, cutoff=0.0))
     assert sum(b.count for b in (*plot.bins_below, *plot.bins_above)) == ROWS
+
+
+@pytest.mark.parametrize("h, n_eff", [(0.01, 1_000), (2.0, ROWS)])
+def test_fit_values(benchmark, h, n_eff):
+    # one side of ROWS scores on [0, 1); h sets how many carry weight
+    x, y, _, _ = _draw(ROWS)
+    fit = benchmark(fit_values, np.abs(x), y, 0.0, h=h)
+    assert fit.n_eff == pytest.approx(n_eff, rel=0.1)
+
+
+def test_rbc_inference(benchmark):
+    x, y, _, _ = _draw(ROWS)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    rbc = benchmark(rbc_inference, sample, h_below=0.5)
+    assert rbc.ci_rbc[0] < 0.3 < rbc.ci_rbc[1]

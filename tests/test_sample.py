@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rdtoolkit import sample as sample_module
 from rdtoolkit.errors import (
+    BadSpec,
     BadTreatmentCode,
     DataError,
     MissingColumn,
@@ -111,8 +112,20 @@ class TestIngest:
                          [[0.5, 1, 0.0], [1.5, 2, 1.0]])
         s = ingest_csv(path, {"score": "x", "outcome": "y", "cutoff": "c"},
                        cutoff=0.0)
-        assert s.effective_cutoffs().tolist() == [0.0, 1.0]
+        assert s.unit_cutoffs.tolist() == [0.0, 1.0]
         assert s.centered_score().tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("reader", [ingest_csv, _ingest_rows])
+    def test_cutoff_column_centres_score(self, tmp_path, reader):
+        # both parse tiers store X - C with cutoff 0, whatever the scalar
+        # cutoff; the column stays as per-unit labels
+        path = write_csv(tmp_path / "d.csv", ["x", "y", "c"],
+                         [[10.5, 1, 10.0], [19.25, 2, 20.0], [30.0, 3, 30.0]])
+        s = reader(path, {"score": "x", "outcome": "y", "cutoff": "c"},
+                   5.0, ",")
+        assert s.cutoff == 0.0
+        assert s.score.tolist() == [0.5, -0.75, 0.0]
+        assert s.unit_cutoffs.tolist() == [10.0, 20.0, 30.0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
@@ -273,16 +286,15 @@ class TestSampleModel:
         np.testing.assert_array_equal(s2.score, noisy_sample.score)
         # the design arrays are shared, and still frozen
         assert s2.score is noisy_sample.score
+        assert s2.received is noisy_sample.received
         assert not (s2.score.flags.writeable
                     or s2.covariates["age"].flags.writeable)
 
-    def test_normalized_recenters_cutoffs(self):
-        s = RdSample(score=np.array([0.5, 1.5]), outcome=np.array([1.0, 2.0]),
-                     cutoff=0.0, unit_cutoffs=np.array([0.0, 1.0]))
-        norm = s.normalized()
-        assert norm.cutoff == 0.0
-        assert norm.score.tolist() == [0.5, 0.5]
-        assert norm.unit_cutoffs is None
+    def test_unit_cutoffs_require_cutoff_zero(self):
+        # unit_cutoffs label a centred score, so no other cutoff applies
+        with pytest.raises(BadSpec, match="cutoff must be 0"):
+            RdSample(score=np.array([0.5, -0.5]), outcome=np.array([1.0, 2.0]),
+                     cutoff=1.0, unit_cutoffs=np.array([0.0, 1.0]))
 
     def test_non_finite_score_rejected_at_construction(self):
         with pytest.raises(NonFiniteScore):

@@ -26,7 +26,7 @@ from rdtoolkit.bandwidth import (
 )
 from rdtoolkit.continuity import sharp_estimate
 from rdtoolkit.dgps import curved_benchmark
-from rdtoolkit.parallel import resolve_threads, run_indexed
+from rdtoolkit.parallel import run_indexed
 from rdtoolkit.reports import make_report, write_report
 
 
@@ -71,13 +71,13 @@ def main() -> int:
     ap.add_argument("--replications", type=int, default=Config.replications)
     ap.add_argument("--seed", type=int, default=Config.seed)
     ap.add_argument("--grid-points", type=int, default=Config.grid_points)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--curve", default=None, help="write MSE curve CSV here")
     ap.add_argument("--out", default=None, help="JSON report path")
     args = ap.parse_args()
     cfg = Config(n=args.n, replications=args.replications, seed=args.seed,
                  grid_points=args.grid_points,
-                 threads=resolve_threads(args.threads))
+                 threads=args.threads)
 
     oracle, mse_plugin, h_mean = run(cfg)
     mse_star = float(oracle.mse.min())

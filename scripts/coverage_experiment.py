@@ -15,7 +15,6 @@ import argparse
 from dataclasses import asdict, dataclass
 
 from rdtoolkit.dgps import curved_benchmark
-from rdtoolkit.parallel import resolve_threads
 from rdtoolkit.powersim import simulate_coverage
 from rdtoolkit.reports import make_report, write_report
 
@@ -48,12 +47,12 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=Config.seed)
     ap.add_argument("--level", type=float, default=Config.level)
     ap.add_argument("--noise-sd", type=float, default=Config.noise_sd)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="JSON report path")
     args = ap.parse_args()
     cfg = Config(n=args.n, replications=args.replications, seed=args.seed,
                  level=args.level, noise_sd=args.noise_sd,
-                 threads=resolve_threads(args.threads))
+                 threads=args.threads)
 
     results = run(cfg)
     print(f"{'estimator':<14}{'coverage':>10}{'ci length':>11}"

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from rdtoolkit.dgps import piecewise_balance_dgp, simulate_sample
 from rdtoolkit.locrand import select_window
-from rdtoolkit.parallel import resolve_threads, run_indexed
+from rdtoolkit.parallel import run_indexed
 from rdtoolkit.reports import make_report, write_report
 from rdtoolkit.rng import substream
 
@@ -57,12 +57,12 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=Config.seed)
     ap.add_argument("--balance-alpha", type=float,
                     default=Config.balance_alpha)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="JSON report path")
     args = ap.parse_args()
     cfg = Config(n=args.n, replications=args.replications, seed=args.seed,
                  balance_alpha=args.balance_alpha,
-                 threads=resolve_threads(args.threads))
+                 threads=args.threads)
 
     widths, fallbacks = run(cfg)
     total = cfg.replications

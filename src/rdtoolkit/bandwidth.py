@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial, fsum, isnan, nan
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .continuity import sharp_estimate
 from .dgps import DgpSpec, simulate_sample
@@ -41,13 +41,6 @@ from .sample import RdSample
 
 
 @lru_cache(maxsize=None)
-def _quadrature(nodes: int = 64):
-    roots, weights = roots_legendre(nodes)
-    # Map from [-1, 1] to [0, 1].
-    return (roots + 1.0) / 2.0, weights / 2.0
-
-
-@lru_cache(maxsize=None)
 def kernel_constants(p: int, kernel: str) -> tuple[float, float]:
     """Boundary bias and variance constants (b_K, v_K) for order p.
 
@@ -59,7 +52,8 @@ def kernel_constants(p: int, kernel: str) -> tuple[float, float]:
     Gauss-Legendre quadrature (exact here: the integrands are
     polynomials of low degree).
     """
-    u, w = _quadrature()
+    roots, weights = leggauss(64)
+    u, w = (roots + 1.0) / 2.0, weights / 2.0  # from [-1, 1] to [0, 1]
     k = kernel_weight(u, kernel)
     powers = np.vander(u, N=2 * p + 3, increasing=True)  # u^0 .. u^(2p+2)
     mom_k = powers.T @ (w * k)          # int K u^j

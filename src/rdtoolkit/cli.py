@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .bandwidth import select_mse_bandwidth
-from .continuity import normalize_and_pool, rbc_inference
+from .continuity import per_cutoff_estimates, rbc_inference
 from .dgps import (
     curved_benchmark,
     linear_dgp,
@@ -39,7 +39,6 @@ from .locrand import (
     select_window,
 )
 from .lpoly import KERNELS
-from .parallel import resolve_threads
 from .plotting import build_rdplot, render_svg
 from .powersim import power_curve, required_n, simulate_coverage
 from .reports import canonical_json, make_report, sha256_file, write_report
@@ -83,7 +82,7 @@ def _add_data_flags(parser, treatment=True):
                    dest="covariates", metavar="NAME",
                    help="covariate column; repeatable")
     g.add_argument("--cutoff", type=float, default=0.0,
-                   help="cutoff value (default 0)")
+                   help="cutoff value (default 0; not with --cutoff-col)")
     g.add_argument("--delimiter", default=",", help="CSV delimiter")
 
 
@@ -230,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "replication (default auto)")
     _add_fit_flags(sim)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: RD_TOOLKIT_THREADS or 1); "
-                          "results never depend on it")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default 1); results never "
+                          "depend on it")
     _add_out_flags(sim)
 
     return parser
@@ -245,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ingest(args, treatment=True):
+    if args.cutoff_col and args.cutoff != 0.0:
+        raise UsageError("--cutoff cannot be combined with --cutoff-col: "
+                         "the cutoff column sets each unit's cutoff")
     column_map = {"score": args.score_col, "outcome": args.outcome_col}
     if treatment and getattr(args, "treatment_col", None):
         column_map["treatment"] = args.treatment_col
@@ -288,9 +290,6 @@ def cmd_estimate(args):
     kind = "sharp" if args.design == "pooled" else args.design
     rbc = rbc_inference(sample, kind=kind, **kwargs)
     est = rbc.base
-    pooled = None
-    if args.design == "pooled":
-        pooled = normalize_and_pool(sample, **kwargs)
 
     config = _data_config(args)
     config.update(design=args.design, p=args.p, kernel=args.kernel,
@@ -307,8 +306,8 @@ def cmd_estimate(args):
             "inference_order": rbc.inference_order,
         },
     }
-    if pooled is not None:
-        result["per_cutoff"] = pooled.per_cutoff
+    if args.design == "pooled":
+        result["per_cutoff"] = per_cutoff_estimates(sample, est)
     if selection is not None:
         result["bandwidth_selection"] = selection
     return config, result, None
@@ -506,12 +505,14 @@ _DGPS = {
 
 
 def cmd_simulate(args):
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     dgp = _DGPS[args.dgp]()
-    threads = resolve_threads(args.threads)
     result = simulate_coverage(
         dgp, estimator=args.estimator, n=args.n,
         replications=args.replications, seed=args.seed, p=args.p,
-        kernel=args.kernel, level=args.level, h=args.h, threads=threads)
+        kernel=args.kernel, level=args.level, h=args.h,
+        threads=args.threads)
     config = {
         "dgp": args.dgp, "n": args.n, "replications": args.replications,
         "estimator": args.estimator, "p": args.p, "kernel": args.kernel,

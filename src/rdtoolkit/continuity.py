@@ -24,9 +24,9 @@ fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     EmptySide,
@@ -109,7 +109,7 @@ class PooledEstimate:
 def _zvalue(level: float) -> float:
     if not 0 < level < 1:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def _side_fit(x, y, p, kernel, h, side):
@@ -274,26 +274,38 @@ def normalize_and_pool(sample: RdSample, p: int = 1,
 
     A multi-cutoff sample already holds that score, so the pooled
     estimate is the sharp estimator on the sample as given, and
-    ``unit_cutoffs`` only groups the units.  Per-cutoff estimates are
-    attempted on each group and flagged (estimate = None with a message)
-    when that group cannot support a fit.
+    ``unit_cutoffs`` only groups the units for
+    :func:`per_cutoff_estimates`.
     """
     pooled = sharp_estimate(sample, p=p, kernel=kernel,
                             h_below=h_below, h_above=h_above, level=level)
+    return PooledEstimate(pooled, per_cutoff_estimates(sample, pooled))
+
+
+def per_cutoff_estimates(sample: RdSample, pooled: RdEstimate,
+                         ) -> tuple[CutoffEstimate, ...]:
+    """Sharp estimates per cutoff group, with the pooled estimate's order,
+    kernel, bandwidths and level.
+
+    A group holding every unit is the pooled sample and reuses ``pooled``.
+    A group that cannot support a fit is flagged (estimate = None with a
+    message).
+    """
     labels = (sample.unit_cutoffs if sample.unit_cutoffs is not None
               else np.full(sample.n, sample.cutoff))
     per_cutoff = []
     for c in np.unique(labels):
         mask = labels == c
-        sub = RdSample(score=sample.score[mask], outcome=sample.outcome[mask],
-                       cutoff=sample.cutoff)
+        n = int(mask.sum())
         try:
-            est = sharp_estimate(sub, p=p, kernel=kernel, h_below=h_below,
-                                 h_above=h_above, level=level)
-            per_cutoff.append(CutoffEstimate(cutoff=float(c),
-                                             n=int(mask.sum()), estimate=est))
+            est = pooled if n == sample.n else sharp_estimate(
+                sample.subset(mask), p=pooled.p, kernel=pooled.kernel,
+                h_below=pooled.h_below, h_above=pooled.h_above,
+                level=pooled.level)
+            per_cutoff.append(CutoffEstimate(cutoff=float(c), n=n,
+                                             estimate=est))
         except (EmptySide, RankDeficient, InsufficientSideData) as err:
             per_cutoff.append(CutoffEstimate(
-                cutoff=float(c), n=int(mask.sum()), estimate=None,
+                cutoff=float(c), n=n, estimate=None,
                 message=f"insufficient support: {err}"))
-    return PooledEstimate(pooled=pooled, per_cutoff=tuple(per_cutoff))
+    return tuple(per_cutoff)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
+from statistics import NormalDist
 
 import numpy as np
 
@@ -477,12 +478,10 @@ def neyman_ci(sample: RdSample, window: Window, framework: str = "neyman",
     A zero group variance leaves only the other group's contribution in
     the half-width; the result is flagged rather than rejected.
     """
-    from scipy.stats import norm
-
     y, t, _ = _window_arrays(sample, window)
     se, var_p, var_m = _neyman_se(y, t)
     est = diff_in_means(sample, window, model, framework)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return NeymanResult(estimate=est, se=se,
                         ci=(est.tau_hat - z * se, est.tau_hat + z * se),
                         alpha=alpha,

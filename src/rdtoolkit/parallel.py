@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-ENV_THREADS = "RD_TOOLKIT_THREADS"
-
-
-def resolve_threads(threads: int | None) -> int:
-    """Explicit argument wins; otherwise the environment, otherwise 1."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return int(threads)
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if raw:
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"{ENV_THREADS} must be >= 1, got {raw!r}")
-        return value
-    return 1
 
 
 def run_indexed(task: Callable[[int], T], count: int,

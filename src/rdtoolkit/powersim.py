@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, fsum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .bandwidth import select_mse_bandwidth
 from .continuity import rbc_inference, sharp_estimate
@@ -51,9 +51,10 @@ def power_at(tau: float, se: float, alpha: float = 0.05) -> float:
     """Rejection probability of the two-sided normal test at effect tau."""
     if se <= 0:
         raise ValueError("se must be positive")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    std = NormalDist()
+    z = std.inv_cdf(1.0 - alpha / 2.0)
     t = tau / se
-    return float(1.0 - norm.cdf(z - t) + norm.cdf(-z - t))
+    return 1.0 - std.cdf(z - t) + std.cdf(-z - t)
 
 
 def mde(se: float, alpha: float = 0.05, target_power: float = 0.80) -> float:
@@ -72,16 +73,17 @@ def mde(se: float, alpha: float = 0.05, target_power: float = 0.80) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if not 0 < target_power < 1:
         raise ValueError("target power must be in (0, 1)")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    std = NormalDist()
+    z = std.inv_cdf(1.0 - alpha / 2.0)
     # Work in tau/se units; power depends on tau only through that ratio,
     # so mde is exactly linear in se.
-    t = z + norm.ppf(target_power)
+    t = z + std.inv_cdf(target_power)
     if target_power <= alpha:
         # Two-sided power is minimized (= alpha) at tau = 0.
         return 0.0
     for _ in range(60):
-        f = (1.0 - norm.cdf(z - t) + norm.cdf(-z - t)) - target_power
-        slope = norm.pdf(z - t) - norm.pdf(z + t)
+        f = (1.0 - std.cdf(z - t) + std.cdf(-z - t)) - target_power
+        slope = std.pdf(z - t) - std.pdf(z + t)
         step = f / slope
         t -= step
         if abs(step) < 1e-14:

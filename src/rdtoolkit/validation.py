@@ -11,9 +11,9 @@ battery aggregates them into one report for serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import erfc, lgamma, log, log1p, sqrt
 
 import numpy as np
-from scipy.stats import binom, norm
 
 from .bandwidth import select_mse_bandwidth
 from .continuity import RbcResult, rbc_inference
@@ -35,7 +35,7 @@ def _rbc_pvalue(res: RbcResult) -> float:
     """Two-sided normal p-value of the bias-corrected estimate."""
     if res.se_robust <= 0:
         return 0.0 if res.tau_bc != 0 else 1.0
-    return float(2.0 * norm.sf(abs(res.tau_bc) / res.se_robust))
+    return erfc(abs(res.tau_bc) / res.se_robust / sqrt(2.0))
 
 
 # --------------------------------------------------------------------
@@ -110,14 +110,21 @@ def binomial_test(sample: RdSample, window: Window,
                   prob: float = 0.5) -> BinomialRecord:
     """Exact two-sided test that the treated count near the cutoff is
     Binomial(n_w, prob): p = min(1, 2*min(P[<=k], P[>=k])), tails by
-    direct pmf summation."""
+    direct pmf summation.  Log-gamma terms keep the pmf finite at any n
+    (binomial coefficients overflow a double past n = 1029)."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("prob must be in [0, 1]")
     k = window.n_plus
     n = window.n_w
     if n < 1:
         raise TooFewObservations("window contains no observations")
-    pmf = binom.pmf(np.arange(n + 1), n, prob)
+    j = np.arange(n + 1)
+    if prob in (0.0, 1.0):
+        pmf = (j == n * prob).astype(float)
+    else:
+        log_fact = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+        pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1]
+                     + j * log(prob) + (n - j) * log1p(-prob))
     lower = float(pmf[:k + 1].sum())
     upper = float(pmf[k:].sum())
     p = min(1.0, 2.0 * min(lower, upper))
@@ -191,7 +198,7 @@ def density_test(sample: RdSample, h: float,
                                    counts_a.astype(float), n, c)
     se = float(np.sqrt(var_b + var_a))
     stat = (f_a - f_b) / se if se > 0 else 0.0
-    p = float(2.0 * norm.sf(abs(stat)))
+    p = erfc(abs(stat) / sqrt(2.0))
     return DensityRecord(f_below=f_b, f_above=f_a, statistic=float(stat),
                          p_value=p, h=float(h), bins_per_side=bins_per_side)
 

@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rdtoolkit import continuity
 from rdtoolkit.cli import main
 from rdtoolkit.powersim import mde
 from rdtoolkit.reports import SCHEMA, sha256_file
@@ -179,6 +181,31 @@ class TestEstimate:
         assert report["result"]["estimate"]["tau_hat"] == pytest.approx(
             1.5, abs=0.2)
 
+    @pytest.mark.parametrize("multi, order_p_fits", [(False, 2), (True, 8)])
+    def test_pooled_design_fits_each_group_once(
+            self, multi, order_p_fits, step_csv, multi_cutoff_csv,
+            monkeypatch, capsys):
+        # one order-p and one order-(p+1) pair for the pooled sample, plus
+        # one order-p pair per cutoff group when there are several groups
+        orders = Counter()
+        fit_values = continuity.fit_values
+
+        def counting_fit(*args, **kwargs):
+            orders[kwargs["p"]] += 1
+            return fit_values(*args, **kwargs)
+
+        monkeypatch.setattr(continuity, "fit_values", counting_fit)
+        path, extra = ((multi_cutoff_csv, ["--cutoff-col", "c"]) if multi
+                       else (step_csv, []))
+        code, out, _ = run_cli(
+            ["estimate", "--input", str(path), "--score-col", "x",
+             "--outcome-col", "y", "--design", "pooled", "--h", "0.3",
+             *extra], capsys)
+        assert code == 0
+        assert orders == {1: order_p_fits, 2: 2}
+        per_cutoff = json.loads(out)["result"]["per_cutoff"]
+        assert len(per_cutoff) == (3 if multi else 1)
+
 
 class TestMultiCutoff:
     """Every file subcommand reads a cutoff column the same way: the
@@ -193,6 +220,22 @@ class TestMultiCutoff:
                     "--outcome-col", "y", "--cutoff-col", "c"], capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["kind"] == argv[0]
+
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["locrand", "--window", "0.1"], ["validate"], ["plot"]])
+    def test_cutoff_with_cutoff_column_exits_1(self, multi_cutoff_csv,
+                                               command):
+        # the cutoff column decides every unit's cutoff, so a scalar
+        # --cutoff would only be echoed, never used
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", *command, "--input",
+             str(multi_cutoff_csv), "--score-col", "x", "--outcome-col",
+             "y", "--cutoff-col", "c", "--cutoff", "5"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
+        assert doc["kind"] == "usage" and "--cutoff-col" in doc["message"]
 
 
 class TestLocrand:
@@ -392,6 +435,15 @@ class TestSimulate:
         doc = json.loads(err)["error"]
         assert doc["kind"] == "usage" and "--threads" in doc["message"]
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_exits_1(self, threads, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--dgp", "step", "--n", "150", "--threads", threads],
+            capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "usage" and "--threads" in doc["message"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, step_csv):
@@ -404,6 +456,14 @@ class TestEntryPoint:
         report = json.loads(proc.stdout)
         assert report["result"]["estimate"]["tau_hat"] == pytest.approx(
             1.0, abs=1e-9)
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rdtoolkit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     def test_version_flag(self):
         proc = subprocess.run(

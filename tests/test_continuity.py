@@ -1,6 +1,7 @@
 import pathlib
 import tempfile
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rdtoolkit.continuity import (
     PooledEstimate,
+    _zvalue,
     discrete_estimate,
     fuzzy_estimate,
     kink_estimate,
@@ -213,6 +215,12 @@ class TestRbc:
     def test_unknown_kind_rejected(self, step_sample):
         with pytest.raises(ValueError):
             rbc_inference(step_sample, kind="sorta_sharp", h_below=0.5)
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_normal_quantile_matches_mpmath(self, level):
+        with mp.workdps(50):
+            z = mp.sqrt(2) * mp.erfinv(level)
+            assert abs(_zvalue(level) - z) <= 1e-15 * z
 
 
 class TestDiscrete:

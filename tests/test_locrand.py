@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -238,6 +239,15 @@ class TestNeyman:
         s = make_sample([-0.3, 0.2, 0.5], [1.0, 2.0, 3.0])
         with pytest.raises(TooFewObservations):
             neyman_ci(s, window_all(s))
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_quantile_matches_mpmath(self, level):
+        # tau_hat = 0, so the upper bound is z * se rounded once
+        s = make_sample([-0.6, -0.3, 0.2, 0.5], [-1.0, 1.0, -1.0, 1.0])
+        res = neyman_ci(s, window_all(s), alpha=1.0 - level)
+        with mp.workdps(50):
+            hi = mp.sqrt(2) * mp.erfinv(level) * res.se
+            assert abs(res.ci[1] - hi) <= 1e-15 * hi
 
 
 class TestFisherCi:

@@ -1,5 +1,6 @@
-"""Microbenchmarks at 1e5 rows: CSV ingest, RD-plot construction, the
-side-fit kernel and robust bias-corrected inference.
+"""Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
+kernel and robust bias-corrected inference at 1e5 rows; one Monte Carlo
+permutation ensemble; one coverage replication.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -10,7 +11,10 @@ Tier-1 runs each body once: ``--benchmark-disable`` is set in
 import numpy as np
 import pytest
 
+from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import rbc_inference
+from rdtoolkit.dgps import curved_benchmark, simulate_sample
+from rdtoolkit.locrand import fisher_pvalue, make_window
 from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
@@ -67,3 +71,26 @@ def test_rbc_inference(benchmark):
     sample = RdSample(score=x, outcome=y, cutoff=0.0)
     rbc = benchmark(rbc_inference, sample, h_below=0.5)
     assert rbc.ci_rbc[0] < 0.3 < rbc.ci_rbc[1]
+
+
+def test_fisher_pvalue_monte_carlo(benchmark):
+    # every one of 2,000 units is in the window: far past enumeration
+    x, y, _, _ = _draw(2_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    window = make_window(sample, 1.0)
+    res = benchmark(fisher_pvalue, sample, window, draws=999, seed=1)
+    assert window.n_w == 2_000 and not res.exact and res.draws == 999
+    assert res.p_value == 1 / 1000  # the 0.3 jump is never matched
+
+
+def test_coverage_replication(benchmark):
+    # the body of one simulate_coverage replication with rbc inference
+    dgp = curved_benchmark()
+
+    def replication():
+        sample = simulate_sample(dgp, 1_000, seed=7)
+        h = select_mse_bandwidth(sample).h_mse
+        return rbc_inference(sample, h_below=h)
+
+    rbc = benchmark(replication)
+    assert rbc.base.n_eff_below > 0 and rbc.ci_rbc[0] < rbc.ci_rbc[1]

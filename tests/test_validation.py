@@ -64,6 +64,23 @@ class TestBinomial:
         rec = binomial_test(s, make_window(s, 0.5))
         assert rec.p_value == 1.0
 
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    @pytest.mark.parametrize("k", [0, 5, 12])
+    def test_degenerate_prob_matches_mpmath_oracle(self, prob, k):
+        # all mass sits on k = 0 (prob 0) or k = n (prob 1)
+        s = count_sample(12 - k, k)
+        rec = binomial_test(s, make_window(s, 0.5), prob=prob)
+        assert rec.p_value == mp_binomial_two_sided(k, 12, prob)
+
+    def test_large_window_finite(self):
+        # C(n, k) overflows a double past n = 1029
+        s = count_sample(49_800, 50_200)
+        rec = binomial_test(s, make_window(s, 0.5))
+        assert rec.n == 100_000 and 0.0 <= rec.p_value <= 1.0
+        # normal approximation with continuity correction: z = 1.26
+        assert rec.p_value == pytest.approx(
+            float(mp.erfc(199.5 / mp.sqrt(25_000) / mp.sqrt(2))), abs=1e-3)
+
 
 class TestCovariateBalance:
     def test_continuity_method_is_sharp_on_covariate(self, noisy_sample):

@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from .continuity import sharp_estimate
 from .dgps import DgpSpec, simulate_sample
 from .errors import EmptySide, RankDeficient, TooFewObservations
-from .lpoly import kernel_weight
+from .lpoly import kernel_weight, polyfit_lstsq, vander
 from .parallel import run_indexed
 from .rng import substream
 from .sample import RdSample
@@ -55,7 +55,7 @@ def kernel_constants(p: int, kernel: str) -> tuple[float, float]:
     roots, weights = leggauss(64)
     u, w = (roots + 1.0) / 2.0, weights / 2.0  # from [-1, 1] to [0, 1]
     k = kernel_weight(u, kernel)
-    powers = np.vander(u, N=2 * p + 3, increasing=True)  # u^0 .. u^(2p+2)
+    powers = vander(u, 2 * p + 3)  # u^0 .. u^(2p+2)
     mom_k = powers.T @ (w * k)          # int K u^j
     mom_k2 = powers.T @ (w * k * k)     # int K^2 u^j
     idx = np.add.outer(np.arange(p + 1), np.arange(p + 1))
@@ -69,12 +69,12 @@ def kernel_constants(p: int, kernel: str) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def mse_constant(p: int, kernel: str, two_sided: bool = True) -> float:
-    """C_K in the plug-in formula; two_sided doubles the variance term
-    because the jump estimator sums two independent side variances."""
+def mse_constant(p: int, kernel: str) -> float:
+    """C_K in the plug-in formula for the jump estimator; its variance
+    term is doubled because the jump sums two independent side
+    variances."""
     b_k, v_k = kernel_constants(p, kernel)
-    mult = 2.0 if two_sided else 1.0
-    num = mult * v_k * factorial(p + 1) ** 2
+    num = 2.0 * v_k * factorial(p + 1) ** 2
     den = 2.0 * (p + 1) * b_k * b_k
     return float((num / den) ** (1.0 / (2 * p + 3)))
 
@@ -113,16 +113,29 @@ class BandwidthSelection:
 
 def _silverman(x: np.ndarray) -> float:
     sd = float(np.std(x))
-    q75, q25 = np.percentile(x, (75, 25))
+    # numpy's linear-interpolation quartiles, read from one partition.
+    # They can differ from np.percentile only in the sign of a zero,
+    # which neither iqr > 0 nor iqr / 1.349 can see.
+    n = x.shape[0]
+    at = ((n - 1) * 0.75, (n - 1) * 0.25)
+    ends = [(int(v), min(int(v) + 1, n - 1)) for v in at]
+    part = np.partition(x, [i for pair in ends for i in pair])
+    q75, q25 = (_lerp(part[i], part[j], v - i)
+                for v, (i, j) in zip(at, ends))
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.349) if iqr > 0 else sd
-    return 1.06 * spread * x.shape[0] ** (-0.2)
+    return 1.06 * spread * n ** (-0.2)
+
+
+def _lerp(a, b, g):
+    """numpy's quantile interpolation between neighbours a <= b."""
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def _pilot_fit(xc: np.ndarray, y: np.ndarray, order: int):
     """Unweighted global polynomial fit; returns (coefs, residuals)."""
-    design = np.vander(xc, N=order + 1, increasing=True)
-    coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    design, coefs, rank = polyfit_lstsq(xc, y, order)
     if rank < order + 1:
         raise RankDeficient(
             f"pilot design of order {order} is rank deficient")
@@ -130,16 +143,9 @@ def _pilot_fit(xc: np.ndarray, y: np.ndarray, order: int):
 
 
 def select_mse_bandwidth(sample: RdSample, p: int = 1,
-                         kernel: str = "triangular",
-                         side: str | None = None) -> BandwidthSelection:
-    """Plug-in MSE-optimal bandwidth for the order-p jump estimator.
-
-    Parameters
-    ----------
-    side : {None, "below", "above"}
-        None selects the bandwidth for the two-sided jump (difference
-        of intercepts).  A side name selects for that side's boundary
-        level alone (one-sided variance and curvature).
+                         kernel: str = "triangular") -> BandwidthSelection:
+    """Plug-in MSE-optimal bandwidth for the order-p jump estimator
+    (difference of the two sides' boundary intercepts).
 
     Notes
     -----
@@ -154,31 +160,24 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
             f"plug-in, got {n}")
     xc = sample.centered_score()
     below = xc < 0
-    above = ~below
-    if not below.any() or not above.any():
+    x_b, x_a = xc[below], xc[~below]
+    if x_b.size == 0 or x_a.size == 0:
         raise EmptySide("both sides of the cutoff must be populated")
     pilot_order = p + 2
-    if below.sum() < pilot_order + 1 or above.sum() < pilot_order + 1:
+    if x_b.size < pilot_order + 1 or x_a.size < pilot_order + 1:
         raise TooFewObservations(
             f"each side needs at least {pilot_order + 1} observations for "
             f"the order-{pilot_order} pilot fit")
 
-    coef_b, resid_b = _pilot_fit(xc[below], sample.outcome[below], pilot_order)
-    coef_a, resid_a = _pilot_fit(xc[above], sample.outcome[above], pilot_order)
+    coef_b, resid_b = _pilot_fit(x_b, sample.outcome[below], pilot_order)
+    coef_a, resid_a = _pilot_fit(x_a, sample.outcome[~below], pilot_order)
     deriv_b = factorial(p + 1) * coef_b[p + 1]
     deriv_a = factorial(p + 1) * coef_a[p + 1]
 
     # Bias-relevant curvature of the jump estimator: the below side's
     # one-sided kernel moments pick up a (-1)^(p+1) sign.
     sign = (-1.0) ** (p + 1)
-    if side is None:
-        curvature = float(deriv_a - sign * deriv_b)
-    elif side == "above":
-        curvature = float(deriv_a)
-    elif side == "below":
-        curvature = float(sign * deriv_b)
-    else:
-        raise ValueError(f"side must be None, 'below', or 'above', got {side!r}")
+    curvature = float(deriv_a - sign * deriv_b)
 
     b = _silverman(sample.score)
     score_range = float(sample.score.max() - sample.score.min())
@@ -186,21 +185,23 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
         raise RankDeficient("score has zero range")
     if b <= 0:
         b = score_range / 4.0
-    density = float(np.sum(np.abs(xc) <= b)) / (2.0 * b * n)
+    dist_b, dist_a = np.abs(x_b), np.abs(x_a)
+    near = int(np.count_nonzero(dist_b <= b) + np.count_nonzero(dist_a <= b))
+    density = float(near) / (2.0 * b * n)
 
     # Residual variance inside a pilot window wide enough to hold at
     # least 3*(p+2) points per side.
     k_near = 3 * pilot_order
-    dist_b = np.sort(np.abs(xc[below]))
-    dist_a = np.sort(np.abs(xc[above]))
-    w_var = max(b,
-                dist_b[min(k_near, dist_b.size) - 1],
-                dist_a[min(k_near, dist_a.size) - 1])
-    resid = np.concatenate([resid_b[np.abs(xc[below]) <= w_var],
-                            resid_a[np.abs(xc[above]) <= w_var]])
+    # The k-th nearest distance per side, as a full sort would place it.
+    kth_b, kth_a = (np.partition(d, k)[k] for d, k in (
+        (dist_b, min(k_near, dist_b.size) - 1),
+        (dist_a, min(k_near, dist_a.size) - 1)))
+    w_var = max(b, kth_b, kth_a)
+    resid = np.concatenate([resid_b[dist_b <= w_var],
+                            resid_a[dist_a <= w_var]])
     sigma2 = float(np.mean(resid ** 2)) if resid.size else 0.0
 
-    c_k = mse_constant(p, kernel, two_sided=side is None)
+    c_k = mse_constant(p, kernel)
 
     # Degenerate when the pilot curvature or the residual noise is
     # numerically zero relative to the outcome scale; the MSE trade-off
@@ -217,8 +218,7 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
         h_raw = c_k * (sigma2 / (density * curvature * curvature) / n) \
             ** (1.0 / (2 * p + 3))
         # Keep enough points per side for the order-(p+1) RBC fit.
-        h_min = max(dist_b[min(k_near, dist_b.size) - 1],
-                    dist_a[min(k_near, dist_a.size) - 1])
+        h_min = max(kth_b, kth_a)
         h_mse = float(np.clip(h_raw, min(h_min, score_range), score_range))
 
     return BandwidthSelection(

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--framework", default="neyman",
                      choices=("neyman", "superpop"))
     loc.add_argument("--alpha", type=float, default=0.05,
-                     help="test level for intervals")
+                     help="test level for intervals, in (0, 1)")
     loc.add_argument("--draws", type=int, default=9999,
                      help="Monte Carlo draws when enumeration is infeasible")
     loc.add_argument("--max-exhaustive", type=int, default=200000,
@@ -314,6 +314,8 @@ def cmd_estimate(args):
 
 
 def cmd_locrand(args):
+    if not 0 < args.alpha < 1:
+        raise UsageError("--alpha must be in (0, 1)")
     sample = _ingest(args)
     if args.model == "bernoulli":
         model = Bernoulli(args.prob)

@@ -6,8 +6,10 @@ discrete-score estimand for mass-point designs, and normalize-and-pool
 for multi-cutoff samples.
 
 Every estimator here reaches the one side-fit kernel,
-:func:`rdtoolkit.lpoly.fit_values`, through ``_side_fit``: one SVD per
-(side window, polynomial order).  The fuzzy design fits outcome and
+:func:`rdtoolkit.lpoly.fit_window`, through ``_side_fit``: one SVD per
+(side window, polynomial order).  Each side's window is selected once
+per call, so robust bias correction fits orders p and p+1 on the same
+windows.  The fuzzy design fits outcome and
 treatment as a two-column response on each side and reads the
 outcome-treatment intercept covariance from the cross-response block of
 that fit's covariance.
@@ -24,6 +26,7 @@ fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -37,7 +40,7 @@ from .errors import (
     RankDeficient,
     WeakFirstStage,
 )
-from .lpoly import LocalFit, fit_values
+from .lpoly import LocalFit, fit_window, side_window
 from .sample import RdSample, mass_points
 
 WEAK_FIRST_STAGE_THRESHOLD = 0.05
@@ -112,21 +115,44 @@ def _zvalue(level: float) -> float:
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-def _side_fit(x, y, p, kernel, h, side):
+class _SideWindows:
+    """Each side's kernel window at its bandwidth, built on first use and
+    shared by the fits of every order.  Fits run below side first, and a
+    window is built just before its first fit, so errors surface in the
+    order that fitting each side from scratch would raise them."""
+
+    def __init__(self, sample: RdSample, kernel, h_below, h_above,
+                 outcome=None):
+        self.xc = sample.centered_score()
+        self.is_below = self.xc < 0
+        self.y = sample.outcome if outcome is None else outcome
+        self.kernel, self.h_below, self.h_above = kernel, h_below, h_above
+
+    @cached_property
+    def below(self):
+        m = self.is_below
+        return side_window(self.xc[m], self.y[m], 0.0, self.kernel,
+                           self.h_below)
+
+    @cached_property
+    def above(self):
+        m = ~self.is_below
+        return side_window(self.xc[m], self.y[m], 0.0, self.kernel,
+                           self.h_above)
+
+    def fits(self, p):
+        """Order-p fits (below, above)."""
+        fit_b = _side_fit(self.below, p, "below")
+        fit_a = _side_fit(self.above, p, "above")
+        return fit_b, fit_a
+
+
+def _side_fit(window, p, side):
     """Fit one side, labeling errors with the side they came from."""
     try:
-        return fit_values(x, y, 0.0, p=p, kernel=kernel, h=h)
+        return fit_window(window, p)
     except (EmptySide, RankDeficient) as err:
         raise type(err)(f"{side} side: {err}") from None
-
-
-def _two_fits(sample: RdSample, p, kernel, h_below, h_above, outcome=None):
-    xc = sample.centered_score()
-    below = xc < 0
-    y = sample.outcome if outcome is None else outcome
-    fit_b = _side_fit(xc[below], y[below], p, kernel, h_below, "below")
-    fit_a = _side_fit(xc[~below], y[~below], p, kernel, h_above, "above")
-    return fit_b, fit_a
 
 
 def _difference(fit_b: LocalFit, fit_a: LocalFit, nu: int):
@@ -135,10 +161,56 @@ def _difference(fit_b: LocalFit, fit_a: LocalFit, nu: int):
     return tau, float(np.sqrt(var))
 
 
+def _sides(kind: str, sample: RdSample, p, kernel, h_below,
+           h_above) -> _SideWindows:
+    """Check a design's inputs and set up its side windows."""
+    if kind not in _DESIGNS:
+        raise ValueError(f"unknown design {kind!r}")
+    if kind == "kink" and p < 1:
+        raise ValueError("kink estimation requires polynomial order p >= 1")
+    outcome = None
+    if kind == "fuzzy":
+        if sample.received is None:
+            raise MissingTreatmentColumn(
+                "fuzzy estimation requires a received-treatment column")
+        outcome = np.column_stack([sample.outcome,
+                                   sample.received.astype(float)])
+    h_below, h_above = _resolve_bandwidths(h_below, h_above)
+    return _SideWindows(sample, kernel, h_below, h_above, outcome)
+
+
+def _estimate(kind: str, sides: _SideWindows, p: int,
+              level: float) -> RdEstimate:
+    """The order-p estimate of a design from its side windows."""
+    fit_b, fit_a = sides.fits(p)
+    first_stage = None
+    if kind == "fuzzy":
+        reduced, first_stage = fit_a.beta[0] - fit_b.beta[0]
+        if abs(first_stage) < WEAK_FIRST_STAGE_THRESHOLD:
+            raise WeakFirstStage(
+                f"first-stage jump {first_stage:.4g} is below the "
+                f"{WEAK_FIRST_STAGE_THRESHOLD} threshold")
+        tau = reduced / first_stage
+        icov = fit_a.cov[0, :, 0, :] + fit_b.cov[0, :, 0, :]
+        var_y, var_d, cov_yd = icov[0, 0], icov[1, 1], icov[0, 1]
+        var = (var_y + tau * tau * var_d - 2.0 * tau * cov_yd) \
+            / (first_stage ** 2)
+        se = float(np.sqrt(max(var, 0.0)))
+        first_stage = float(first_stage)
+    else:
+        tau, se = _difference(fit_b, fit_a, 1 if kind == "kink" else 0)
+    z = _zvalue(level)
+    return RdEstimate(
+        kind=kind, tau_hat=float(tau), se_conventional=se,
+        ci_conventional=(tau - z * se, tau + z * se),
+        h_below=sides.h_below, h_above=sides.h_above,
+        n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
+        p=p, kernel=sides.kernel, level=level, first_stage=first_stage)
+
+
 def sharp_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
                    h_below: float = None, h_above: float = None,
-                   level: float = 0.95, _nu: int = 0,
-                   _kind: str = "sharp") -> RdEstimate:
+                   level: float = 0.95) -> RdEstimate:
     """Sharp RD effect: difference of side-wise boundary intercepts.
 
     Parameters
@@ -146,26 +218,16 @@ def sharp_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
     h_below, h_above : float
         Side bandwidths; passing only one uses it on both sides.
     """
-    h_below, h_above = _resolve_bandwidths(h_below, h_above)
-    fit_b, fit_a = _two_fits(sample, p, kernel, h_below, h_above)
-    tau, se = _difference(fit_b, fit_a, _nu)
-    z = _zvalue(level)
-    return RdEstimate(
-        kind=_kind, tau_hat=tau, se_conventional=se,
-        ci_conventional=(tau - z * se, tau + z * se),
-        h_below=h_below, h_above=h_above,
-        n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
-        p=p, kernel=kernel, level=level)
+    sides = _sides("sharp", sample, p, kernel, h_below, h_above)
+    return _estimate("sharp", sides, p, level)
 
 
 def kink_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
                   h_below: float = None, h_above: float = None,
                   level: float = 0.95) -> RdEstimate:
     """Kink effect: difference of side-wise boundary slopes (requires p >= 1)."""
-    if p < 1:
-        raise ValueError("kink estimation requires polynomial order p >= 1")
-    return sharp_estimate(sample, p=p, kernel=kernel, h_below=h_below,
-                          h_above=h_above, level=level, _nu=1, _kind="kink")
+    sides = _sides("kink", sample, p, kernel, h_below, h_above)
+    return _estimate("kink", sides, p, level)
 
 
 def _resolve_bandwidths(h_below, h_above):
@@ -188,35 +250,11 @@ def fuzzy_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
     cross-response block of the stacked sandwich) and applies the delta
     method to the ratio; the two sides are independent.
     """
-    if sample.received is None:
-        raise MissingTreatmentColumn(
-            "fuzzy estimation requires a received-treatment column")
-    h_below, h_above = _resolve_bandwidths(h_below, h_above)
-    yd = np.column_stack([sample.outcome, sample.received.astype(float)])
-    fit_b, fit_a = _two_fits(sample, p, kernel, h_below, h_above, outcome=yd)
-
-    reduced, first_stage = fit_a.beta[0] - fit_b.beta[0]
-    if abs(first_stage) < WEAK_FIRST_STAGE_THRESHOLD:
-        raise WeakFirstStage(
-            f"first-stage jump {first_stage:.4g} is below the "
-            f"{WEAK_FIRST_STAGE_THRESHOLD} threshold")
-    tau = reduced / first_stage
-
-    icov = fit_a.cov[0, :, 0, :] + fit_b.cov[0, :, 0, :]
-    var_y, var_d, cov_yd = icov[0, 0], icov[1, 1], icov[0, 1]
-    var = (var_y + tau * tau * var_d - 2.0 * tau * cov_yd) / (first_stage ** 2)
-    se = float(np.sqrt(max(var, 0.0)))
-    z = _zvalue(level)
-    return RdEstimate(
-        kind="fuzzy", tau_hat=float(tau), se_conventional=se,
-        ci_conventional=(tau - z * se, tau + z * se),
-        h_below=h_below, h_above=h_above,
-        n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
-        p=p, kernel=kernel, level=level, first_stage=float(first_stage))
+    sides = _sides("fuzzy", sample, p, kernel, h_below, h_above)
+    return _estimate("fuzzy", sides, p, level)
 
 
-_ESTIMATORS = {"sharp": sharp_estimate, "fuzzy": fuzzy_estimate,
-               "kink": kink_estimate}
+_DESIGNS = ("sharp", "kink", "fuzzy")
 
 
 def rbc_inference(sample: RdSample, p: int = 1, kernel: str = "triangular",
@@ -228,14 +266,11 @@ def rbc_inference(sample: RdSample, p: int = 1, kernel: str = "triangular",
     estimate at the same bandwidth.  The bias estimate is the difference
     between the two, the bias-corrected point is the order-(p+1) value,
     and the interval is that point plus/minus z times its robust se.
+    Both orders fit the same side windows, each built once.
     """
-    if kind not in _ESTIMATORS:
-        raise ValueError(f"unknown design {kind!r}")
-    estimator = _ESTIMATORS[kind]
-    base = estimator(sample, p=p, kernel=kernel, h_below=h_below,
-                     h_above=h_above, level=level)
-    higher = estimator(sample, p=p + 1, kernel=kernel, h_below=h_below,
-                       h_above=h_above, level=level)
+    sides = _sides(kind, sample, p, kernel, h_below, h_above)
+    base = _estimate(kind, sides, p, level)
+    higher = _estimate(kind, sides, p + 1, level)
     bias = base.tau_hat - higher.tau_hat
     se_robust = higher.se_conventional
     z = _zvalue(level)

@@ -123,7 +123,9 @@ class DgpSpec:
     ----------
     mu0, mu1 : callable
         Potential-outcome conditional means E[Y(0)|X=x], E[Y(1)|X=x];
-        must accept numpy arrays.
+        must accept numpy arrays and act elementwise, returning one value
+        per score: :func:`simulate_sample` evaluates ``mu1`` only on the
+        treated units and ``mu0`` only on the rest.
     noise_sd : float or callable
         Homoskedastic sd, or a function of the score.
     score_dist : Uniform, Normal, or Discrete
@@ -160,7 +162,11 @@ def simulate_sample(dgp: DgpSpec, n: int, seed: int) -> RdSample:
     x = dgp.score_dist.sample(rng, n)
     assigned = (x >= dgp.cutoff).astype(np.int8)
     d = dgp.compliance.draw(rng, assigned)
-    mu = np.where(d == 1, dgp.mu1(x), dgp.mu0(x))
+    # Each mean function runs only on the units whose outcome it sets.
+    treated = d == 1
+    mu = np.empty(n)
+    mu[treated] = dgp.mu1(x[treated])
+    mu[~treated] = dgp.mu0(x[~treated])
     sd = dgp.noise_sd(x) if callable(dgp.noise_sd) else float(dgp.noise_sd)
     y = mu + sd * rng.standard_normal(n)
     covariates = {name: gen(x, rng) for name, gen in dgp.covariates.items()}

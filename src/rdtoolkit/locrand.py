@@ -415,6 +415,7 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
     draws) arithmetic.  A non-interval acceptance region is flagged
     rather than hidden.
     """
+    _check_alpha(alpha)
     y, t, _ = _window_arrays(sample, window)
     if tau_grid is None:
         est = diff_in_means(sample, window, model, framework="fisher")
@@ -439,6 +440,12 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
                     upper=float(tau_grid[accepted[-1]]),
                     alpha=alpha, grid=tau_grid, p_values=pvals,
                     convex=convex, empty=False)
+
+
+def _check_alpha(alpha: float) -> None:
+    """An interval's level alpha must lie strictly between 0 and 1."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _neyman_se(y, t):
@@ -478,6 +485,7 @@ def neyman_ci(sample: RdSample, window: Window, framework: str = "neyman",
     A zero group variance leaves only the other group's contribution in
     the half-width; the result is flagged rather than rejected.
     """
+    _check_alpha(alpha)
     y, t, _ = _window_arrays(sample, window)
     se, var_p, var_m = _neyman_se(y, t)
     est = diff_in_means(sample, window, model, framework)

@@ -2,8 +2,10 @@
 
 The design is centered at the cutoff: regressors are powers of (x - c),
 so the intercept estimates the boundary level mu(c) and nu! * beta_nu
-estimates the nu-th derivative.  :func:`fit_values` is the one side-fit
-kernel behind every continuity-based method.  It factorises each
+estimates the nu-th derivative.  :func:`fit_window` is the one side-fit
+kernel behind every continuity-based method; :func:`side_window` selects
+the observations it fits, once per (side, bandwidth), and
+:func:`fit_values` chains the two.  The kernel factorises each
 (window, order) once, with a single SVD of the sqrt-weighted design; that
 SVD yields the coefficients, the rank test, the condition number and the
 bread V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich,
@@ -84,6 +86,64 @@ class LocalFit:
         return float(fac * fac * self.cov[nu, nu])
 
 
+def vander(x, n: int) -> np.ndarray:
+    """Increasing Vandermonde matrix with columns x^0, x^1, ..., x^(n-1).
+
+    Equal, bit for bit, to ``np.vander(x, n, increasing=True)`` for float
+    input: column k is column k-1 times x, the same products in the same
+    order as numpy's ``multiply.accumulate``, without its overhead.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.empty((x.shape[0], n))
+    if n > 0:
+        v[:, 0] = 1.0
+    for k in range(1, n):
+        np.multiply(v[:, k - 1], x, out=v[:, k])
+    return v
+
+
+def polyfit_lstsq(x, y, order: int):
+    """Unweighted least-squares fit of y on 1, x, ..., x^order.
+
+    Returns ``(design, coefs, rank)`` from ``np.linalg.lstsq`` with its
+    default cut-off; the caller applies its own rank rule.
+    """
+    design = vander(x, order + 1)
+    coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return design, coefs, rank
+
+
+@dataclass(frozen=True)
+class SideWindow:
+    """The observations of one side that carry positive kernel weight.
+
+    ``xc`` holds their scores minus the cutoff, ``y`` their responses
+    (a vector, or an (n_eff, k) matrix) and ``w`` their kernel weights,
+    in the original row order.  One window serves fits of every order.
+    """
+
+    xc: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    kernel: str
+    h: float
+
+
+def side_window(x: np.ndarray, y: np.ndarray, cutoff: float,
+                kernel: str = "triangular", h: float = np.nan) -> SideWindow:
+    """Kernel window of one side at bandwidth h; membership is w > 0 for
+    w = kernel_weight((x - cutoff) / h)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = float(h)
+    if not np.isfinite(h) or h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    w = kernel_weight((x - cutoff) / h, kernel)
+    keep = w > 0
+    return SideWindow(xc=x[keep] - cutoff, y=y[keep], w=w[keep],
+                      kernel=kernel, h=h)
+
+
 def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
                kernel: str = "triangular", h: float = np.nan) -> LocalFit:
     """Weighted polynomial fit of y on centered powers of x.
@@ -91,6 +151,7 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
     The caller supplies the observations belonging to one side; points
     with zero kernel weight are dropped before solving.  ``y`` is a
     vector, or an (n, k) matrix of k responses sharing the weights.
+    Equal to ``fit_window(side_window(x, y, cutoff, kernel, h), p)``.
 
     Raises
     ------
@@ -101,21 +162,20 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
         eps * n_eff of the largest, or below 1e-12 of it (e.g. all
         within-window scores identical).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = float(h)
-    if not np.isfinite(h) or h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    w = kernel_weight((x - cutoff) / h, kernel)
-    keep = w > 0
-    n_eff = int(keep.sum())
+    return fit_window(side_window(x, y, cutoff, kernel, h), p)
+
+
+def fit_window(window: SideWindow, p: int = 1) -> LocalFit:
+    """Order-p weighted fit on a window from :func:`side_window`; raises
+    as :func:`fit_values` does."""
+    wk = window.w
+    n_eff = wk.shape[0]
     if n_eff < p + 1:
         raise EmptySide(
             f"{n_eff} observation(s) with positive weight inside bandwidth "
-            f"{h:g}; need at least {p + 1} for order {p}")
-    wk = w[keep]
-    yk = y[keep].reshape(n_eff, -1)
-    design = np.vander(x[keep] - cutoff, N=p + 1, increasing=True)
+            f"{window.h:g}; need at least {p + 1} for order {p}")
+    yk = window.y.reshape(n_eff, -1)
+    design = vander(window.xc, p + 1)
     sw = np.sqrt(wk)
     u, svals, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
     condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
@@ -140,7 +200,7 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
     scale = n_eff / dof if dof > 0 else 1.0
     k = yk.shape[1]
     cov = (influence.T @ influence * scale).reshape(p + 1, k, p + 1, k)
-    if y.ndim == 1:
+    if window.y.ndim == 1:
         beta, cov = beta[:, 0], cov[:, 0, :, 0]
     return LocalFit(beta=beta, cov=cov, n_eff=n_eff, condition=condition,
-                    p=p, kernel=kernel, h=h)
+                    p=p, kernel=window.kernel, h=window.h)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewObservations
+from .lpoly import polyfit_lstsq, vander
 from .sample import RdSample
 
 
@@ -111,11 +112,8 @@ def _quantile_bins(x, y, j):
 
 
 def _global_curve(x, y, cutoff, order, grid):
-    xc = x - cutoff
-    design = np.vander(xc, N=order + 1, increasing=True)
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    gc = grid - cutoff
-    fitted = np.vander(gc, N=order + 1, increasing=True) @ coef
+    _, coef, _ = polyfit_lstsq(x - cutoff, y, order)
+    fitted = vander(grid - cutoff, order + 1) @ coef
     return tuple((float(g), float(v)) for g, v in zip(grid, fitted))
 
 

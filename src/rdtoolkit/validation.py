@@ -28,6 +28,7 @@ from .errors import (
     TooFewObservations,
 )
 from .locrand import FixedMargins, Window, fisher_pvalue, make_window
+from .lpoly import polyfit_lstsq
 from .sample import RdSample
 
 
@@ -153,8 +154,7 @@ def _side_density_fit(edges_lo, edges_hi, counts, n_total, cutoff):
     width = edges_hi - edges_lo
     heights = counts / (n_total * width)
     mids = 0.5 * (edges_lo + edges_hi) - cutoff
-    design = np.column_stack([np.ones_like(mids), mids])
-    coef, _, rank, _ = np.linalg.lstsq(design, heights, rcond=None)
+    design, coef, rank = polyfit_lstsq(mids, heights, 1)
     if rank < 2:
         raise RankDeficient("density bins are collinear")
     resid = heights - design @ coef

@@ -3,8 +3,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtoolkit.bandwidth import (
+    _silverman,
     ce_factor,
     kernel_constants,
     mse_constant,
@@ -169,6 +172,25 @@ class TestPlugIn:
     def test_deterministic(self):
         s = simulate_sample(curved_benchmark(), 600, seed=2)
         assert select_mse_bandwidth(s) == select_mse_bandwidth(s)
+
+
+def silverman_reference(x):
+    """The Silverman pilot with numpy's percentile quartiles."""
+    sd = float(np.std(x))
+    q75, q25 = np.percentile(x, (75, 25))
+    iqr = float(q75 - q25)
+    spread = min(sd, iqr / 1.349) if iqr > 0 else sd
+    return 1.06 * spread * x.shape[0] ** (-0.2)
+
+
+class TestSilverman:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                              st.floats(-1e6, 1e6, allow_nan=False)),
+                    min_size=1, max_size=60))
+    def test_bits_match_percentile_reference(self, values):
+        x = np.asarray(values, dtype=float)
+        assert _silverman(x).hex() == silverman_reference(x).hex()
 
 
 class TestOracle:

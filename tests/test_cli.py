@@ -188,13 +188,13 @@ class TestEstimate:
         # one order-p and one order-(p+1) pair for the pooled sample, plus
         # one order-p pair per cutoff group when there are several groups
         orders = Counter()
-        fit_values = continuity.fit_values
+        fit_window = continuity.fit_window
 
-        def counting_fit(*args, **kwargs):
-            orders[kwargs["p"]] += 1
-            return fit_values(*args, **kwargs)
+        def counting_fit(window, p):
+            orders[p] += 1
+            return fit_window(window, p)
 
-        monkeypatch.setattr(continuity, "fit_values", counting_fit)
+        monkeypatch.setattr(continuity, "fit_window", counting_fit)
         path, extra = ((multi_cutoff_csv, ["--cutoff-col", "c"]) if multi
                        else (step_csv, []))
         code, out, _ = run_cli(
@@ -262,6 +262,19 @@ class TestLocrand:
         assert res["neyman"]["ci"][0] < res["estimate"]["tau_hat"] \
             < res["neyman"]["ci"][1]
         assert report["seed"] == 0
+
+    @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_exits_1(self, step_csv, alpha):
+        # 1.5 used to exit 0 with an inverted Neyman interval
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", "locrand", "--input",
+             str(step_csv), "--score-col", "x", "--outcome-col", "y",
+             "--window", "0.5", "--fisher-ci", "--alpha", alpha],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
+        assert doc["kind"] == "usage" and "--alpha" in doc["message"]
 
     def test_auto_window_selection_and_trace(self, locrand_csv, tmp_path,
                                              capsys):

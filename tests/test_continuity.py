@@ -1,4 +1,5 @@
 import pathlib
+import re
 import tempfile
 
 import mpmath as mp
@@ -215,6 +216,44 @@ class TestRbc:
     def test_unknown_kind_rejected(self, step_sample):
         with pytest.raises(ValueError):
             rbc_inference(step_sample, kind="sorta_sharp", h_below=0.5)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(40, 300),
+           c=st.sampled_from([0.0, 0.3, -7.1]),
+           kernel=st.sampled_from(KERNELS), p=st.integers(0, 2),
+           kind=st.sampled_from(["sharp", "kink", "fuzzy"]),
+           ulps=st.integers(-2, 2), data=st.data())
+    def test_bits_match_separate_fits(self, seed, n, c, kernel, p, kind,
+                                      ulps, data):
+        # h is an observed |x - c|, give or take a few ulps: units at the
+        # window edge must be in or out exactly as kernel_weight decides
+        rng = np.random.default_rng(seed)
+        x = c + rng.uniform(-1, 1, n)
+        d = ((x >= c) ^ (rng.random(n) < 0.1)).astype(np.int8)
+        y = np.sin(3 * (x - c)) + 0.5 * d + rng.normal(0, 0.2, n)
+        s = make_sample(x, y, cutoff=c, received=d)
+        i = data.draw(st.integers(0, n - 1))
+        h = abs(s.centered_score()[i])
+        for _ in range(abs(ulps)):
+            h = float(np.nextafter(h, np.inf if ulps > 0 else 0.0))
+        p = max(p, 1) if kind == "kink" else p
+        estimator = {"sharp": sharp_estimate, "kink": kink_estimate,
+                     "fuzzy": fuzzy_estimate}[kind]
+        kw = dict(kernel=kernel, h_below=h, h_above=h)
+        try:
+            base = estimator(s, p=p, **kw)
+            higher = estimator(s, p=p + 1, **kw)
+        except RdError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                rbc_inference(s, p=p, kind=kind, **kw)
+            return
+        z = _zvalue(0.95)
+        se = higher.se_conventional
+        expected = (base, base.tau_hat - higher.tau_hat, se,
+                    (higher.tau_hat - z * se, higher.tau_hat + z * se))
+        res = rbc_inference(s, p=p, kind=kind, **kw)
+        assert repr((res.base, res.bias_estimate, res.se_robust,
+                     res.ci_rbc)) == repr(expected)
 
     @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
     def test_normal_quantile_matches_mpmath(self, level):

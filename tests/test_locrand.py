@@ -285,6 +285,14 @@ class TestFisherCi:
         assert ci.lower is None and ci.upper is None
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("interval", [neyman_ci, fisher_ci])
+def test_alpha_outside_unit_interval_rejected(interval, alpha):
+    s = make_sample([-0.6, -0.3, 0.2, 0.5], [1.0, 3.0, 4.0, 6.0])
+    with pytest.raises(ValueError, match="alpha"):
+        interval(s, window_all(s), alpha=alpha)
+
+
 def balance_data(n=240, jump_at=0.5, seed=10):
     """Covariate continuous inside |x|<jump_at, shifted outside."""
     rng = np.random.default_rng(seed)

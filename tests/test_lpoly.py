@@ -8,7 +8,7 @@ from rdtoolkit.errors import (
     EmptySide,
     RankDeficient,
 )
-from rdtoolkit.lpoly import fit_values, kernel_weight
+from rdtoolkit.lpoly import fit_values, kernel_weight, vander
 
 
 def oracle_wls(x, y, cutoff, p, kernel, h):
@@ -73,6 +73,21 @@ class TestKernelWeight:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             kernel_weight(np.array([0.0]), "gaussian")
+
+
+class TestVander:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                           max_size=40),
+           scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
+           n=st.integers(1, 7))
+    def test_bits_match_numpy(self, values, scale, n):
+        # orders 0-6; the empty list is among the drawn inputs
+        x = np.asarray(values, dtype=float) * scale
+        got = vander(x, n)
+        ref = np.vander(x, N=n, increasing=True)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestFitAgainstOracle:

@@ -1,6 +1,7 @@
 """Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
 kernel and robust bias-corrected inference at 1e5 rows; one Monte Carlo
-permutation ensemble; one coverage replication.
+permutation ensemble; one coverage replication and its draw and
+bandwidth stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -81,6 +82,17 @@ def test_fisher_pvalue_monte_carlo(benchmark):
     res = benchmark(fisher_pvalue, sample, window, draws=999, seed=1)
     assert window.n_w == 2_000 and not res.exact and res.draws == 999
     assert res.p_value == 1 / 1000  # the 0.3 jump is never matched
+
+
+def test_simulate_sample(benchmark):
+    sample = benchmark(simulate_sample, curved_benchmark(), 1_000, seed=7)
+    assert sample.n == 1_000
+
+
+def test_select_mse_bandwidth(benchmark):
+    sample = simulate_sample(curved_benchmark(), 1_000, seed=7)
+    sel = benchmark(select_mse_bandwidth, sample)
+    assert 0 < sel.h_mse < 2 and not sel.degenerate
 
 
 def test_coverage_replication(benchmark):

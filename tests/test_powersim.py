@@ -1,10 +1,23 @@
+import hashlib
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdtoolkit.dgps import linear_dgp, step_dgp
+from rdtoolkit.dgps import (
+    _ABOVE,
+    _BELOW,
+    DgpSpec,
+    TwoSided,
+    Uniform,
+    _poly,
+    curved_benchmark,
+    linear_dgp,
+    simulate_sample,
+    step_dgp,
+)
 from rdtoolkit.errors import TooManyFailures
 from rdtoolkit.powersim import (
     mde,
@@ -177,3 +190,49 @@ class TestSimulateCoverage:
         dgp = linear_dgp(tau=0.0, noise_sd=0.2)
         with pytest.raises(TooManyFailures):
             simulate_coverage(dgp, n=30, replications=500, seed=5, h=1e-6)
+
+
+# float.hex of the coverage, CI length, rejection rate and mean bias of
+# the curved benchmark at n = 1,000, 500 replications, seed 11, recorded
+# before the replication loop was made cheaper; every field must keep
+# its exact bits.
+PINNED_COVERAGE = {
+    ("conventional", 1, "triangular"): (
+        "0x1.c083126e978d5p-1", "0x1.1d6cd6abe1daap-3",
+        "0x1.072b020c49ba6p-1", "0x1.f6117b87e85a5p-6"),
+    ("conventional", 2, "uniform"): (
+        "0x1.ced916872b021p-1", "0x1.40d50ce968fe7p-3",
+        "0x1.353f7ced91687p-2", "0x1.cd51b0fb3149ep-7"),
+    ("rbc", 1, "triangular"): (
+        "0x1.e872b020c49bap-1", "0x1.9db6e6537b8d3p-3",
+        "0x1.4395810624dd3p-3", "0x1.f6117b87e85a5p-6"),
+    ("rbc", 2, "uniform"): (
+        "0x1.e45a1cac08312p-1", "0x1.a7f0ce2d6c1fcp-3",
+        "0x1.374bc6a7ef9dbp-3", "0x1.cd51b0fb3149ep-7"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("estimator, p, kernel", sorted(PINNED_COVERAGE))
+    def test_curved_benchmark_coverage(self, estimator, p, kernel):
+        res = simulate_coverage(curved_benchmark(), estimator=estimator,
+                                n=1000, replications=500, seed=11, p=p,
+                                kernel=kernel)
+        got = tuple(v.hex() for v in (res.coverage, res.avg_ci_length,
+                                      res.rejection_rate_at_zero,
+                                      res.mean_bias))
+        assert got == PINNED_COVERAGE[estimator, p, kernel]
+        assert (res.n_replications, res.n_failed, res.estimator) == \
+            (500, 0, estimator)
+
+    def test_two_sided_compliance_sample(self):
+        dgp = DgpSpec(mu0=_poly(_BELOW), mu1=_poly(_ABOVE), noise_sd=0.1295,
+                      score_dist=Uniform(-1.0, 1.0),
+                      compliance=TwoSided(0.15, 0.25))
+        s = simulate_sample(dgp, 1000, seed=5)
+        digest = hashlib.sha256()
+        for column in (s.score, s.outcome, s.received):
+            digest.update(np.ascontiguousarray(column).tobytes())
+        assert s.received.dtype == np.int8
+        assert digest.hexdigest() == (
+            "64ea9901965aa0bd5596a04a60c9c8577ddf654c41f8194abbca181f6700a36d")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import __version__
@@ -62,8 +63,9 @@ def _auto_or_float(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'auto' or a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("bandwidth/window must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "bandwidth/window must be positive and finite")
     return value
 
 
@@ -136,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="W", help="candidate half-widths for auto "
                                        "selection")
     loc.add_argument("--balance-alpha", type=float, default=0.15,
-                     help="minimum balance p-value for auto selection")
+                     help="minimum balance p-value for auto selection, "
+                          "in (0, 1)")
     loc.add_argument("--model", default="fixed_margins",
                      choices=("fixed_margins", "bernoulli"))
     loc.add_argument("--prob", type=float, default=0.5,
@@ -314,8 +317,10 @@ def cmd_estimate(args):
 
 
 def cmd_locrand(args):
-    if not 0 < args.alpha < 1:
-        raise UsageError("--alpha must be in (0, 1)")
+    for flag, alpha in (("--alpha", args.alpha),
+                        ("--balance-alpha", args.balance_alpha)):
+        if not 0 < alpha < 1:
+            raise UsageError(f"{flag} must be in (0, 1)")
     sample = _ingest(args)
     if args.model == "bernoulli":
         model = Bernoulli(args.prob)

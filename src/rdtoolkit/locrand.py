@@ -10,16 +10,19 @@ assignment space is small, Monte Carlo otherwise), test-inversion
 confidence intervals, and Neyman/super-population large-sample
 intervals.
 
-Permutation statistics are computed from per-assignment subset sums, and
-the observed assignment's statistic goes through the identical code
-path, so exhaustive p-values are exact rationals and ties at the
-observed value count as extreme by construction.
+Every permutation ensemble, enumerated or drawn, is one stream of
+blocks of treated sets reduced to five subset sums per assignment, so it
+holds O(assignments) sums plus one block.  The observed assignment is
+reduced first, by the same expression at the same row width as its
+enumerated copy, so it ties with itself and always counts as extreme.
+Distinct assignments that tie only in exact arithmetic, such as
+complements, may still differ in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from statistics import NormalDist
 
@@ -192,24 +195,25 @@ class FisherResult:
     ci: tuple[float, float] | None = None
 
 
+# Cells (assignments x units) in one block of treated sets.  An ensemble
+# holds five aggregates per assignment plus one block, so memory stays
+# bounded however large the window or the number of draws.
+_BLOCK_CELLS = 1 << 18
+
+
 @dataclass(frozen=True)
 class _Ensemble:
     """Per-assignment subset aggregates over the permutation ensemble.
 
-    For each assignment r: n1[r] treated units, sY[r] = sum of outcomes
-    over the treated set, m[r] = overlap with the observed treated set,
-    sTY[r] = sum of T_obs*Y over the treated set, sY2[r] = sum of Y^2.
-    The observed assignment occupies a dedicated row computed by the
-    same vectorized expressions, keeping float results bit-comparable.
-    ``weights`` is None for uniform (fixed-margins) ensembles.
+    ``agg`` has one column per assignment and five rows: n1 treated
+    units, sY = sum of outcomes over the treated set, m = overlap with
+    the observed treated set, sTY = sum of T_obs*Y over the treated set
+    and sY2 = sum of Y^2.  Column 0 is the observed assignment and
+    columns 1.. the ensemble.  ``weights`` is None for uniform ensembles
+    (fixed margins, or Monte Carlo draws).
     """
 
-    n1: np.ndarray
-    sY: np.ndarray
-    sY2: np.ndarray
-    m: np.ndarray
-    sTY: np.ndarray
-    obs: dict
+    agg: np.ndarray
     weights: np.ndarray | None
     exact: bool
     draws: int
@@ -217,13 +221,32 @@ class _Ensemble:
     n: int
     tot_y: float
     tot_y2: float
-    n_plus_obs: int
 
 
-def _aggregate_rows(idx, y, t, ty, y2):
-    """Subset aggregates for an index matrix of treated sets."""
-    return (y[idx].sum(axis=1), t[idx].sum(axis=1),
-            ty[idx].sum(axis=1), y2[idx].sum(axis=1))
+def _blocks(block, count, n):
+    """block(a, b) over spans of ``count`` rows of n cells, in order."""
+    rows = max(1, _BLOCK_CELLS // n)
+    for a in range(0, count, rows):
+        yield block(a, min(a + rows, count))
+
+
+def _padded(mask):
+    """Index rows of width n that read each treated unit in place and
+    the zero pad column (index n) elsewhere."""
+    n = mask.shape[1]
+    return np.where(mask, np.arange(n), n)
+
+
+def _reduce(blocks, cols, size):
+    """Aggregates of each treated set: row r of ``cols`` summed over
+    every index row of every block, one column per treated set."""
+    agg = np.empty((cols.shape[0], size))
+    at = 0
+    for idx in blocks:
+        for values, out in zip(cols, agg[:, at:at + idx.shape[0]]):
+            values[idx].sum(axis=1, out=out)
+        at += idx.shape[0]
+    return agg
 
 
 def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
@@ -233,122 +256,90 @@ def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
     n_plus = int(t.sum())
     if n_plus == 0 or n_plus == n:
         raise EmptyGroup(f"window has {n_plus} treated of {n} units")
-    ty = t * y
     y2 = y * y
-    obs_idx = np.flatnonzero(t == 1)[None, :]
-    o_sY, o_m, o_sTY, o_sY2 = _aggregate_rows(obs_idx, y, t, ty, y2)
-    obs = {"n1": float(n_plus), "sY": float(o_sY[0]), "m": float(o_m[0]),
-           "sTY": float(o_sTY[0]), "sY2": float(o_sY2[0])}
+    # n1, sY, m, sTY and sY2 summands, then the zero pad column
+    cols = np.zeros((5, n + 1))
+    cols[:, :n] = (np.ones(n), y, t, t * y, y2)
+    rng = substream(seed)
 
+    # block(a, b) gives the treated sets of assignments a..b-1 as index
+    # rows; the observed assignment's row has the same width.
     if isinstance(model, FixedMargins):
-        weights = None
+        # width n_plus, sorted: lexicographic subsets, or the n_plus
+        # smallest of n uniforms
+        observed = np.flatnonzero(t)[None, :]
         total = comb(n, n_plus)
         exact = total <= max_exhaustive
-        if exact:
-            sY, n1, m, sTY, sY2 = _exhaustive_fixed(y, t, ty, y2, n, n_plus)
-        else:
-            rng = substream(seed)
-            u = rng.random((draws, n))
-            idx = np.sort(np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus],
-                          axis=1)
-            sY, m, sTY, sY2 = _aggregate_rows(idx, y, t, ty, y2)
-            n1 = np.full(draws, float(n_plus))
-            total = draws
+        subsets = combinations(range(n), n_plus)
+
+        def block(a, b):
+            if exact:
+                return np.array(list(islice(subsets, b - a)), dtype=np.intp)
+            u = rng.random((b - a, n))
+            idx = np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus]
+            return np.sort(idx, axis=1)
     elif isinstance(model, Bernoulli):
-        p = model.prob
+        # width n, padded: the binary codes 1..2^n - 2, or coin flips
+        observed = _padded(t[None, :] == 1)
+        total = 2 ** n - 2
         exact = 2 ** n <= max_exhaustive
-        if exact:
-            codes = np.arange(1, 2 ** n - 1, dtype=np.int64)
-            mat = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
-            total = int(codes.size)
-        else:
-            rng = substream(seed)
-            mat = (rng.random((draws, n)) < p).astype(float)
-            # Condition on non-degenerate assignments: redraw rows where
-            # one group is empty (the statistic is undefined there).
-            while True:
-                row_n1 = mat.sum(axis=1)
-                bad = (row_n1 == 0) | (row_n1 == n)
-                if not bad.any():
-                    break
-                mat[bad] = (rng.random((int(bad.sum()), n)) < p).astype(float)
-            total = draws
-        n1 = mat.sum(axis=1)
-        sY = mat @ y
-        m = mat @ t
-        sTY = mat @ ty
-        sY2 = mat @ y2
-        weights = p ** n1 * (1.0 - p) ** (n - n1) if exact else None
+
+        def block(a, b):
+            if exact:
+                codes = np.arange(1 + a, 1 + b)
+                return _padded((codes[:, None] >> np.arange(n)) & 1)
+            return _padded(rng.random((b - a, n)) < model.prob)
     else:
         raise ValueError(f"unknown assignment model {model!r}")
+    if not exact:
+        total = draws
+    agg = _reduce(chain([observed], _blocks(block, total, n)), cols,
+                  total + 1)
 
-    return _Ensemble(n1=n1, sY=sY, sY2=sY2, m=m, sTY=sTY, obs=obs,
-                     weights=weights, exact=exact,
+    weights = None
+    if isinstance(model, Bernoulli):
+        n1 = agg[0, 1:]
+        if exact:
+            weights = model.prob ** n1 * (1.0 - model.prob) ** (n - n1)
+        # Condition on non-degenerate draws: after all draws, redraw in
+        # order, from the same stream, the rows where one group is empty
+        # (the statistic is undefined there).
+        while not exact and np.any(bad := (n1 == 0) | (n1 == n)):
+            rows = 1 + np.flatnonzero(bad)
+            agg[:, rows] = _reduce(_blocks(block, rows.size, n), cols,
+                                   rows.size)
+
+    return _Ensemble(agg=agg, weights=weights, exact=exact,
                      draws=0 if exact else draws, total=total, n=n,
-                     tot_y=float(y.sum()), tot_y2=float(y2.sum()),
-                     n_plus_obs=n_plus)
-
-
-def _exhaustive_fixed(y, t, ty, y2, n, n_plus, chunk=50000):
-    """All C(n, n_plus) treated sets; enumerate the smaller of set or
-    complement and flip aggregates when the complement was enumerated."""
-    k = min(n_plus, n - n_plus)
-    flip = k != n_plus
-    it = combinations(range(n), k)
-    parts = []
-    while True:
-        block = list(islice(it, chunk))
-        if not block:
-            break
-        idx = np.asarray(block, dtype=np.intp)
-        parts.append(_aggregate_rows(idx, y, t, ty, y2))
-    sY = np.concatenate([p[0] for p in parts])
-    m = np.concatenate([p[1] for p in parts])
-    sTY = np.concatenate([p[2] for p in parts])
-    sY2 = np.concatenate([p[3] for p in parts])
-    if flip:
-        sY = y.sum() - sY
-        m = t.sum() - m
-        sTY = ty.sum() - sTY
-        sY2 = y2.sum() - sY2
-    n1 = np.full(sY.shape[0], float(n_plus))
-    return sY, n1, m, sTY, sY2
+                     tot_y=float(y.sum()), tot_y2=float(y2.sum()))
 
 
 def _statistics(ens: _Ensemble, statistic: str, tau0: float = 0.0):
-    """Statistic for every ensemble row and for the observed assignment,
-    on outcomes adjusted by tau0 (Y - tau0*T_obs)."""
-
-    def compute(n1, sY, m, sTY, sY2):
-        tot_y = ens.tot_y - tau0 * ens.n_plus_obs
-        s_plus = sY - tau0 * m
-        n0 = ens.n - n1
-        mean_p = s_plus / n1
-        mean_m = (tot_y - s_plus) / n0
-        diff = mean_p - mean_m
-        if statistic == "diff_means":
-            return diff
-        if statistic == "studentized":
-            tot_y2 = ens.tot_y2 - 2.0 * tau0 * ens.obs["sTY"] \
-                + tau0 * tau0 * ens.n_plus_obs
-            s2_plus_sum = sY2 - 2.0 * tau0 * sTY + tau0 * tau0 * m
-            s2_minus_sum = tot_y2 - s2_plus_sum
-            with np.errstate(invalid="ignore", divide="ignore"):
-                var_p = (s2_plus_sum - n1 * mean_p * mean_p) / (n1 - 1.0)
-                var_m = (s2_minus_sum - n0 * mean_m * mean_m) / (n0 - 1.0)
-                se = np.sqrt(np.maximum(var_p, 0.0) / n1
-                             + np.maximum(var_m, 0.0) / n0)
-                out = diff / se
-            return np.where(se > 0, out,
-                            np.where(diff == 0.0, 0.0,
-                                     np.sign(diff) * np.inf))
+    """Statistic for every ensemble assignment and for the observed one
+    (column 0), on outcomes adjusted by tau0 (Y - tau0*T_obs)."""
+    n1, sY, m, sTY, sY2 = ens.agg
+    tot_y = ens.tot_y - tau0 * n1[0]
+    s_plus = sY - tau0 * m
+    n0 = ens.n - n1
+    mean_p = s_plus / n1
+    mean_m = (tot_y - s_plus) / n0
+    diff = mean_p - mean_m
+    if statistic == "diff_means":
+        stats = diff
+    elif statistic == "studentized":
+        tot_y2 = ens.tot_y2 - 2.0 * tau0 * sTY[0] + tau0 * tau0 * n1[0]
+        s2_plus_sum = sY2 - 2.0 * tau0 * sTY + tau0 * tau0 * m
+        s2_minus_sum = tot_y2 - s2_plus_sum
+        with np.errstate(invalid="ignore", divide="ignore"):
+            var_p = (s2_plus_sum - n1 * mean_p * mean_p) / (n1 - 1.0)
+            var_m = (s2_minus_sum - n0 * mean_m * mean_m) / (n0 - 1.0)
+            se = np.sqrt(np.maximum(var_p, 0.0) / n1
+                         + np.maximum(var_m, 0.0) / n0)
+            stats = np.where(se > 0, diff / se, np.where(
+                diff == 0.0, 0.0, np.sign(diff) * np.inf))
+    else:
         raise ValueError(f"unknown statistic {statistic!r}")
-
-    stats = compute(ens.n1, ens.sY, ens.m, ens.sTY, ens.sY2)
-    obs = compute(np.asarray([ens.obs["n1"]]), np.asarray([ens.obs["sY"]]),
-                  np.asarray([ens.obs["m"]]), np.asarray([ens.obs["sTY"]]),
-                  np.asarray([ens.obs["sY2"]]))
-    return stats, float(obs[0])
+    return stats[1:], float(stats[0])
 
 
 def _pvalue_from(ens: _Ensemble, stats, s_obs):
@@ -551,6 +542,7 @@ def select_window(sample: RdSample, covariates=None, candidates=None,
     imbalanced, it is returned flagged ``no_balanced_window`` so the
     caller sees the most defensible window alongside the full trace.
     """
+    _check_alpha(alpha)
     names = list(covariates) if covariates is not None \
         else sorted(sample.covariates)
     if not names:

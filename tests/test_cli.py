@@ -61,6 +61,18 @@ def _data_error_in_subprocess(tmp_path, text):
     return doc["error"]["message"]
 
 
+def _usage_error_in_subprocess(argv):
+    """Run the CLI in a fresh interpreter; check the usage-error contract
+    (exit 1, one JSON error, no traceback) and return the message."""
+    proc = subprocess.run([sys.executable, "-m", "rdtoolkit", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
+    assert doc["kind"] == "usage"
+    return doc["message"]
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -155,6 +167,20 @@ class TestEstimate:
              "--outcome-col", "y", "--kernel", "gaussian"], capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["kind"] == "usage"
+
+    @pytest.mark.parametrize("flags", [
+        ["estimate", "--h", "nan"], ["estimate", "--h", "inf"],
+        ["estimate", "--h", "0.5", "--h-above", "nan"],
+        ["estimate", "--h", "0.5", "--h-above", "inf"],
+        ["locrand", "--window", "nan"], ["locrand", "--window", "inf"]],
+        ids=["h-nan", "h-inf", "h_above-nan", "h_above-inf", "window-nan",
+             "window-inf"])
+    def test_non_finite_bandwidth_or_window_exits_1(self, step_csv, flags):
+        # nan used to exit 2 or 3 from deep in the fit; inf exited 0
+        message = _usage_error_in_subprocess(
+            [flags[0], "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", *flags[1:]])
+        assert "finite" in message
 
     def test_starved_fit_exits_3(self, step_csv, capsys):
         code, _, err = run_cli(
@@ -266,15 +292,21 @@ class TestLocrand:
     @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_1(self, step_csv, alpha):
         # 1.5 used to exit 0 with an inverted Neyman interval
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "locrand", "--input",
-             str(step_csv), "--score-col", "x", "--outcome-col", "y",
-             "--window", "0.5", "--fisher-ci", "--alpha", alpha],
-            capture_output=True, text=True)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
-        assert doc["kind"] == "usage" and "--alpha" in doc["message"]
+        message = _usage_error_in_subprocess(
+            ["locrand", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", "--window", "0.5", "--fisher-ci",
+             "--alpha", alpha])
+        assert "--alpha" in message
+
+    @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "nan"])
+    def test_balance_alpha_outside_unit_interval_exits_1(self, locrand_csv,
+                                                         alpha):
+        # 1.5 used to exit 0, flagged no_balanced_window
+        message = _usage_error_in_subprocess(
+            ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--covariate", "z", "--candidates",
+             "0.25", "0.5", "--draws", "99", "--balance-alpha", alpha])
+        assert "--balance-alpha" in message
 
     def test_auto_window_selection_and_trace(self, locrand_csv, tmp_path,
                                              capsys):

@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdtoolkit import locrand
 from rdtoolkit.errors import EmptyGroup, TooFewObservations
 from rdtoolkit.locrand import (
     Bernoulli,
@@ -17,6 +23,7 @@ from rdtoolkit.locrand import (
     neyman_ci,
     select_window,
 )
+from rdtoolkit.rng import substream
 
 from conftest import make_sample
 
@@ -103,6 +110,153 @@ class TestFisherExhaustive:
         s = make_sample(np.r_[np.full(4, -1.0), np.full(4, 1.0)], y)
         res = fisher_pvalue(s, window_all(s))
         assert res.extreme_count >= 1  # observed always counted
+
+
+def _exact_stat(yq, plus):
+    """Difference in means over a treated index set, in rationals."""
+    sp = sum(yq[i] for i in plus)
+    return sp / len(plus) - (sum(yq) - sp) / (len(yq) - len(plus))
+
+
+class TestObservedCounted:
+    """The observed assignment ties with itself, so it always counts as
+    extreme; checked against enumeration in rational arithmetic."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_margins_more_treated_than_control(self, seed):
+        # 6 treated of 9, more treated than control: all C(9, 6) = 84
+        # treated sets are enumerated, the observed one among them
+        rng = np.random.default_rng(seed)
+        for _ in range(15):
+            x = rng.permutation(np.r_[-np.arange(1, 4), np.arange(1, 7)])
+            y = rng.normal(0, 1, 9)
+            res = fisher_pvalue(make_sample(x, y),
+                                make_window(make_sample(x, y), 10.0))
+            yq = [Fraction(v) for v in y]
+            s_obs = abs(_exact_stat(yq, np.flatnonzero(x > 0)))
+            count = sum(abs(_exact_stat(yq, plus)) >= s_obs
+                        for plus in combinations(range(9), 6))
+            assert res.exact and res.total == 84
+            assert res.extreme_count == count
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bernoulli_between_rational_bounds(self, seed):
+        # complements tie in exact arithmetic but not always in floats,
+        # so p lies between the strict count plus the observed
+        # assignment and the count with all exact ties
+        rng = np.random.default_rng(seed)
+        n = 8
+        for _ in range(20):
+            x = rng.uniform(-1, 1, n)
+            t = (x >= 0).astype(int)
+            if t.sum() in (0, n):
+                continue
+            y = rng.normal(0, 1, n)
+            prob = float(rng.uniform(0.2, 0.8))
+            res = fisher_pvalue(make_sample(x, y),
+                                make_window(make_sample(x, y), 2.0),
+                                model=Bernoulli(prob))
+            yq = [Fraction(v) for v in y]
+            q = Fraction(prob)
+            s_obs = abs(_exact_stat(yq, np.flatnonzero(t)))
+            total = strict = ties = Fraction(0)
+            for bits in product([0, 1], repeat=n):
+                k = sum(bits)
+                if k in (0, n):
+                    continue
+                w = q ** k * (1 - q) ** (n - k)
+                s = abs(_exact_stat(yq, np.flatnonzero(bits)))
+                total += w
+                strict += w if s > s_obs else 0
+                ties += w if s == s_obs else 0
+            k_obs = int(t.sum())
+            w_obs = q ** k_obs * (1 - q) ** (n - k_obs)
+            assert res.exact
+            assert float((strict + w_obs) / total) - 1e-12 <= res.p_value
+            assert res.p_value <= float((strict + ties) / total) + 1e-12
+
+
+@st.composite
+def _design(draw):
+    """Outcomes and an assignment with both groups non-empty."""
+    n = draw(st.integers(2, 8))
+    y = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    t = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+             .filter(lambda t: 0 < sum(t) < len(t)))
+    return np.asarray(y), np.asarray(t, dtype=np.int8)
+
+
+class TestEnsemble:
+    @settings(max_examples=60, deadline=None)
+    @given(_design(), st.sampled_from([FixedMargins(), Bernoulli(0.3)]))
+    def test_observed_column_is_its_enumerated_column(self, design, model):
+        # column 0 is the observed assignment; enumeration reaches the
+        # same assignment again, and the two columns agree bit for bit
+        y, t = design
+        ens = locrand._build_ensemble(y, t, model, 10 ** 6, 0, 0)
+        if isinstance(model, FixedMargins):
+            subsets = list(combinations(range(len(t)), int(t.sum())))
+            column = 1 + subsets.index(tuple(np.flatnonzero(t)))
+        else:
+            column = int(sum(int(b) << i for i, b in enumerate(t)))
+        assert ens.agg[:, column].tobytes() == ens.agg[:, 0].tobytes()
+
+    @staticmethod
+    def _sources():
+        rng = np.random.default_rng(12)
+        y9, y30 = rng.normal(0, 1, 9), rng.normal(0, 1, 30)
+        t9 = np.r_[np.zeros(4), np.ones(5)]
+        t30 = (rng.uniform(size=30) < 0.4).astype(float)
+        # (y, t, model, max_exhaustive, draws, seed)
+        return {"fixed_exact": (y9, t9, FixedMargins(), 10 ** 6, 0, 0),
+                "fixed_draws": (y30, t30, FixedMargins(), 10, 101, 3),
+                "bernoulli_exact": (y9, t9, Bernoulli(0.4), 10 ** 6, 0, 0),
+                "bernoulli_draws": (y9[:5], t9[:5], Bernoulli(0.5), 10, 300,
+                                    4)}
+
+    @pytest.mark.parametrize("source", ["fixed_exact", "fixed_draws",
+                                        "bernoulli_exact",
+                                        "bernoulli_draws"])
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_block_size_does_not_change_bits(self, monkeypatch, source,
+                                             cells):
+        args = self._sources()[source]
+        whole = locrand._build_ensemble(*args)
+        monkeypatch.setattr(locrand, "_BLOCK_CELLS", cells)
+        blocks = locrand._build_ensemble(*args)
+        assert blocks.agg.tobytes() == whole.agg.tobytes()
+        assert (whole.weights is None) == (blocks.weights is None)
+        if whole.weights is not None:
+            assert blocks.weights.tobytes() == whole.weights.tobytes()
+
+    def test_bernoulli_draws_redraw_degenerate_rows_in_order(self):
+        # reference: all draws at once, then the degenerate rows redrawn
+        # in row order from the same stream until none is left
+        y, t, model, _, draws, seed = self._sources()["bernoulli_draws"]
+        rng = substream(seed)
+        mat = rng.random((draws, 5)) < model.prob
+        assert np.any(mat.sum(axis=1) % 5 == 0)  # the redraw runs
+        while (bad := np.flatnonzero(mat.sum(axis=1) % 5 == 0)).size:
+            mat[bad] = rng.random((bad.size, 5)) < model.prob
+        ens = locrand._build_ensemble(y, t, model, 10, draws, seed)
+        assert np.array_equal(ens.agg[0, 1:], mat.sum(axis=1))
+        assert np.array_equal(ens.agg[1, 1:], np.where(mat, y, 0.0).sum(1))
+
+    def test_monte_carlo_memory_bounded(self):
+        # draws x n_w is 5e6 cells (40 MB as floats); the ensemble keeps
+        # five aggregates per draw and one block of treated sets
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, 5_000)
+        s = make_sample(x, rng.normal(0, 1, 5_000))
+        window = make_window(s, 1.0)
+        tracemalloc.start()
+        try:
+            res = fisher_pvalue(s, window, draws=999, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert window.n_w == 5_000 and not res.exact
+        assert peak < 16 * 2 ** 20
 
 
 class TestFisherMonteCarlo:
@@ -358,6 +512,11 @@ class TestSelectWindow:
         with pytest.raises(NoFeasibleWindow):
             select_window(s2, candidates=[0.5], seed=5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            select_window(balance_data(), candidates=[0.5], alpha=alpha)
+
     def test_determinism(self):
         s = balance_data()
         a = select_window(s, candidates=[0.25, 0.5, 1.0], seed=11)
@@ -373,3 +532,80 @@ class TestSelectWindow:
             assert 0 <= res.p_value <= 1
         with pytest.raises(ValueError):
             fisher_pvalue(s, make_window(s, 0.5), statistic="rank_sum")
+
+
+# --------------------------------------------------------------------
+# Pinned bits: fixed-margins Monte Carlo results, and exact ones with at
+# most half the units treated, keep these digests of float.hex of every
+# float field, however the ensemble is computed.
+# --------------------------------------------------------------------
+
+
+def _bits(value):
+    """A result with every float as float.hex and arrays as digests."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return hashlib.sha256(value.tobytes()).hexdigest()[:16]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _pin_call(case, statistic):
+    if case.startswith("mc_") and case != "mc_select":
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, 60)
+        s = make_sample(x, 0.3 * (x >= 0) + rng.normal(0, 1, 60))
+    elif case.startswith("exact_") and case != "exact_select":
+        # 5 treated of 12: C(12, 5) = 792 assignments, enumerated
+        rng = np.random.default_rng(42)
+        x = np.r_[-rng.uniform(0.1, 1, 7), rng.uniform(0.1, 1, 5)]
+        s = make_sample(x, 0.5 * (x >= 0) + rng.normal(0, 1, 12))
+    if case == "mc_pvalue":
+        return fisher_pvalue(s, make_window(s, 1.0), statistic=statistic,
+                             draws=499, seed=3)
+    if case == "mc_ci":
+        return fisher_ci(s, make_window(s, 1.0), statistic=statistic,
+                         draws=199, seed=4)
+    if case == "exact_pvalue":
+        return fisher_pvalue(s, make_window(s, 1.0), statistic=statistic)
+    if case == "exact_ci":
+        return fisher_ci(s, make_window(s, 1.0), statistic=statistic)
+    if case == "mc_select":
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1, 1, 400)
+        z = rng.normal(0, 1, 400) + 3.0 * (np.abs(x) > 0.6) * np.sign(x)
+        s = make_sample(x, rng.normal(0, 1, 400), covariates={"z": z})
+        return select_window(s, candidates=[0.05, 0.2, 0.5, 0.8],
+                             statistic=statistic, seed=5)
+    # windows of 2 of 5, 3 of 8 and 5 of 12 treated: all enumerated
+    rng = np.random.default_rng(44)
+    x = np.r_[-np.arange(1, 8) / 10, np.arange(1, 6) * 0.15]
+    s = make_sample(x, rng.normal(0, 1, 12),
+                    covariates={"z": rng.normal(0, 1, 12)})
+    return select_window(s, candidates=[0.35, 0.5, 1.0],
+                         statistic=statistic, seed=6)
+
+
+@pytest.mark.parametrize("case, statistic, digest", [
+    ("mc_pvalue", "diff_means", "b3fedf6aebff4509"),
+    ("mc_pvalue", "studentized", "6befe466a44e339e"),
+    ("mc_ci", "diff_means", "7da8686f81381de1"),
+    ("mc_ci", "studentized", "9a12625a2b001e31"),
+    ("exact_pvalue", "diff_means", "2935cb64c3db5beb"),
+    ("exact_pvalue", "studentized", "5359564f1de98013"),
+    ("exact_ci", "diff_means", "af444c320fd3a9b1"),
+    ("exact_ci", "studentized", "4cd2c16f4c31ac38"),
+    ("mc_select", "diff_means", "eecf9cc47367af38"),
+    ("mc_select", "studentized", "8c88c34ba643bc70"),
+    ("exact_select", "diff_means", "b30b859a7a145792"),
+    ("exact_select", "studentized", "f1e777ac20424f33"),
+])
+def test_fixed_margins_bits_pinned(case, statistic, digest):
+    bits = _bits(_pin_call(case, statistic))
+    assert hashlib.sha256(repr(bits).encode()).hexdigest()[:16] == digest, \
+        bits

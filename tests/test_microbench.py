@@ -1,7 +1,8 @@
 """Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
-kernel and robust bias-corrected inference at 1e5 rows; one Monte Carlo
-permutation ensemble; one coverage replication and its draw and
-bandwidth stages at n = 1,000.
+kernel and robust bias-corrected inference at 1e5 rows; permutation
+ensembles (fixed-margins Monte Carlo, exhaustive enumeration and
+Bernoulli draws); one coverage replication and its draw and bandwidth
+stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -15,7 +16,7 @@ import pytest
 from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import rbc_inference
 from rdtoolkit.dgps import curved_benchmark, simulate_sample
-from rdtoolkit.locrand import fisher_pvalue, make_window
+from rdtoolkit.locrand import Bernoulli, fisher_pvalue, make_window
 from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
@@ -82,6 +83,24 @@ def test_fisher_pvalue_monte_carlo(benchmark):
     res = benchmark(fisher_pvalue, sample, window, draws=999, seed=1)
     assert window.n_w == 2_000 and not res.exact and res.draws == 999
     assert res.p_value == 1 / 1000  # the 0.3 jump is never matched
+
+
+def test_fisher_pvalue_exhaustive(benchmark):
+    # 9 treated of 18 units: all C(18, 9) = 48,620 assignments enumerated
+    x, y, _, _ = _draw(18)
+    x = np.r_[-np.abs(x[:9]), np.abs(x[9:])]
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    res = benchmark(fisher_pvalue, sample, make_window(sample, 1.0))
+    assert res.exact and res.total == 48_620
+
+
+def test_fisher_pvalue_bernoulli(benchmark):
+    # coin-flip assignments of 1,000 units: far past enumeration
+    x, y, _, _ = _draw(1_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    res = benchmark(fisher_pvalue, sample, make_window(sample, 1.0),
+                    model=Bernoulli(0.5), draws=999, seed=1)
+    assert not res.exact and res.draws == 999 and 0 < res.p_value <= 1
 
 
 def test_simulate_sample(benchmark):

@@ -29,6 +29,9 @@ from .dgps import (
 )
 from .errors import DataError, EstimationError, NoCovariates
 from .locrand import (
+    BALANCE_ALPHA,
+    DRAWS,
+    MAX_EXHAUSTIVE,
     Bernoulli,
     FixedMargins,
     diff_in_means,
@@ -44,7 +47,12 @@ from .plotting import build_rdplot, render_svg
 from .powersim import power_curve, required_n, simulate_coverage
 from .reports import canonical_json, make_report, sha256_file, write_report
 from .sample import ingest_csv
-from .validation import run_battery
+from .validation import (
+    BINS_PER_SIDE,
+    DONUT_RADII,
+    SENSITIVITY_FACTORS,
+    run_battery,
+)
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--candidates", type=float, nargs="+", default=None,
                      metavar="W", help="candidate half-widths for auto "
                                        "selection")
-    loc.add_argument("--balance-alpha", type=float, default=0.15,
+    loc.add_argument("--balance-alpha", type=float, default=BALANCE_ALPHA,
                      help="minimum balance p-value for auto selection, "
                           "in (0, 1)")
     loc.add_argument("--model", default="fixed_margins",
@@ -150,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("neyman", "superpop"))
     loc.add_argument("--alpha", type=float, default=0.05,
                      help="test level for intervals, in (0, 1)")
-    loc.add_argument("--draws", type=int, default=9999,
+    loc.add_argument("--draws", type=int, default=DRAWS,
                      help="Monte Carlo draws when enumeration is infeasible")
-    loc.add_argument("--max-exhaustive", type=int, default=200000,
+    loc.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE,
                      help="largest assignment count enumerated exactly")
     loc.add_argument("--fisher-ci", action="store_true",
                      help="also invert the Fisher test into a CI")
@@ -173,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="C", help="placebo cutoffs (default: side "
                                        "quantiles outside the bandwidth)")
     val.add_argument("--donut", type=float, nargs="+",
-                     default=(0.0, 0.05, 0.1), metavar="R",
+                     default=DONUT_RADII, metavar="R",
                      help="donut radii")
     val.add_argument("--sensitivity", type=float, nargs="+",
-                     default=(0.5, 0.75, 1.0, 1.25, 1.5), metavar="F",
+                     default=SENSITIVITY_FACTORS, metavar="F",
                      help="bandwidth multipliers")
-    val.add_argument("--bins-per-side", type=int, default=20,
+    val.add_argument("--bins-per-side", type=int, default=BINS_PER_SIDE,
                      help="density-test histogram bins")
-    val.add_argument("--draws", type=int, default=9999)
+    val.add_argument("--draws", type=int, default=DRAWS)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--table", default=None,
                      help="write the battery as wide CSV, one row per test")
@@ -316,11 +324,20 @@ def cmd_estimate(args):
     return config, result, None
 
 
+def _check_draws(draws: int) -> None:
+    if draws < 1:
+        raise UsageError("--draws must be at least 1")
+
+
 def cmd_locrand(args):
-    for flag, alpha in (("--alpha", args.alpha),
-                        ("--balance-alpha", args.balance_alpha)):
-        if not 0 < alpha < 1:
+    for flag, value in (("--alpha", args.alpha),
+                        ("--balance-alpha", args.balance_alpha),
+                        ("--prob", args.prob)):
+        if not 0 < value < 1:
             raise UsageError(f"{flag} must be in (0, 1)")
+    if not all(0 < w < math.inf for w in args.candidates or ()):
+        raise UsageError("--candidates must be positive and finite")
+    _check_draws(args.draws)
     sample = _ingest(args)
     if args.model == "bernoulli":
         model = Bernoulli(args.prob)
@@ -402,6 +419,10 @@ def _write_trace_csv(path, selection):
 
 
 def cmd_validate(args):
+    if args.count_halfwidth is not None \
+            and not 0 < args.count_halfwidth < math.inf:
+        raise UsageError("--count-halfwidth must be positive and finite")
+    _check_draws(args.draws)
     sample = _ingest(args)
     report = run_battery(
         sample, p=args.p, kernel=args.kernel, h=args.h, level=args.level,

@@ -8,7 +8,9 @@ difference-in-means estimator with framework-specific weights,
 Fisherian sharp-null permutation p-values (exhaustive when the
 assignment space is small, Monte Carlo otherwise), test-inversion
 confidence intervals, and Neyman/super-population large-sample
-intervals.
+intervals.  A unit is in a window when lower <= score <= upper, on the
+bounds a report prints, and treated when score >= cutoff; every count,
+estimate and test of a window uses that rule.
 
 Every permutation ensemble, enumerated or drawn, is one stream of
 blocks of treated sets reduced to five subset sums per assignment, so it
@@ -22,7 +24,7 @@ complements, may still differ in the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, takewhile
 from math import comb
 from statistics import NormalDist
 
@@ -41,6 +43,11 @@ from .rng import substream
 from .sample import RdSample
 
 FRAMEWORKS = ("fisher", "neyman", "superpop")
+
+# Defaults shared with the command line and the validation battery.
+DRAWS = 9999
+MAX_EXHAUSTIVE = 200000
+BALANCE_ALPHA = 0.15
 
 
 # --------------------------------------------------------------------
@@ -75,30 +82,36 @@ class Bernoulli:
             raise ValueError("assignment probability must be in (0, 1)")
 
 
+def _inside(sample: RdSample, lower: float, upper: float) -> np.ndarray:
+    """The window rule: a unit is inside when lower <= score <= upper."""
+    return (sample.score >= lower) & (sample.score <= upper)
+
+
 def make_window(sample: RdSample, w_left: float,
                 w_right: float | None = None) -> Window:
-    """Window [c - w_left, c + w_right] on the (centered) score."""
+    """Window [c - w_left, c + w_right] around the cutoff c, with finite
+    non-negative half-widths, not both zero.  It counts the units with
+    lower <= score <= upper, the units every analysis of it uses."""
     if w_right is None:
         w_right = w_left
-    if w_left < 0 or w_right < 0 or (w_left == 0 and w_right == 0):
-        raise ValueError("window half-widths must be non-negative, not both zero")
-    xc = sample.centered_score()
-    inside = (xc >= -w_left) & (xc <= w_right)
-    plus = inside & (xc >= 0)
+    if not (0 <= w_left < np.inf and 0 <= w_right < np.inf) \
+            or w_left == w_right == 0:
+        raise ValueError("window half-widths must be non-negative and "
+                         "finite, not both zero")
     c = sample.cutoff
-    return Window(lower=float(c - w_left), upper=float(c + w_right),
-                  n_w=int(inside.sum()), n_plus=int(plus.sum()),
-                  n_minus=int(inside.sum() - plus.sum()))
+    lower, upper = float(c - w_left), float(c + w_right)
+    x = sample.score[_inside(sample, lower, upper)]
+    n_plus = int(np.count_nonzero(x >= c))
+    return Window(lower=lower, upper=upper, n_w=x.size, n_plus=n_plus,
+                  n_minus=x.size - n_plus)
 
 
-def _window_arrays(sample: RdSample, window: Window, outcome=None):
-    xc = sample.centered_score()
-    c = sample.cutoff
-    mask = (xc >= window.lower - c) & (xc <= window.upper - c)
-    t = (xc[mask] >= 0).astype(np.int8)
-    y = (sample.outcome if outcome is None else np.asarray(outcome, float))[mask]
+def _window_arrays(sample: RdSample, window: Window):
+    """Outcome, treatment (int8) and receipt of the units in the window."""
+    mask = _inside(sample, window.lower, window.upper)
+    t = (sample.score[mask] >= sample.cutoff).astype(np.int8)
     d = None if sample.received is None else sample.received[mask].astype(float)
-    return y, t, d
+    return sample.outcome[mask], t, d
 
 
 # --------------------------------------------------------------------
@@ -141,11 +154,10 @@ def _framework_means(values, t, model, framework):
     return float(values[plus].mean()), float(values[~plus].mean())
 
 
-def diff_in_means(sample: RdSample, window: Window,
-                  model=FixedMargins(), framework: str = "neyman",
-                  outcome=None) -> LocRandEstimate:
+def diff_in_means(sample: RdSample, window: Window, model=FixedMargins(),
+                  framework: str = "neyman") -> LocRandEstimate:
     """Sharp window estimator: weighted side means of the outcome."""
-    y, t, d = _window_arrays(sample, window, outcome)
+    y, t, d = _window_arrays(sample, window)
     ybar_plus, ybar_minus = _framework_means(y, t, model, framework)
     dbar_plus = dbar_minus = None
     if d is not None:
@@ -314,7 +326,7 @@ def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
                      tot_y=float(y.sum()), tot_y2=float(y2.sum()))
 
 
-def _statistics(ens: _Ensemble, statistic: str, tau0: float = 0.0):
+def _statistics(ens: _Ensemble, statistic: str, tau0: float):
     """Statistic for every ensemble assignment and for the observed one
     (column 0), on outcomes adjusted by tau0 (Y - tau0*T_obs)."""
     n1, sY, m, sTY, sY2 = ens.agg
@@ -344,21 +356,40 @@ def _statistics(ens: _Ensemble, statistic: str, tau0: float = 0.0):
 
 def _pvalue_from(ens: _Ensemble, stats, s_obs):
     extreme = np.abs(stats) >= abs(s_obs)
-    if ens.exact:
-        if ens.weights is None:
-            count = float(np.count_nonzero(extreme))
-            return count / ens.total, count
-        w = ens.weights
-        count = float(w[extreme].sum())
-        return count / float(w.sum()), count
+    if ens.weights is not None:  # exact Bernoulli
+        count = float(ens.weights[extreme].sum())
+        return count / float(ens.weights.sum()), count
     count = float(np.count_nonzero(extreme))
+    if ens.exact:
+        return count / ens.total, count
     return (count + 1.0) / (ens.draws + 1.0), count
+
+
+def _fisher_tests(y, t, model, statistic, max_exhaustive, draws, seed,
+                  taus=(0.0,)) -> list[FisherResult]:
+    """The one Fisher test path: one ensemble, then one result per sharp
+    null tau0 (outcomes adjusted to Y - tau0*T)."""
+    if statistic == "studentized" and not 2 <= t.sum() <= t.size - 2:
+        raise TooFewObservations(
+            "studentized statistic needs at least 2 units per group")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    ens = _build_ensemble(y, t, model, max_exhaustive, draws, seed)
+    results = []
+    for tau0 in taus:
+        stats, s_obs = _statistics(ens, statistic, float(tau0))
+        p, count = _pvalue_from(ens, stats, s_obs)
+        results.append(FisherResult(
+            p_value=float(p), exact=ens.exact, draws=ens.draws,
+            statistic_observed=s_obs, statistic=statistic,
+            extreme_count=count, total=ens.total))
+    return results
 
 
 def fisher_pvalue(sample: RdSample, window: Window, model=FixedMargins(),
                   statistic: str = "diff_means",
-                  max_exhaustive: int = 200000, draws: int = 9999,
-                  seed: int = 0, outcome=None) -> FisherResult:
+                  max_exhaustive: int = MAX_EXHAUSTIVE, draws: int = DRAWS,
+                  seed: int = 0) -> FisherResult:
     """Sharp-null permutation p-value within the window.
 
     Exhaustive enumeration when the assignment space is at most
@@ -367,17 +398,9 @@ def fisher_pvalue(sample: RdSample, window: Window, model=FixedMargins(),
     (count+1)/(draws+1).  Two-sided: assignments with |S| at or beyond
     the observed |S| count as extreme, ties included.
     """
-    y, t, _ = _window_arrays(sample, window, outcome)
-    if statistic == "studentized" and (window.n_plus < 2 or window.n_minus < 2):
-        raise TooFewObservations(
-            "studentized statistic needs at least 2 units per group")
-    ens = _build_ensemble(y, t, model, max_exhaustive, draws, seed)
-    stats, s_obs = _statistics(ens, statistic)
-    p, count = _pvalue_from(ens, stats, s_obs)
-    return FisherResult(p_value=float(p), exact=ens.exact,
-                        draws=ens.draws, statistic_observed=s_obs,
-                        statistic=statistic, extreme_count=count,
-                        total=ens.total)
+    y, t, _ = _window_arrays(sample, window)
+    return _fisher_tests(y, t, model, statistic, max_exhaustive, draws,
+                         seed)[0]
 
 
 @dataclass(frozen=True)
@@ -395,8 +418,8 @@ class FisherCi:
 
 def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
               statistic: str = "diff_means", tau_grid=None,
-              alpha: float = 0.05, max_exhaustive: int = 200000,
-              draws: int = 9999, seed: int = 0) -> FisherCi:
+              alpha: float = 0.05, max_exhaustive: int = MAX_EXHAUSTIVE,
+              draws: int = DRAWS, seed: int = 0) -> FisherCi:
     """Invert the permutation test over a grid of constant effects.
 
     For each tau0, outcomes are adjusted to Y - tau0*T and the sharp
@@ -404,7 +427,7 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
     set.  The permutation ensemble is built once and reused across the
     grid, so the whole inversion costs one enumeration plus O(grid x
     draws) arithmetic.  A non-interval acceptance region is flagged
-    rather than hidden.
+    rather than hidden.  Studentized tests need 2 units per group.
     """
     _check_alpha(alpha)
     y, t, _ = _window_arrays(sample, window)
@@ -417,11 +440,8 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
         span = 5.0 * se if se > 0 else max(1.0, abs(est.tau_hat))
         tau_grid = np.linspace(est.tau_hat - span, est.tau_hat + span, 201)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    ens = _build_ensemble(y, t, model, max_exhaustive, draws, seed)
-    pvals = np.empty(tau_grid.size)
-    for i, tau0 in enumerate(tau_grid):
-        stats, s_obs = _statistics(ens, statistic, tau0=float(tau0))
-        pvals[i], _ = _pvalue_from(ens, stats, s_obs)
+    pvals = np.array([res.p_value for res in _fisher_tests(
+        y, t, model, statistic, max_exhaustive, draws, seed, tau_grid)])
     accepted = np.flatnonzero(pvals >= alpha)
     if accepted.size == 0:
         return FisherCi(lower=None, upper=None, alpha=alpha, grid=tau_grid,
@@ -526,30 +546,27 @@ def _as_pair(candidate):
     return float(candidate), float(candidate)
 
 
-def select_window(sample: RdSample, covariates=None, candidates=None,
-                  alpha: float = 0.15, model=FixedMargins(),
+def select_window(sample: RdSample, candidates=None,
+                  alpha: float = BALANCE_ALPHA, model=FixedMargins(),
                   statistic: str = "diff_means",
                   max_exhaustive: int = 2000, draws: int = 999,
                   seed: int = 0) -> WindowSelection:
     """Pick the largest window with covariate balance at level alpha.
 
     Candidates are half-widths (or (left, right) pairs) in ascending
-    order.  A candidate is feasible when it holds at least 2 units per
-    side with non-missing covariate values.  The selected window is the
-    largest feasible candidate such that every feasible candidate up to
-    and including it has minimum balance p-value >= alpha across the
+    order.  A candidate is feasible when its :func:`make_window` holds at
+    least 2 units per side with a non-missing value of each covariate,
+    the units its balance tests use.  The selected window is the largest
+    feasible candidate such that every feasible candidate up to and
+    including it has minimum balance p-value >= alpha across the
     covariates.  When even the smallest feasible candidate is
     imbalanced, it is returned flagged ``no_balanced_window`` so the
     caller sees the most defensible window alongside the full trace.
     """
     _check_alpha(alpha)
-    names = list(covariates) if covariates is not None \
-        else sorted(sample.covariates)
+    names = sorted(sample.covariates)
     if not names:
         raise NoCovariates("window selection requires at least one covariate")
-    for name in names:
-        if name not in sample.covariates:
-            raise NoCovariates(f"covariate {name!r} not present in sample")
     if candidates is None or len(list(candidates)) == 0:
         raise NoFeasibleWindow("no candidate windows supplied")
     pairs = [_as_pair(cand) for cand in candidates]
@@ -557,56 +574,37 @@ def select_window(sample: RdSample, covariates=None, candidates=None,
     if any(b < a for a, b in zip(widths, widths[1:])):
         raise ValueError("candidate windows must be ascending")
 
-    xc = sample.centered_score()
+    treated = sample.score >= sample.cutoff
     trace = []
-    feasible_rows = []
     for idx, (w_left, w_right) in enumerate(pairs):
         win = make_window(sample, w_left, w_right)
-        inside = (xc >= -w_left) & (xc <= w_right)
-        feasible = win.n_plus >= 2 and win.n_minus >= 2
+        inside = _inside(sample, win.lower, win.upper)
         p_values = []
-        if feasible:
-            for j, name in enumerate(names):
-                z = sample.covariates[name]
-                ok = inside & np.isfinite(z)
-                t = (xc[ok] >= 0).astype(np.int8)
-                if int(t.sum()) < 2 or int((1 - t).sum()) < 2:
-                    feasible = False
-                    break
-                ens = _build_ensemble(z[ok], t, model, max_exhaustive,
-                                      draws, int(substream(seed, idx, j)
-                                                 .integers(0, 2 ** 31)))
-                stats, s_obs = _statistics(ens, statistic)
-                p, _ = _pvalue_from(ens, stats, s_obs)
-                p_values.append((name, float(p)))
+        for j, name in enumerate(names):
+            z = sample.covariates[name]
+            ok = inside & np.isfinite(z)
+            t = treated[ok].astype(np.int8)
+            if not 2 <= t.sum() <= t.size - 2:
+                break
+            res = _fisher_tests(z[ok], t, model, statistic, max_exhaustive,
+                                draws, int(substream(seed, idx, j)
+                                           .integers(0, 2 ** 31)))[0]
+            p_values.append((name, res.p_value))
+        feasible = len(p_values) == len(names)
         min_p = min(p for _, p in p_values) if p_values else None
-        passed = bool(feasible and min_p is not None and min_p >= alpha)
-        row = BalanceTraceRow(w_left=w_left, w_right=w_right, n_w=win.n_w,
-                              n_plus=win.n_plus, n_minus=win.n_minus,
-                              feasible=feasible,
-                              p_values=tuple(p_values), min_p=min_p,
-                              passed=passed)
-        trace.append(row)
-        if feasible:
-            feasible_rows.append(row)
+        trace.append(BalanceTraceRow(
+            w_left=w_left, w_right=w_right, n_w=win.n_w, n_plus=win.n_plus,
+            n_minus=win.n_minus, feasible=feasible, p_values=tuple(p_values),
+            min_p=min_p, passed=bool(feasible and min_p >= alpha)))
 
+    feasible_rows = [row for row in trace if row.feasible]
     if not feasible_rows:
         raise NoFeasibleWindow(
             "no candidate window holds 2 units per side with covariate data")
 
-    selected = None
-    for row in feasible_rows:
-        if row.passed:
-            selected = row
-        else:
-            break
-    if selected is None:
-        fallback = feasible_rows[0]
-        return WindowSelection(
-            window=make_window(sample, fallback.w_left, fallback.w_right),
-            w_left=fallback.w_left, w_right=fallback.w_right, alpha=alpha,
-            no_balanced_window=True, trace=tuple(trace))
+    balanced = list(takewhile(lambda row: row.passed, feasible_rows))
+    chosen = balanced[-1] if balanced else feasible_rows[0]
     return WindowSelection(
-        window=make_window(sample, selected.w_left, selected.w_right),
-        w_left=selected.w_left, w_right=selected.w_right, alpha=alpha,
-        no_balanced_window=False, trace=tuple(trace))
+        window=make_window(sample, chosen.w_left, chosen.w_right),
+        w_left=chosen.w_left, w_right=chosen.w_right, alpha=alpha,
+        no_balanced_window=not balanced, trace=tuple(trace))

@@ -27,9 +27,14 @@ from .errors import (
     RankDeficient,
     TooFewObservations,
 )
-from .locrand import FixedMargins, Window, fisher_pvalue, make_window
+from .locrand import DRAWS, FixedMargins, Window, fisher_pvalue, make_window
 from .lpoly import polyfit_lstsq
 from .sample import RdSample
+
+# Battery defaults shared with the command line.
+DONUT_RADII = (0.0, 0.05, 0.1)
+SENSITIVITY_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
+BINS_PER_SIDE = 20
 
 
 def _rbc_pvalue(res: RbcResult) -> float:
@@ -56,7 +61,7 @@ class BalanceRecord:
 def covariate_balance(sample: RdSample, covariate: str,
                       method: str = "continuity", h: float | None = None,
                       window: Window | None = None, p: int = 1,
-                      kernel: str = "triangular", draws: int = 9999,
+                      kernel: str = "triangular", draws: int = DRAWS,
                       seed: int = 0) -> BalanceRecord:
     """Test that a pre-intervention covariate does not jump at the cutoff.
 
@@ -165,7 +170,7 @@ def _side_density_fit(edges_lo, edges_hi, counts, n_total, cutoff):
 
 
 def density_test(sample: RdSample, h: float,
-                 bins_per_side: int = 20) -> DensityRecord:
+                 bins_per_side: int = BINS_PER_SIDE) -> DensityRecord:
     """Test continuity of the score density at the cutoff.
 
     Equal-width histogram bins are built separately on [c-h, c) and
@@ -379,9 +384,9 @@ class ValidationReport:
 def run_battery(sample: RdSample, p: int = 1, kernel: str = "triangular",
                 h: float | None = None, level: float = 0.95,
                 count_halfwidth: float | None = None,
-                placebo_grid=None, donut_radii=(0.0, 0.05, 0.1),
-                sensitivity_factors=(0.5, 0.75, 1.0, 1.25, 1.5),
-                bins_per_side: int = 20, draws: int = 9999,
+                placebo_grid=None, donut_radii=DONUT_RADII,
+                sensitivity_factors=SENSITIVITY_FACTORS,
+                bins_per_side: int = BINS_PER_SIDE, draws: int = DRAWS,
                 seed: int = 0) -> ValidationReport:
     """Run every falsification check with shared defaults.
 

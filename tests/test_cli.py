@@ -298,6 +298,53 @@ class TestLocrand:
              "--alpha", alpha])
         assert "--alpha" in message
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--candidates", ["locrand", "--candidates", "inf"]),
+        ("--candidates", ["locrand", "--candidates", "nan", "0.02"]),
+        ("--candidates", ["locrand", "--candidates", "-0.01"]),
+        ("--draws", ["locrand", "--window", "0.5", "--draws", "0"]),
+        ("--draws", ["locrand", "--window", "0.5", "--draws", "-5"]),
+        ("--prob", ["locrand", "--window", "0.5", "--model", "bernoulli",
+                    "--prob", "1.5"]),
+        ("--draws", ["validate", "--h", "0.5", "--draws", "0"]),
+        ("--count-halfwidth", ["validate", "--h", "0.5",
+                               "--count-halfwidth", "inf"]),
+        ("--count-halfwidth", ["validate", "--h", "0.5",
+                               "--count-halfwidth", "0"])],
+        ids=["candidates-inf", "candidates-nan", "candidates-negative",
+             "draws-0", "draws-negative", "prob-1.5", "validate-draws-0",
+             "count_halfwidth-inf", "count_halfwidth-0"])
+    def test_out_of_range_flag_exits_1(self, locrand_csv, flag, argv):
+        # these used to exit 0 (a window over every row, a null
+        # candidate or count window, p = 1 from zero draws) or 2 as a
+        # data error
+        message = _usage_error_in_subprocess(
+            [argv[0], "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--covariate", "z", *argv[1:]])
+        assert flag in message
+
+    def test_nonzero_cutoff_window_holds_the_units_analysed(self, tmp_path):
+        # 3.57 - 0.04 and 3.57 + 0.04 are the doubles 3.53 and 3.61, so
+        # the units there are inside [lower, upper]; the counts used to
+        # miss them while the estimate and the test used them
+        x = [3.53, 3.54, 3.55, 3.56, 3.57, 3.58, 3.59, 3.60, 3.61, 3.40,
+             3.70]
+        path = tmp_path / "edges.csv"
+        write_csv(path, ["x", "y"], ((f"{v:.2f}", i) for i, v in enumerate(x)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", "locrand", "--input",
+             str(path), "--score-col", "x", "--outcome-col", "y",
+             "--cutoff", "3.57", "--window", "0.04"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["result"]
+        window = res["window"]
+        assert (window["lower"], window["upper"]) == (3.53, 3.61)
+        assert (window["n_w"], window["n_minus"], window["n_plus"]) \
+            == (9, 4, 5)
+        assert res["estimate"]["ybar_minus"] == 1.5  # mean of 0, 1, 2, 3
+        assert res["fisher"]["total"] == 126  # C(9, 5)
+
     @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "nan"])
     def test_balance_alpha_outside_unit_interval_exits_1(self, locrand_csv,
                                                          alpha):

@@ -3,6 +3,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from rdtoolkit.locrand import (
     select_window,
 )
 from rdtoolkit.rng import substream
+from rdtoolkit.validation import covariate_balance
 
 from conftest import make_sample
 
@@ -71,6 +73,32 @@ class TestWindow:
         s = make_sample([-1.0, 1.0], [0, 1])
         with pytest.raises(ValueError):
             make_window(s, -0.5)
+
+    @pytest.mark.parametrize("widths", [
+        (float("inf"),), (float("nan"),), (0.5, float("inf")),
+        (float("nan"), 0.5)])
+    def test_finite_width_required(self, widths):
+        # inf used to give a window over every unit with null bounds
+        s = make_sample([-1.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            make_window(s, *widths)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(-500, 500), w=st.integers(1, 60),
+           offsets=st.lists(st.integers(-80, 80), max_size=10))
+    def test_one_membership_rule_at_the_edges(self, c, w, offsets):
+        # cutoff, half-width and scores on a 0.01 grid, with units at
+        # c - w and c + w: the counts and the units a test analyses
+        # follow lower <= score <= upper on the bounds the report prints
+        x = np.array([c - w, c + w, *(c + k for k in offsets)]) / 100
+        s = make_sample(x, np.arange(x.size), cutoff=c / 100)
+        win = make_window(s, w / 100)
+        inside = (s.score >= win.lower) & (s.score <= win.upper)
+        assert win.n_w == np.count_nonzero(inside)
+        assert win.n_plus == np.count_nonzero(inside & (s.score >= s.cutoff))
+        if 0 < win.n_plus < win.n_w:
+            total = fisher_pvalue(s, win).total
+            assert total == comb(win.n_w, win.n_plus)
 
 
 class TestFisherExhaustive:
@@ -439,6 +467,29 @@ class TestFisherCi:
         assert ci.lower is None and ci.upper is None
 
 
+@pytest.mark.parametrize("test", [fisher_pvalue, fisher_ci])
+def test_studentized_needs_two_units_per_group(test):
+    # fisher_ci used to accept every tau0, each p-value 1.0
+    s = make_sample([-0.6, -0.3, -0.1, 0.5], [1.0, 3.0, 2.0, 6.0])
+    with pytest.raises(TooFewObservations):
+        test(s, window_all(s), statistic="studentized")
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+@pytest.mark.parametrize("test", [
+    fisher_pvalue, fisher_ci,
+    lambda s, window, draws: covariate_balance(
+        s, "z", method="locrand", window=window, draws=draws),
+    lambda s, window, draws: select_window(s, candidates=[1.0],
+                                           draws=draws)],
+    ids=["fisher_pvalue", "fisher_ci", "covariate_balance", "select_window"])
+def test_draws_below_one_rejected(test, draws):
+    s = make_sample(np.linspace(-1, 1, 40), np.arange(40),
+                    covariates={"z": np.cos(np.arange(40))})
+    with pytest.raises(ValueError, match="draws"):
+        test(s, make_window(s, 1.0), draws=draws)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
 @pytest.mark.parametrize("interval", [neyman_ci, fisher_ci])
 def test_alpha_outside_unit_interval_rejected(interval, alpha):
@@ -535,9 +586,10 @@ class TestSelectWindow:
 
 
 # --------------------------------------------------------------------
-# Pinned bits: fixed-margins Monte Carlo results, and exact ones with at
-# most half the units treated, keep these digests of float.hex of every
-# float field, however the ensemble is computed.
+# Pinned bits: fixed-margins Monte Carlo results, exact ones with at
+# most half the units treated, Bernoulli window selection and the
+# battery's permutation balance check keep these digests of float.hex
+# of every float field, however the ensemble and the test are computed.
 # --------------------------------------------------------------------
 
 
@@ -556,39 +608,53 @@ def _bits(value):
 
 
 def _pin_call(case, statistic):
-    if case.startswith("mc_") and case != "mc_select":
+    kind, call = case.split("_", 1)
+    select = call.endswith("select")
+    if kind == "mc" and not select:
         rng = np.random.default_rng(41)
         x = rng.uniform(-1, 1, 60)
         s = make_sample(x, 0.3 * (x >= 0) + rng.normal(0, 1, 60))
-    elif case.startswith("exact_") and case != "exact_select":
+    elif kind == "exact" and not select:
         # 5 treated of 12: C(12, 5) = 792 assignments, enumerated
         rng = np.random.default_rng(42)
         x = np.r_[-rng.uniform(0.1, 1, 7), rng.uniform(0.1, 1, 5)]
         s = make_sample(x, 0.5 * (x >= 0) + rng.normal(0, 1, 12))
-    if case == "mc_pvalue":
-        return fisher_pvalue(s, make_window(s, 1.0), statistic=statistic,
-                             draws=499, seed=3)
-    if case == "mc_ci":
-        return fisher_ci(s, make_window(s, 1.0), statistic=statistic,
-                         draws=199, seed=4)
-    if case == "exact_pvalue":
-        return fisher_pvalue(s, make_window(s, 1.0), statistic=statistic)
-    if case == "exact_ci":
-        return fisher_ci(s, make_window(s, 1.0), statistic=statistic)
-    if case == "mc_select":
+    elif kind == "mc":
         rng = np.random.default_rng(43)
         x = rng.uniform(-1, 1, 400)
         z = rng.normal(0, 1, 400) + 3.0 * (np.abs(x) > 0.6) * np.sign(x)
         s = make_sample(x, rng.normal(0, 1, 400), covariates={"z": z})
-        return select_window(s, candidates=[0.05, 0.2, 0.5, 0.8],
-                             statistic=statistic, seed=5)
-    # windows of 2 of 5, 3 of 8 and 5 of 12 treated: all enumerated
-    rng = np.random.default_rng(44)
-    x = np.r_[-np.arange(1, 8) / 10, np.arange(1, 6) * 0.15]
-    s = make_sample(x, rng.normal(0, 1, 12),
-                    covariates={"z": rng.normal(0, 1, 12)})
-    return select_window(s, candidates=[0.35, 0.5, 1.0],
-                         statistic=statistic, seed=6)
+    else:
+        # windows of 2 of 5, 3 of 8 and 5 of 12 treated: all enumerated
+        # under fixed margins; Bernoulli enumerates the first two
+        rng = np.random.default_rng(44)
+        x = np.r_[-np.arange(1, 8) / 10, np.arange(1, 6) * 0.15]
+        s = make_sample(x, rng.normal(0, 1, 12),
+                        covariates={"z": rng.normal(0, 1, 12)})
+    if call == "pvalue":
+        return fisher_pvalue(s, make_window(s, 1.0), statistic=statistic,
+                             **({"draws": 499, "seed": 3}
+                                if kind == "mc" else {}))
+    if call == "ci":
+        return fisher_ci(s, make_window(s, 1.0), statistic=statistic,
+                         **({"draws": 199, "seed": 4}
+                            if kind == "mc" else {}))
+    if call == "balance":
+        # one missing covariate value: the test runs on the other units
+        z = np.random.default_rng(45).normal(0, 1, s.n)
+        z[0] = np.nan
+        s = make_sample(s.score, s.outcome, covariates={"z": z})
+        return covariate_balance(s, "z", method="locrand",
+                                 window=make_window(s, 1.0), draws=199,
+                                 seed=7)
+    bernoulli = call == "bernoulli_select"
+    if kind == "mc":
+        candidates, seed = [0.05, 0.2, 0.5, 0.8], 5
+    else:
+        candidates, seed = [0.35, 0.5] if bernoulli else [0.35, 0.5, 1.0], 6
+    return select_window(s, candidates=candidates,
+                         model=Bernoulli(0.5) if bernoulli else FixedMargins(),
+                         statistic=statistic, seed=seed)
 
 
 @pytest.mark.parametrize("case, statistic, digest", [
@@ -604,6 +670,12 @@ def _pin_call(case, statistic):
     ("mc_select", "studentized", "8c88c34ba643bc70"),
     ("exact_select", "diff_means", "b30b859a7a145792"),
     ("exact_select", "studentized", "f1e777ac20424f33"),
+    ("mc_bernoulli_select", "diff_means", "4e250b7df1ffff1d"),
+    ("mc_bernoulli_select", "studentized", "64c64fd8174da3e2"),
+    ("exact_bernoulli_select", "diff_means", "a7ab87381b95d2af"),
+    ("exact_bernoulli_select", "studentized", "38d6a084c5a5d56d"),
+    ("mc_balance", "diff_means", "e2298dd000cbd716"),
+    ("exact_balance", "diff_means", "756577d43944bed0"),
 ])
 def test_fixed_margins_bits_pinned(case, statistic, digest):
     bits = _bits(_pin_call(case, statistic))

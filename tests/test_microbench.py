@@ -1,7 +1,8 @@
 """Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
 kernel and robust bias-corrected inference at 1e5 rows; permutation
 ensembles (fixed-margins Monte Carlo, exhaustive enumeration and
-Bernoulli draws); one coverage replication and its draw and bandwidth
+Bernoulli draws), window selection by covariate balance and Fisher
+test inversion; one coverage replication and its draw and bandwidth
 stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
@@ -16,7 +17,13 @@ import pytest
 from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import rbc_inference
 from rdtoolkit.dgps import curved_benchmark, simulate_sample
-from rdtoolkit.locrand import Bernoulli, fisher_pvalue, make_window
+from rdtoolkit.locrand import (
+    Bernoulli,
+    fisher_ci,
+    fisher_pvalue,
+    make_window,
+    select_window,
+)
 from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
@@ -101,6 +108,25 @@ def test_fisher_pvalue_bernoulli(benchmark):
     res = benchmark(fisher_pvalue, sample, make_window(sample, 1.0),
                     model=Bernoulli(0.5), draws=999, seed=1)
     assert not res.exact and res.draws == 999 and 0 < res.p_value <= 1
+
+
+def test_select_window(benchmark):
+    # five candidates on 5,000 units, one balance test of 999 draws each
+    x, y, _, age = _draw(5_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0,
+                      covariates={"age": age})
+    sel = benchmark(select_window, sample,
+                    candidates=[0.01, 0.02, 0.03, 0.05, 0.08], seed=1)
+    assert len(sel.trace) == 5 and sel.window.n_w > 0
+
+
+def test_fisher_ci(benchmark):
+    # 201 sharp nulls over one ensemble of 999 draws of 2,000 units
+    x, y, _, _ = _draw(2_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    ci = benchmark(fisher_ci, sample, make_window(sample, 1.0), draws=999,
+                   seed=1)
+    assert ci.grid.size == 201 and not ci.empty
 
 
 def test_simulate_sample(benchmark):

@@ -34,8 +34,8 @@ from .locrand import (
     MAX_EXHAUSTIVE,
     Bernoulli,
     FixedMargins,
+    _fisher_pvalue_and_ci,
     diff_in_means,
-    fisher_ci,
     fisher_pvalue,
     fuzzy_locrand,
     make_window,
@@ -366,17 +366,18 @@ def cmd_locrand(args):
                                        framework=args.framework)
     else:
         estimate_fuzzy = None
-    fisher = fisher_pvalue(sample, window, model=model,
-                           statistic=args.statistic,
-                           max_exhaustive=args.max_exhaustive,
-                           draws=args.draws, seed=args.seed)
+    if args.fisher_ci:
+        # the p-value and the interval share one ensemble
+        fisher, ci = _fisher_pvalue_and_ci(
+            sample, window, model, args.statistic, None, args.alpha,
+            args.max_exhaustive, args.draws, args.seed)
+    else:
+        fisher, ci = fisher_pvalue(
+            sample, window, model=model, statistic=args.statistic,
+            max_exhaustive=args.max_exhaustive, draws=args.draws,
+            seed=args.seed), None
     neyman = neyman_ci(sample, window, framework=args.framework,
                        alpha=args.alpha, model=model)
-    ci = None
-    if args.fisher_ci:
-        ci = fisher_ci(sample, window, model=model, statistic=args.statistic,
-                       alpha=args.alpha, max_exhaustive=args.max_exhaustive,
-                       draws=args.draws, seed=args.seed)
 
     config = _data_config(args)
     config.update(window_requested="auto" if args.window is None

@@ -13,12 +13,16 @@ bounds a report prints, and treated when score >= cutoff; every count,
 estimate and test of a window uses that rule.
 
 Every permutation ensemble, enumerated or drawn, is one stream of
-blocks of treated sets reduced to five subset sums per assignment, so it
-holds O(assignments) sums plus one block.  The observed assignment is
-reduced first, by the same expression at the same row width as its
-enumerated copy, so it ties with itself and always counts as extreme.
-Distinct assignments that tie only in exact arithmetic, such as
-complements, may still differ in the last bits.
+blocks of treated sets, built once for the units analysed and reduced
+to the subset sums its statistic reads: the treated count and the
+overlap with the observed assignment once, the outcome sum for each
+response that shares the stream, and two more sums per response for
+the studentized statistic.  It holds O(assignments) sums plus one
+block.  The observed assignment is reduced first, by the same
+expression at the same row width as its enumerated copy, so it ties
+with itself and always counts as extreme.  Distinct assignments that
+tie only in exact arithmetic, such as complements, may still differ in
+the last bits.
 """
 
 from __future__ import annotations
@@ -208,24 +212,27 @@ class FisherResult:
 
 
 # Cells (assignments x units) in one block of treated sets.  An ensemble
-# holds five aggregates per assignment plus one block, so memory stays
+# holds its subset sums per assignment plus one block, so memory stays
 # bounded however large the window or the number of draws.
 _BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
 class _Ensemble:
-    """Per-assignment subset aggregates over the permutation ensemble.
+    """Per-assignment subset sums of one response over the permutation
+    ensemble.
 
-    ``agg`` has one column per assignment and five rows: n1 treated
+    ``agg`` holds five arrays with one entry per assignment: n1 treated
     units, sY = sum of outcomes over the treated set, m = overlap with
     the observed treated set, sTY = sum of T_obs*Y over the treated set
-    and sY2 = sum of Y^2.  Column 0 is the observed assignment and
-    columns 1.. the ensemble.  ``weights`` is None for uniform ensembles
-    (fixed margins, or Monte Carlo draws).
+    and sY2 = sum of Y^2; sTY and sY2 are None unless the statistic is
+    studentized.  Entry 0 is the observed assignment and entries 1..
+    the ensemble.  ``weights`` is None for uniform ensembles (fixed
+    margins, or Monte Carlo draws).  Responses that share a stream share
+    n1, m and ``weights``.
     """
 
-    agg: np.ndarray
+    agg: tuple
     weights: np.ndarray | None
     exact: bool
     draws: int
@@ -250,8 +257,8 @@ def _padded(mask):
 
 
 def _reduce(blocks, cols, size):
-    """Aggregates of each treated set: row r of ``cols`` summed over
-    every index row of every block, one column per treated set."""
+    """Sums of each treated set: row r of ``cols`` summed over every
+    index row of every block, one column per treated set."""
     agg = np.empty((cols.shape[0], size))
     at = 0
     for idx in blocks:
@@ -261,17 +268,24 @@ def _reduce(blocks, cols, size):
     return agg
 
 
-def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
-    y = np.asarray(y, dtype=float)
+def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
+                    studentized=False) -> list[_Ensemble]:
+    """One stream of assignments of the units with observed assignment
+    ``t``, reduced for every response in ``ys``: one ensemble each."""
+    ys = [np.asarray(y, dtype=float) for y in ys]
     t = np.asarray(t, dtype=float)
-    n = y.shape[0]
+    n = t.shape[0]
     n_plus = int(t.sum())
     if n_plus == 0 or n_plus == n:
         raise EmptyGroup(f"window has {n_plus} treated of {n} units")
-    y2 = y * y
-    # n1, sY, m, sTY and sY2 summands, then the zero pad column
-    cols = np.zeros((5, n + 1))
-    cols[:, :n] = (np.ones(n), y, t, t * y, y2)
+    # n1 and m summands, then sY (and sTY, sY2 when studentized) of each
+    # response; a zero pad column follows
+    width = 3 if studentized else 1
+    summands = [np.ones(n), t]
+    for y in ys:
+        summands += [y, t * y, y * y][:width]
+    cols = np.zeros((len(summands), n + 1))
+    cols[:, :n] = summands
     rng = substream(seed)
 
     # block(a, b) gives the treated sets of assignments a..b-1 as index
@@ -321,9 +335,16 @@ def _build_ensemble(y, t, model, max_exhaustive, draws, seed) -> _Ensemble:
             agg[:, rows] = _reduce(_blocks(block, rows.size, n), cols,
                                    rows.size)
 
-    return _Ensemble(agg=agg, weights=weights, exact=exact,
-                     draws=0 if exact else draws, total=total, n=n,
-                     tot_y=float(y.sum()), tot_y2=float(y2.sum()))
+    ensembles = []
+    for r, y in enumerate(ys):
+        a = 2 + r * width
+        s_y, s_ty, s_y2 = agg[a:a + 3] if studentized \
+            else (agg[a], None, None)
+        ensembles.append(_Ensemble(
+            agg=(agg[0], s_y, agg[1], s_ty, s_y2), weights=weights,
+            exact=exact, draws=0 if exact else draws, total=total, n=n,
+            tot_y=float(y.sum()), tot_y2=float((y * y).sum())))
+    return ensembles
 
 
 def _statistics(ens: _Ensemble, statistic: str, tau0: float):
@@ -365,24 +386,27 @@ def _pvalue_from(ens: _Ensemble, stats, s_obs):
     return (count + 1.0) / (ens.draws + 1.0), count
 
 
-def _fisher_tests(y, t, model, statistic, max_exhaustive, draws, seed,
-                  taus=(0.0,)) -> list[FisherResult]:
-    """The one Fisher test path: one ensemble, then one result per sharp
-    null tau0 (outcomes adjusted to Y - tau0*T)."""
+def _fisher_tests(ys, t, model, statistic, max_exhaustive, draws, seed,
+                  taus=(0.0,)) -> list[list[FisherResult]]:
+    """The one Fisher test path: one ensemble of the units analysed,
+    reduced for every response in ``ys``, then one result per
+    (response, sharp null tau0), outcomes adjusted to Y - tau0*T."""
     if statistic == "studentized" and not 2 <= t.sum() <= t.size - 2:
         raise TooFewObservations(
             "studentized statistic needs at least 2 units per group")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    ens = _build_ensemble(y, t, model, max_exhaustive, draws, seed)
     results = []
-    for tau0 in taus:
-        stats, s_obs = _statistics(ens, statistic, float(tau0))
-        p, count = _pvalue_from(ens, stats, s_obs)
-        results.append(FisherResult(
-            p_value=float(p), exact=ens.exact, draws=ens.draws,
-            statistic_observed=s_obs, statistic=statistic,
-            extreme_count=count, total=ens.total))
+    for ens in _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
+                               statistic == "studentized"):
+        results.append([])
+        for tau0 in taus:
+            stats, s_obs = _statistics(ens, statistic, float(tau0))
+            p, count = _pvalue_from(ens, stats, s_obs)
+            results[-1].append(FisherResult(
+                p_value=float(p), exact=ens.exact, draws=ens.draws,
+                statistic_observed=s_obs, statistic=statistic,
+                extreme_count=count, total=ens.total))
     return results
 
 
@@ -399,8 +423,8 @@ def fisher_pvalue(sample: RdSample, window: Window, model=FixedMargins(),
     the observed |S| count as extreme, ties included.
     """
     y, t, _ = _window_arrays(sample, window)
-    return _fisher_tests(y, t, model, statistic, max_exhaustive, draws,
-                         seed)[0]
+    return _fisher_tests([y], t, model, statistic, max_exhaustive, draws,
+                         seed)[0][0]
 
 
 @dataclass(frozen=True)
@@ -429,6 +453,14 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
     draws) arithmetic.  A non-interval acceptance region is flagged
     rather than hidden.  Studentized tests need 2 units per group.
     """
+    return _fisher_pvalue_and_ci(sample, window, model, statistic, tau_grid,
+                                 alpha, max_exhaustive, draws, seed)[1]
+
+
+def _fisher_pvalue_and_ci(sample, window, model, statistic, tau_grid,
+                          alpha, max_exhaustive, draws, seed):
+    """:func:`fisher_pvalue` and :func:`fisher_ci` from one ensemble: the
+    sharp null tau0 = 0 is tested with the grid."""
     _check_alpha(alpha)
     y, t, _ = _window_arrays(sample, window)
     if tau_grid is None:
@@ -440,17 +472,19 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
         span = 5.0 * se if se > 0 else max(1.0, abs(est.tau_hat))
         tau_grid = np.linspace(est.tau_hat - span, est.tau_hat + span, 201)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    pvals = np.array([res.p_value for res in _fisher_tests(
-        y, t, model, statistic, max_exhaustive, draws, seed, tau_grid)])
+    fisher, *grid = _fisher_tests([y], t, model, statistic, max_exhaustive,
+                                  draws, seed, [0.0, *tau_grid])[0]
+    pvals = np.array([res.p_value for res in grid])
     accepted = np.flatnonzero(pvals >= alpha)
     if accepted.size == 0:
-        return FisherCi(lower=None, upper=None, alpha=alpha, grid=tau_grid,
-                        p_values=pvals, convex=True, empty=True)
+        return fisher, FisherCi(lower=None, upper=None, alpha=alpha,
+                                grid=tau_grid, p_values=pvals, convex=True,
+                                empty=True)
     convex = bool(np.all(np.diff(accepted) == 1))
-    return FisherCi(lower=float(tau_grid[accepted[0]]),
-                    upper=float(tau_grid[accepted[-1]]),
-                    alpha=alpha, grid=tau_grid, p_values=pvals,
-                    convex=convex, empty=False)
+    return fisher, FisherCi(lower=float(tau_grid[accepted[0]]),
+                            upper=float(tau_grid[accepted[-1]]),
+                            alpha=alpha, grid=tau_grid, p_values=pvals,
+                            convex=convex, empty=False)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -586,9 +620,10 @@ def select_window(sample: RdSample, candidates=None,
             t = treated[ok].astype(np.int8)
             if not 2 <= t.sum() <= t.size - 2:
                 break
-            res = _fisher_tests(z[ok], t, model, statistic, max_exhaustive,
-                                draws, int(substream(seed, idx, j)
-                                           .integers(0, 2 ** 31)))[0]
+            res = _fisher_tests([z[ok]], t, model, statistic,
+                                max_exhaustive, draws,
+                                int(substream(seed, idx, j)
+                                    .integers(0, 2 ** 31)))[0][0]
             p_values.append((name, res.p_value))
         feasible = len(p_values) == len(names)
         min_p = min(p for _, p in p_values) if p_values else None

@@ -27,7 +27,15 @@ from .errors import (
     RankDeficient,
     TooFewObservations,
 )
-from .locrand import DRAWS, FixedMargins, Window, fisher_pvalue, make_window
+from .locrand import (
+    DRAWS,
+    MAX_EXHAUSTIVE,
+    FixedMargins,
+    Window,
+    _fisher_tests,
+    _inside,
+    make_window,
+)
 from .lpoly import polyfit_lstsq
 from .sample import RdSample
 
@@ -77,9 +85,9 @@ def covariate_balance(sample: RdSample, covariate: str,
     ok = np.isfinite(z)
     if not ok.any() or np.ptp(z[ok]) == 0:
         raise NoVariation(f"covariate {covariate!r} has no variation")
-    reduced = sample.subset(ok).replace_outcome(z[ok])
 
     if method == "continuity":
+        reduced = sample.subset(ok).replace_outcome(z[ok])
         h_use = h if h is not None else select_mse_bandwidth(
             reduced, p=p, kernel=kernel).h_mse
         res = rbc_inference(reduced, p=p, kernel=kernel, h_below=h_use,
@@ -90,13 +98,39 @@ def covariate_balance(sample: RdSample, covariate: str,
     if method == "locrand":
         if window is None:
             raise ValueError("locrand balance testing requires a window")
-        result = fisher_pvalue(reduced, window, FixedMargins(),
-                               draws=draws, seed=seed)
-        return BalanceRecord(covariate=covariate, method=method,
-                             p_value=result.p_value,
-                             tau_hat=result.statistic_observed,
-                             n_used=reduced.n)
+        return next(_locrand_balance(sample, [covariate], window, draws,
+                                     seed))
     raise ValueError(f"unknown balance method {method!r}")
+
+
+def _locrand_balance(sample, names, window, draws, seed):
+    """The locrand balance record of each covariate in ``names``, in
+    order: a fixed-margins Fisher test of the covariate's difference in
+    means over the window's units with a value of it.  Covariates with
+    the same units share one ensemble (same draws and seed), built when
+    the first of them is reached, so an error surfaces there."""
+    inside = _inside(sample, window.lower, window.upper)
+    treated = sample.score >= sample.cutoff
+    masks = {name: inside & np.isfinite(sample.covariates[name])
+             for name in names}
+    groups = {}
+    for name in names:
+        groups.setdefault(masks[name].tobytes(), []).append(name)
+    records = {}
+    for name in names:
+        if name not in records:
+            mask = masks[name]
+            group = groups[mask.tobytes()]
+            tests = _fisher_tests(
+                [sample.covariates[other][mask] for other in group],
+                treated[mask].astype(np.int8), FixedMargins(), "diff_means",
+                MAX_EXHAUSTIVE, draws, seed)
+            for other, (res,) in zip(group, tests):
+                records[other] = BalanceRecord(
+                    covariate=other, method="locrand", p_value=res.p_value,
+                    tau_hat=res.statistic_observed,
+                    n_used=int(np.isfinite(sample.covariates[other]).sum()))
+        yield records[name]
 
 
 # --------------------------------------------------------------------
@@ -400,13 +434,13 @@ def run_battery(sample: RdSample, p: int = 1, kernel: str = "triangular",
         count_halfwidth = h / 2.0
     count_window = make_window(sample, count_halfwidth)
 
+    names = sorted(sample.covariates)
+    locrand = _locrand_balance(sample, names, count_window, draws, seed)
     balance = []
-    for name in sorted(sample.covariates):
+    for name in names:
         balance.append(covariate_balance(sample, name, method="continuity",
                                          p=p, kernel=kernel))
-        balance.append(covariate_balance(sample, name, method="locrand",
-                                         window=count_window, draws=draws,
-                                         seed=seed))
+        balance.append(next(locrand))
 
     binomial_rec = binomial_test(sample, count_window)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit import locrand
+from rdtoolkit.cli import build_parser, cmd_locrand
 from rdtoolkit.errors import EmptyGroup, TooFewObservations
 from rdtoolkit.locrand import (
     Bernoulli,
@@ -25,9 +27,9 @@ from rdtoolkit.locrand import (
     select_window,
 )
 from rdtoolkit.rng import substream
-from rdtoolkit.validation import covariate_balance
+from rdtoolkit.validation import covariate_balance, run_battery
 
-from conftest import make_sample
+from conftest import make_sample, write_csv
 
 
 def window_all(sample):
@@ -214,6 +216,11 @@ def _design(draw):
     return np.asarray(y), np.asarray(t, dtype=np.int8)
 
 
+def _sums(ens):
+    """The subset sums an ensemble holds, one row per sum."""
+    return np.array([row for row in ens.agg if row is not None])
+
+
 class TestEnsemble:
     @settings(max_examples=60, deadline=None)
     @given(_design(), st.sampled_from([FixedMargins(), Bernoulli(0.3)]))
@@ -221,13 +228,15 @@ class TestEnsemble:
         # column 0 is the observed assignment; enumeration reaches the
         # same assignment again, and the two columns agree bit for bit
         y, t = design
-        ens = locrand._build_ensemble(y, t, model, 10 ** 6, 0, 0)
+        ens, = locrand._build_ensemble([y], t, model, 10 ** 6, 0, 0, True)
         if isinstance(model, FixedMargins):
             subsets = list(combinations(range(len(t)), int(t.sum())))
             column = 1 + subsets.index(tuple(np.flatnonzero(t)))
         else:
             column = int(sum(int(b) << i for i, b in enumerate(t)))
-        assert ens.agg[:, column].tobytes() == ens.agg[:, 0].tobytes()
+        sums = _sums(ens)
+        assert sums.shape[0] == 5
+        assert sums[:, column].tobytes() == sums[:, 0].tobytes()
 
     @staticmethod
     def _sources():
@@ -248,11 +257,11 @@ class TestEnsemble:
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_block_size_does_not_change_bits(self, monkeypatch, source,
                                              cells):
-        args = self._sources()[source]
-        whole = locrand._build_ensemble(*args)
+        y, *args = self._sources()[source]
+        whole, = locrand._build_ensemble([y], *args, True)
         monkeypatch.setattr(locrand, "_BLOCK_CELLS", cells)
-        blocks = locrand._build_ensemble(*args)
-        assert blocks.agg.tobytes() == whole.agg.tobytes()
+        blocks, = locrand._build_ensemble([y], *args, True)
+        assert _sums(blocks).tobytes() == _sums(whole).tobytes()
         assert (whole.weights is None) == (blocks.weights is None)
         if whole.weights is not None:
             assert blocks.weights.tobytes() == whole.weights.tobytes()
@@ -266,13 +275,47 @@ class TestEnsemble:
         assert np.any(mat.sum(axis=1) % 5 == 0)  # the redraw runs
         while (bad := np.flatnonzero(mat.sum(axis=1) % 5 == 0)).size:
             mat[bad] = rng.random((bad.size, 5)) < model.prob
-        ens = locrand._build_ensemble(y, t, model, 10, draws, seed)
-        assert np.array_equal(ens.agg[0, 1:], mat.sum(axis=1))
-        assert np.array_equal(ens.agg[1, 1:], np.where(mat, y, 0.0).sum(1))
+        ens, = locrand._build_ensemble([y], t, model, 10, draws, seed)
+        n1, s_y = ens.agg[:2]
+        assert np.array_equal(n1[1:], mat.sum(axis=1))
+        assert np.array_equal(s_y[1:], np.where(mat, y, 0.0).sum(1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 9), k=st.integers(1, 3),
+           model=st.sampled_from([FixedMargins(), Bernoulli(0.5),
+                                  Bernoulli(0.3)]),
+           exact=st.booleans(), studentized=st.booleans(),
+           cells=st.sampled_from([1, 7, 64]))
+    def test_shared_stream_matches_single_builds(self, data, n, k, model,
+                                                 exact, studentized, cells):
+        # each response of a shared ensemble equals its own build bit
+        # for bit, whatever the block size; Monte Carlo Bernoulli draws
+        # of a few units redraw degenerate rows
+        t = np.asarray(data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n)
+            .filter(lambda t: 0 < sum(t) < len(t))), dtype=np.int8)
+        ys = [np.asarray(data.draw(st.lists(st.floats(-1e6, 1e6),
+                                            min_size=n, max_size=n)))
+              for _ in range(k)]
+        args = (t, model, 10 ** 6 if exact else 1, 0 if exact else 40,
+                data.draw(st.integers(0, 2 ** 31)), studentized)
+        with mock.patch.object(locrand, "_BLOCK_CELLS", cells):
+            shared = locrand._build_ensemble(ys, *args)
+        assert len(shared) == k
+        for y, ens in zip(ys, shared):
+            single, = locrand._build_ensemble([y], *args)
+            assert _sums(ens).shape[0] == (5 if studentized else 3)
+            assert _sums(ens).tobytes() == _sums(single).tobytes()
+            assert (ens.weights is None) == (single.weights is None)
+            if single.weights is not None:
+                assert ens.weights.tobytes() == single.weights.tobytes()
+            assert (ens.exact, ens.draws, ens.total, ens.n) == \
+                (single.exact, single.draws, single.total, single.n)
+            assert (ens.tot_y, ens.tot_y2) == (single.tot_y, single.tot_y2)
 
     def test_monte_carlo_memory_bounded(self):
         # draws x n_w is 5e6 cells (40 MB as floats); the ensemble keeps
-        # five aggregates per draw and one block of treated sets
+        # its subset sums per draw and one block of treated sets
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 5_000)
         s = make_sample(x, rng.normal(0, 1, 5_000))
@@ -284,6 +327,22 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert window.n_w == 5_000 and not res.exact
+        assert peak < 16 * 2 ** 20
+
+    def test_shared_stream_memory_bounded(self):
+        # three responses of 5,000 units share one stream of 999 draws:
+        # the block is gathered once per sum, never for all at once
+        rng = np.random.default_rng(0)
+        t = (rng.uniform(size=5_000) < 0.5).astype(np.int8)
+        ys = [rng.normal(0, 1, 5_000) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            shared = locrand._build_ensemble(ys, t, FixedMargins(),
+                                             locrand.MAX_EXHAUSTIVE, 999, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(shared) == 3 and not shared[0].exact
         assert peak < 16 * 2 ** 20
 
 
@@ -679,5 +738,67 @@ def _pin_call(case, statistic):
 ])
 def test_fixed_margins_bits_pinned(case, statistic, digest):
     bits = _bits(_pin_call(case, statistic))
+    assert hashlib.sha256(repr(bits).encode()).hexdigest()[:16] == digest, \
+        bits
+
+
+def _battery_balance(missing):
+    """The balance records of run_battery with two covariates whose
+    missing values fall on the same or on different units of the count
+    window, as float.hex of each p-value and statistic."""
+    rng = np.random.default_rng(46)
+    x = rng.uniform(-1, 1, 400)
+    z = {"a": rng.normal(0, 1, 400), "b": 0.5 * x + rng.normal(0, 1, 400)}
+    z["a"][[3, 10, 150]] = np.nan
+    z["b"][[3, 10, 150] if missing == "same" else [4, 11, 77, 200]] = np.nan
+    s = make_sample(x, 0.4 * (x >= 0) + rng.normal(0, 1, 400),
+                    covariates=z)
+    report = run_battery(s, h=0.5, count_halfwidth=0.3, donut_radii=(0.0,),
+                         draws=499, seed=8)
+    return [(r.covariate, r.method, _bits(r.p_value), _bits(r.tau_hat))
+            for r in report.balance]
+
+
+@pytest.mark.parametrize("missing, digest", [
+    ("same", "f6beeae586631de1"),
+    ("different", "413034f71681d212"),
+])
+def test_battery_balance_bits_pinned(missing, digest):
+    bits = _battery_balance(missing)
+    assert hashlib.sha256(repr(bits).encode()).hexdigest()[:16] == digest, \
+        bits
+
+
+def _locrand_fisher_ci(tmp_path, model, kind, statistic):
+    """The fisher and fisher_ci results of ``locrand --fisher-ci``: 5 of
+    12 units treated, enumerated, or 60 units and 299 draws."""
+    n = 12 if kind == "exact" else 60
+    rng = np.random.default_rng(47)
+    x = rng.uniform(-1, 1, n)
+    y = 0.3 * (x >= 0) + rng.normal(0, 1, n)
+    if kind == "exact":
+        x = np.r_[-rng.uniform(0.1, 1, 7), rng.uniform(0.1, 1, 5)]
+    path = write_csv(tmp_path / "locrand.csv", ["x", "y"], zip(x, y))
+    args = build_parser().parse_args([
+        "locrand", "--input", path, "--score-col", "x", "--outcome-col", "y",
+        "--window", "1.0", "--fisher-ci", "--model", model,
+        "--statistic", statistic, "--draws", "299", "--seed", "3"])
+    _, result, _ = cmd_locrand(args)
+    return _bits((result["fisher"], result["fisher_ci"]))
+
+
+@pytest.mark.parametrize("model, kind, statistic, digest", [
+    ("fixed_margins", "exact", "diff_means", "d999b080ef0b4a17"),
+    ("fixed_margins", "exact", "studentized", "1891ee279bfec4f2"),
+    ("fixed_margins", "mc", "diff_means", "75761428058ba98c"),
+    ("fixed_margins", "mc", "studentized", "5d57e9217286fcb8"),
+    ("bernoulli", "exact", "diff_means", "e845b2adfbd919e1"),
+    ("bernoulli", "exact", "studentized", "66d5fb1e330d43c4"),
+    ("bernoulli", "mc", "diff_means", "429d80d03a3c0eeb"),
+    ("bernoulli", "mc", "studentized", "b36ca6ceeb398acc"),
+])
+def test_locrand_fisher_ci_bits_pinned(tmp_path, model, kind, statistic,
+                                       digest):
+    bits = _locrand_fisher_ci(tmp_path, model, kind, statistic)
     assert hashlib.sha256(repr(bits).encode()).hexdigest()[:16] == digest, \
         bits

@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from rdtoolkit.continuity import sharp_estimate
-from rdtoolkit.errors import GridContainsTrueCutoff, InsufficientSideData
+from rdtoolkit.errors import (
+    EmptyGroup,
+    GridContainsTrueCutoff,
+    InsufficientSideData,
+    NoVariation,
+)
 from rdtoolkit.locrand import fisher_pvalue, make_window
 from rdtoolkit.validation import (
     bandwidth_sensitivity,
@@ -223,3 +228,30 @@ class TestBattery:
         s = make_sample(x, y)
         report = run_battery(s, h=0.6, bins_per_side=40, draws=99, seed=2)
         assert report.density is None
+
+    @pytest.mark.parametrize("kinds, draws, error", [
+        (("treated_gap", "constant"), 99, EmptyGroup),
+        (("constant", "treated_gap"), 99, NoVariation),
+        (("full", "constant"), 99, NoVariation),
+        (("full", "full"), 0, ValueError),
+        (("constant", "full"), 0, NoVariation),
+    ])
+    def test_first_failing_check_surfaces(self, kinds, draws, error):
+        # checks run covariate by covariate, continuity then locrand, so
+        # the first to fail names the error even where covariates share
+        # one permutation ensemble ("full" and "constant" have the same
+        # units); "treated_gap" has no value on the treated side of the
+        # count window, so its permutation test has no treated unit
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1, 1, 600)
+        covariates = {}
+        for name, kind in zip("ab", kinds):
+            z = rng.normal(0, 1, 600) if kind != "constant" \
+                else np.full(600, 2.0)
+            if kind == "treated_gap":
+                z[(x >= 0) & (x <= 0.05)] = np.nan
+            covariates[name] = z
+        s = make_sample(x, rng.normal(0, 1, 600), covariates=covariates)
+        with pytest.raises(error):
+            run_battery(s, h=0.5, count_halfwidth=0.05, draws=draws,
+                        seed=1)

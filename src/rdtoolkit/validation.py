@@ -77,7 +77,8 @@ def covariate_balance(sample: RdSample, covariate: str,
     place of the outcome (bandwidth reselected on the covariate when not
     supplied).  locrand: Fisher permutation p-value of the covariate's
     difference in means inside the window.  Missing covariate entries
-    are dropped listwise for this test only.
+    are dropped listwise for this test only.  ``n_used`` counts the
+    units the test analyses.
     """
     if covariate not in sample.covariates:
         raise MissingCovariate(f"covariate {covariate!r} not in sample")
@@ -129,7 +130,7 @@ def _locrand_balance(sample, names, window, draws, seed):
                 records[other] = BalanceRecord(
                     covariate=other, method="locrand", p_value=res.p_value,
                     tau_hat=res.statistic_observed,
-                    n_used=int(np.isfinite(sample.covariates[other]).sum()))
+                    n_used=int(np.count_nonzero(mask)))
         yield records[name]
 
 

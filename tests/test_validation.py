@@ -104,6 +104,24 @@ class TestCovariateBalance:
             noisy_sample.covariates["age"]), w, draws=499, seed=9)
         assert rec.p_value == direct.p_value
 
+    def test_locrand_n_used_counts_units_analysed(self):
+        # n_used counted every unit with a value of the covariate, also
+        # those outside the window that the permutation test never sees
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-1, 1, 400)
+        z = rng.normal(0, 1, 400)
+        z[::7] = np.nan
+        s = make_sample(x, rng.normal(0, 1, 400), covariates={"z": z})
+        w = make_window(s, 0.2)
+        analysed = (x >= w.lower) & (x <= w.upper) & np.isfinite(z)
+        rec = covariate_balance(s, "z", method="locrand", window=w,
+                                draws=99, seed=1)
+        assert rec.n_used == np.count_nonzero(analysed) < w.n_w
+        report = run_battery(s, h=0.5, count_halfwidth=0.2, draws=99,
+                             seed=1)
+        assert [r.n_used for r in report.balance if r.method == "locrand"] \
+            == [rec.n_used]
+
     def test_unknown_covariate(self, noisy_sample):
         from rdtoolkit.errors import MissingCovariate
         with pytest.raises(MissingCovariate):

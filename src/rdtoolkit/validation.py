@@ -114,14 +114,12 @@ def _locrand_balance(sample, names, window, draws, seed):
     treated = sample.score >= sample.cutoff
     masks = {name: inside & np.isfinite(sample.covariates[name])
              for name in names}
-    groups = {}
-    for name in names:
-        groups.setdefault(masks[name].tobytes(), []).append(name)
     records = {}
     for name in names:
         if name not in records:
             mask = masks[name]
-            group = groups[mask.tobytes()]
+            group = [other for other in names
+                     if np.array_equal(masks[other], mask)]
             tests = _fisher_tests(
                 [sample.covariates[other][mask] for other in group],
                 treated[mask].astype(np.int8), FixedMargins(), "diff_means",

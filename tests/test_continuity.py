@@ -1,6 +1,7 @@
 import pathlib
 import re
 import tempfile
+from math import comb
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +26,10 @@ from rdtoolkit.errors import (
     RdError,
     WeakFirstStage,
 )
+from rdtoolkit import locrand
+from rdtoolkit.locrand import diff_in_means, fisher_pvalue, make_window
 from rdtoolkit.lpoly import fit_values
+from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 
 from conftest import make_sample, write_csv
@@ -341,6 +345,35 @@ def _outcome(fn, *args, **kwargs):
 
 
 class TestCutoffConvention:
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(-300, 300), ties=st.integers(1, 3),
+           below=st.lists(st.integers(-90, -1), min_size=2, max_size=6),
+           above=st.lists(st.integers(1, 90), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 16))
+    def test_ties_at_cutoff_are_treated_in_every_layer(self, c, ties, below,
+                                                       above, seed):
+        # cutoff and scores on a 0.01 grid, with units exactly at the
+        # cutoff: the fits' side split, the local-randomization counts
+        # and the plot's above-side bins all count them as treated
+        offsets = np.array([*below, *[0] * ties, *above])
+        s = make_sample((c + offsets) / 100,
+                        np.random.default_rng(seed).normal(0, 1, offsets.size),
+                        cutoff=c / 100)
+        treated = offsets >= 0
+        n, n_plus = offsets.size, int(treated.sum())
+        assert np.count_nonzero(s.score == s.cutoff) == ties
+        # a uniform kernel past every score gives each unit weight
+        est = sharp_estimate(s, p=0, kernel="uniform", h_below=2.0)
+        assert (est.n_eff_below, est.n_eff_above) == (n - n_plus, n_plus)
+        win = make_window(s, 1.0)
+        assert (win.n_w, win.n_plus, win.n_minus) == (n, n_plus, n - n_plus)
+        assert locrand._window_arrays(s, win)[1].sum() == n_plus
+        assert diff_in_means(s, win).ybar_plus == s.outcome[treated].mean()
+        assert fisher_pvalue(s, win).total == comb(n, n_plus)
+        plot = build_rdplot(s, bins_per_side=2, poly_order=1)
+        assert sum(b.count for b in plot.bins_above) == n_plus
+        assert min(b.lower for b in plot.bins_above if b.count) == s.cutoff
+
     @settings(max_examples=40, deadline=None)
     @given(c=st.floats(-50, 50, allow_nan=False, width=64),
            seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 200),

@@ -1,8 +1,9 @@
 """Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
 kernel and robust bias-corrected inference at 1e5 rows; permutation
 ensembles (fixed-margins Monte Carlo, exhaustive enumeration and
-Bernoulli draws), window selection by covariate balance and Fisher
-test inversion; one coverage replication and its draw and bandwidth
+Bernoulli draws), window selection by covariate balance, Fisher test
+inversion alone and with its p-value, and the battery's permutation
+balance checks; one coverage replication and its draw and bandwidth
 stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
@@ -18,7 +19,10 @@ from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import rbc_inference
 from rdtoolkit.dgps import curved_benchmark, simulate_sample
 from rdtoolkit.locrand import (
+    MAX_EXHAUSTIVE,
     Bernoulli,
+    FixedMargins,
+    _fisher_pvalue_and_ci,
     fisher_ci,
     fisher_pvalue,
     make_window,
@@ -27,6 +31,7 @@ from rdtoolkit.locrand import (
 from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
+from rdtoolkit.validation import _locrand_balance
 
 ROWS = 100_000
 COLUMN_MAP = {"score": "score", "outcome": "outcome",
@@ -127,6 +132,29 @@ def test_fisher_ci(benchmark):
     ci = benchmark(fisher_ci, sample, make_window(sample, 1.0), draws=999,
                    seed=1)
     assert ci.grid.size == 201 and not ci.empty
+
+
+def test_run_battery_locrand_balance(benchmark):
+    # the battery's permutation balance checks: two covariates with the
+    # same units in a count window of ~800 units share one ensemble
+    x, y, _, age = _draw(20_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0,
+                      covariates={"age": age, "income": np.exp(age / 10)})
+    window = make_window(sample, 0.04)
+    records = benchmark(lambda: list(_locrand_balance(
+        sample, ["age", "income"], window, 999, 1)))
+    assert 700 < window.n_w < 900
+    assert [r.n_used for r in records] == [window.n_w] * 2
+
+
+def test_fisher_pvalue_and_ci(benchmark):
+    # the p-value and 201 sharp nulls from one ensemble of 999 draws
+    x, y, _, _ = _draw(2_000)
+    sample = RdSample(score=x, outcome=y, cutoff=0.0)
+    fisher, ci = benchmark(_fisher_pvalue_and_ci, sample,
+                           make_window(sample, 1.0), FixedMargins(),
+                           "diff_means", None, 0.05, MAX_EXHAUSTIVE, 999, 1)
+    assert fisher.p_value == 1 / 1000 and ci.grid.size == 201
 
 
 def test_simulate_sample(benchmark):

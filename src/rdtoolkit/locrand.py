@@ -280,10 +280,9 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
         raise EmptyGroup(f"window has {n_plus} treated of {n} units")
     # n1 and m summands, then sY (and sTY, sY2 when studentized) of each
     # response; a zero pad column follows
-    width = 3 if studentized else 1
     summands = [np.ones(n), t]
     for y in ys:
-        summands += [y, t * y, y * y][:width]
+        summands += [y, t * y, y * y] if studentized else [y]
     cols = np.zeros((len(summands), n + 1))
     cols[:, :n] = summands
     rng = substream(seed)
@@ -337,7 +336,7 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
 
     ensembles = []
     for r, y in enumerate(ys):
-        a = 2 + r * width
+        a = 2 + r * (3 if studentized else 1)
         s_y, s_ty, s_y2 = agg[a:a + 3] if studentized \
             else (agg[a], None, None)
         ensembles.append(_Ensemble(

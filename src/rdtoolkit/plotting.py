@@ -3,9 +3,11 @@
 The plot layer is presentational: evenly spaced or quantile bins
 summarize the outcome within each side, and an unweighted global
 polynomial (order 4 by default) per side traces the shape of the
-regression function.  Bin means are computed in a sort-stable order so
-that permuting input rows reproduces the identical plot data bit for
-bit.  A minimal static SVG rendering is provided for convenience.
+regression function.  Each side's rows are first ordered by score, then
+outcome, with one stable sort of complex values (score as the real part,
+outcome as the imaginary part), so that permuting input rows reproduces
+the identical plot data bit for bit.  A minimal static SVG rendering is
+provided for convenience.
 """
 
 from __future__ import annotations
@@ -45,15 +47,33 @@ class RdPlotData:
     j_above: int
 
 
+# The bits of -0.0 read as an int64.
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
+
 def _default_bins(n_side: int) -> int:
     return max(10, round(np.sqrt(n_side) / 2.0))
 
 
 def _sorted_side(x, y):
-    """Stable ordering by (score, outcome) so downstream sums do not
-    depend on input row order."""
-    order = np.lexsort((y, x))
-    return x[order], y[order]
+    """The rows ordered by score, then outcome, so that nothing
+    downstream depends on input row order.
+
+    One stable sort of complex values, which numpy orders by real part,
+    then imaginary part: the order of ``np.lexsort((y, x))``.  The parts
+    are filled by assignment, so no arithmetic touches the bits.  Since
+    -0.0 == 0.0, rows that differ only in the sign of a zero would keep
+    their input order; rows holding -0.0 are moved ahead first, score
+    before outcome."""
+    z = np.empty(x.shape[0], dtype=complex)
+    z.real = x
+    z.imag = y
+    neg_zero = (z.view(np.int64) == _NEG_ZERO_BITS).reshape(-1, 2)
+    if neg_zero.any():
+        z = z[np.argsort(-(2 * neg_zero[:, 0] + neg_zero[:, 1]),
+                         kind="stable")]
+    z.sort(kind="stable")
+    return z.real.copy(), z.imag.copy()
 
 
 def _bin_bounds(idx, j):

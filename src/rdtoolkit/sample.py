@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,9 @@ from .errors import (
 
 # Tokens treated as "missing" when parsing CSV cells.
 NA_TOKENS = frozenset({"", "na", "nan", "n/a", "null", "none", "."})
+
+# File-name suffixes numpy's path reader decompresses.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_cell(text: str) -> float:
@@ -254,6 +258,11 @@ def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
     the row parser."""
     score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
         column_map, cutoff)
+    # numpy reads a relative path that parses as a URL from the network.
+    path = os.path.join(os.curdir, path)
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        # numpy would open the file as an archive.
+        return None
     with open(path, "rb") as raw:
         if b'"' in raw.read():
             # A quoted cell may hold the delimiter, which only the csv
@@ -265,18 +274,18 @@ def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
             reader, [score_col, outcome_col, treat_col, cutoff_col, *cov_cols])
         # numpy warns on a file without data rows; leave those to the
         # row parser, which raises BadSpec for them.
-        first = next((line for line in handle if line.strip("\r\n")), None)
-        if first is None:
+        if not any(line.strip("\r\n") for line in handle):
             return None
-        usecols = sorted(set(positions.values()))
-        try:
-            table = np.loadtxt(itertools.chain([first], handle),
-                               delimiter=delimiter, comments=None,
-                               usecols=usecols, ndmin=2, dtype=float)
-        except (ValueError, TypeError):
-            # Unparseable cell, missing column, or a delimiter numpy
-            # does not accept.
-            return None
+    usecols = sorted(set(positions.values()))
+    try:
+        # Given a path, numpy reads the file in chunks rather than one
+        # Python string per line.
+        table = np.loadtxt(path, delimiter=delimiter, comments=None,
+                           skiprows=1, usecols=usecols, ndmin=2, dtype=float)
+    except (ValueError, TypeError):
+        # Unparseable cell, missing column, or a delimiter numpy does
+        # not accept.
+        return None
     column = {name: np.ascontiguousarray(table[:, usecols.index(pos)])
               for name, pos in positions.items()}
     finite = [score_col, outcome_col] + ([cutoff_col] if cutoff_col else [])

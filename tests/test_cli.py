@@ -126,6 +126,21 @@ class TestEstimate:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_bytes().endswith(b"\n")
 
+    def test_compressed_suffix_plain_text_exits_0(self, step_csv, tmp_path,
+                                                   capsys):
+        # a plain-text CSV named like an xz archive is read as text
+        named = tmp_path / "step.csv.xz"
+        named.write_bytes(step_csv.read_bytes())
+        argv = ["estimate", "--score-col", "x", "--outcome-col", "y",
+                "--h", "0.5", "--input"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", *argv, str(named)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        code, out, _ = run_cli(argv + [str(step_csv)], capsys)
+        assert code == 0
+        assert json.loads(proc.stdout)["result"] == json.loads(out)["result"]
+
     def test_missing_column_exits_2(self, step_csv, capsys):
         code, out, err = run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "runvar",

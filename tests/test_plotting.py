@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit.errors import TooFewObservations
+from rdtoolkit.reports import canonical_json
 from rdtoolkit.plotting import (
     PlotBin,
     _evenly_spaced_bins,
@@ -200,6 +201,54 @@ class TestCurves:
     def test_unknown_binning(self, noisy_sample):
         with pytest.raises(ValueError):
             build_rdplot(noisy_sample, binning="hexagonal")
+
+
+# A small grid ties scores and outcomes heavily, signed zeros included.
+_TIED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _tied_rows(draw):
+    """Scores and outcomes on a small grid, with at least three rows on
+    each side of the cutoff 0."""
+    below = draw(st.lists(st.sampled_from([-1.0, -0.5]), min_size=3,
+                          max_size=15))
+    above = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                          min_size=3, max_size=15))
+    x = np.array(below + above)
+    y = np.array(draw(st.lists(_TIED, min_size=x.size, max_size=x.size)))
+    return x, y
+
+
+class TestRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_rows(), st.sampled_from(["evenly_spaced", "quantile"]),
+           st.integers(1, 5), st.data())
+    def test_permuted_rows_give_identical_bytes(self, rows, binning, j,
+                                                data):
+        x, y = rows
+        perm = np.array(data.draw(st.permutations(range(x.size))))
+        plots = [build_rdplot(make_sample(x[p], y[p]), binning=binning,
+                              bins_per_side=j, poly_order=1, grid_points=5)
+                 for p in (np.arange(x.size), perm)]
+        assert canonical_json(plots[0]) == canonical_json(plots[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_rows())
+    def test_sorted_side_matches_lexsort(self, rows):
+        # lexsort orders by score, then outcome; rows equal in value but
+        # for the sign of a zero go -0.0 first, score before outcome
+        x, y = rows
+        order = np.lexsort((~np.signbit(y), ~np.signbit(x), y, x))
+        xs, ys = _sorted_side(x, y)
+        assert xs.tobytes() == x[order].tobytes()
+        assert ys.tobytes() == y[order].tobytes()
+        # without -0.0 it is lexsort's order
+        x, y = x + 0.0, y + 0.0
+        order = np.lexsort((y, x))
+        xs, ys = _sorted_side(x, y)
+        assert xs.tobytes() == x[order].tobytes()
+        assert ys.tobytes() == y[order].tobytes()
 
 
 class TestSvg:

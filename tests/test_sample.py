@@ -152,9 +152,10 @@ _OTHER_CELLS = st.sampled_from(
 
 @st.composite
 def _csv_case(draw):
-    """Text of a small delimited file, a column map and a delimiter."""
+    """Text of a small delimited file, a column map, a delimiter and a
+    file-name suffix."""
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = ["x", "y", "t", "c", "z", "w"]
     dirty = draw(st.booleans())
     # a quoted cell holding delimiters shifts every later cell for any
@@ -191,7 +192,9 @@ def _csv_case(draw):
         column_map["cutoff"] = "c"
     column_map["covariates"] = draw(
         st.lists(st.sampled_from(["z", "w", "x"]), max_size=2))
-    return text, column_map, delimiter
+    # numpy opens a path ending in a compressed suffix as compressed
+    suffix = draw(st.sampled_from([".csv", ".txt", "", ".csv.gz"]))
+    return text, column_map, delimiter, suffix
 
 
 def _ingest_outcome(reader, path, column_map, delimiter):
@@ -223,9 +226,9 @@ class TestParseTiers:
     @settings(max_examples=300, deadline=None)
     @given(_csv_case())
     def test_matches_row_parser(self, case):
-        text, column_map, delimiter = case
+        text, column_map, delimiter, suffix = case
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "d.csv"
+            path = pathlib.Path(tmp) / f"d{suffix}"
             path.write_bytes(text.encode())
             fast = _ingest_outcome(ingest_csv, str(path), column_map,
                                    delimiter)
@@ -235,6 +238,18 @@ class TestParseTiers:
             assert isinstance(fast, RdSample) and _same_sample(fast, rows)
         else:
             assert fast == rows
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_reads_plain_text(self, tmp_path, suffix):
+        # numpy opens a path by its suffix, so a plain-text file named
+        # like a compressed one must not reach it
+        plain = write_csv(tmp_path / "d.csv", ["x", "y", "t"],
+                          [[-0.5, 1.0, 0], [0.5, 2.0, 1], [0.25, 3.0, 1]])
+        named = tmp_path / f"d.csv{suffix}"
+        named.write_bytes(pathlib.Path(plain).read_bytes())
+        column_map = {"score": "x", "outcome": "y", "treatment": "t"}
+        assert _same_sample(ingest_csv(str(named), column_map),
+                            ingest_csv(plain, column_map))
 
     def test_quoted_delimiter_keeps_columns(self, tmp_path):
         path = tmp_path / "d.csv"

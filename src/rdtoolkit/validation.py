@@ -11,7 +11,7 @@ battery aggregates them into one report for serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, lgamma, log, log1p, sqrt
+from math import erfc, sqrt
 
 import numpy as np
 
@@ -149,8 +149,10 @@ def binomial_test(sample: RdSample, window: Window,
                   prob: float = 0.5) -> BinomialRecord:
     """Exact two-sided test that the treated count near the cutoff is
     Binomial(n_w, prob): p = min(1, 2*min(P[<=k], P[>=k])), tails by
-    direct pmf summation.  Log-gamma terms keep the pmf finite at any n
-    (binomial coefficients overflow a double past n = 1029)."""
+    direct pmf summation.  The pmf is built outward from the mode by
+    cumulative products of the ratios of adjacent terms, then divided by
+    its sum, so it stays finite at any n (binomial coefficients overflow
+    a double past n = 1029) and no large logarithms cancel."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("prob must be in [0, 1]")
     k = window.n_plus
@@ -161,9 +163,16 @@ def binomial_test(sample: RdSample, window: Window,
     if prob in (0.0, 1.0):
         pmf = (j == n * prob).astype(float)
     else:
-        log_fact = np.array([lgamma(i + 1.0) for i in range(n + 1)])
-        pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1]
-                     + j * log(prob) + (n - j) * log1p(-prob))
+        mode = min(n, int((n + 1) * prob))
+        odds = prob / (1.0 - prob)
+        # pmf[i + 1] / pmf[i] = (n - i) / (i + 1) * odds
+        above = (n - j[mode:n]) / (j[mode:n] + 1.0) * odds
+        below = (j[:mode] + 1.0) / (n - j[:mode]) / odds
+        pmf = np.empty(n + 1)
+        pmf[mode] = 1.0
+        pmf[mode + 1:] = np.cumprod(above)
+        pmf[:mode] = np.cumprod(below[::-1])[::-1]
+        pmf /= pmf.sum()
     lower = float(pmf[:k + 1].sum())
     upper = float(pmf[k:].sum())
     p = min(1.0, 2.0 * min(lower, upper))

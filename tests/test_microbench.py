@@ -1,10 +1,10 @@
 """Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
-kernel and robust bias-corrected inference at 1e5 rows; permutation
-ensembles (fixed-margins Monte Carlo, exhaustive enumeration and
-Bernoulli draws), window selection by covariate balance, Fisher test
-inversion alone and with its p-value, and the battery's permutation
-balance checks; one coverage replication and its draw and bandwidth
-stages at n = 1,000.
+kernel, robust bias-corrected inference and the binomial count test at
+1e5 rows; permutation ensembles (fixed-margins Monte Carlo, exhaustive
+enumeration and Bernoulli draws), window selection by covariate
+balance, Fisher test inversion alone and with its p-value, and the
+battery's permutation balance checks; one coverage replication and its
+draw and bandwidth stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -31,7 +31,7 @@ from rdtoolkit.locrand import (
 from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
-from rdtoolkit.validation import _locrand_balance
+from rdtoolkit.validation import _locrand_balance, binomial_test
 
 ROWS = 100_000
 COLUMN_MAP = {"score": "score", "outcome": "outcome",
@@ -67,8 +67,11 @@ def test_ingest_csv(benchmark, csv_paths, kind):
 
 
 def test_build_rdplot(benchmark):
+    # six decimals, as in the CLI's CSVs, so scores and outcomes tie
     x, y, _, _ = _draw(ROWS)
-    plot = benchmark(build_rdplot, RdSample(score=x, outcome=y, cutoff=0.0))
+    sample = RdSample(score=np.round(x, 6), outcome=np.round(y, 6),
+                      cutoff=0.0)
+    plot = benchmark(build_rdplot, sample)
     assert sum(b.count for b in (*plot.bins_below, *plot.bins_above)) == ROWS
 
 
@@ -155,6 +158,15 @@ def test_fisher_pvalue_and_ci(benchmark):
                            make_window(sample, 1.0), FixedMargins(),
                            "diff_means", None, 0.05, MAX_EXHAUSTIVE, 999, 1)
     assert fisher.p_value == 1 / 1000 and ci.grid.size == 201
+
+
+def test_binomial_test(benchmark):
+    # the count test on a window of ROWS units, 200 treated past half
+    x = np.r_[-np.linspace(0.01, 0.4, ROWS // 2 - 200),
+              np.linspace(0.01, 0.4, ROWS // 2 + 200)]
+    sample = RdSample(score=x, outcome=np.zeros_like(x), cutoff=0.0)
+    rec = benchmark(binomial_test, sample, make_window(sample, 0.5))
+    assert rec.n == ROWS and 0.2 < rec.p_value < 0.21
 
 
 def test_simulate_sample(benchmark):

@@ -86,6 +86,13 @@ class TestBinomial:
         assert rec.p_value == pytest.approx(
             float(mp.erfc(199.5 / mp.sqrt(25_000) / mp.sqrt(2))), abs=1e-3)
 
+    def test_large_window_matches_exact_sum(self):
+        # 2 * sum_{j >= k} C(n, j) / 2^n, summed in Python integers; a
+        # log-gamma pmf loses about eps * lgamma(n + 1) to cancellation
+        s = count_sample(49_800, 50_200)
+        rec = binomial_test(s, make_window(s, 0.5))
+        assert rec.p_value == pytest.approx(0.20703897176422484, rel=1e-12)
+
 
 class TestCovariateBalance:
     def test_continuity_method_is_sharp_on_covariate(self, noisy_sample):

@@ -57,14 +57,11 @@ def _default_bins(n_side: int) -> int:
 
 def _sorted_side(x, y):
     """The rows ordered by score, then outcome, so that nothing
-    downstream depends on input row order.
-
-    One stable sort of complex values, which numpy orders by real part,
-    then imaginary part: the order of ``np.lexsort((y, x))``.  The parts
-    are filled by assignment, so no arithmetic touches the bits.  Since
-    -0.0 == 0.0, rows that differ only in the sign of a zero would keep
-    their input order; rows holding -0.0 are moved ahead first, score
-    before outcome."""
+    downstream depends on input row order: one stable sort of complex
+    values, which numpy orders as ``np.lexsort((y, x))`` does.  The
+    parts are filled by assignment, so no arithmetic touches the bits.
+    Rows that differ only in the sign of a zero tie, so those holding
+    -0.0 are moved ahead first, score before outcome."""
     z = np.empty(x.shape[0], dtype=complex)
     z.real = x
     z.imag = y

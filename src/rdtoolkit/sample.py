@@ -37,9 +37,6 @@ from .errors import (
 # Tokens treated as "missing" when parsing CSV cells.
 NA_TOKENS = frozenset({"", "na", "nan", "n/a", "null", "none", "."})
 
-# File-name suffixes numpy's path reader decompresses.
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
 
 def _parse_cell(text: str) -> float:
     """Parse one CSV cell; NaN for missing tokens, NaN for unparseable."""
@@ -241,9 +238,12 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     The data rows are parsed in one of two tiers.  A file with no quote
     character whose mapped cells are all numbers, with finite scores,
     outcomes and cutoffs and treatment codes in {0, 1}, is read by
-    numpy's C parser.  Any other file is read by the row parser, which
-    alone handles missing-value tokens, quoted cells, short rows and
-    unparseable covariate cells, and raises the row-indexed errors.
+    numpy's C parser, which is given the path so that it reads the file
+    in chunks.  Any other file is read by the row parser, which alone
+    handles missing-value tokens, quoted cells, short rows and
+    unparseable covariate cells, and raises the row-indexed errors.  So
+    is a file whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma``, which numpy would open as an archive: it is read as text.
     Both tiers parse a number with the same routine, so on every file
     the first tier accepts they return bit-identical arrays.
     """
@@ -260,9 +260,8 @@ def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
         column_map, cutoff)
     # numpy reads a relative path that parses as a URL from the network.
     path = os.path.join(os.curdir, path)
-    if path.endswith(_COMPRESSED_SUFFIXES):
-        # numpy would open the file as an archive.
-        return None
+    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None  # numpy would open the file as an archive
     with open(path, "rb") as raw:
         if b'"' in raw.read():
             # A quoted cell may hold the delimiter, which only the csv

@@ -1,5 +1,6 @@
 import pathlib
 import tempfile
+import urllib.request
 
 import numpy as np
 import pytest
@@ -250,6 +251,21 @@ class TestParseTiers:
         column_map = {"score": "x", "outcome": "y", "treatment": "t"}
         assert _same_sample(ingest_csv(str(named), column_map),
                             ingest_csv(plain, column_map))
+
+    def test_url_like_relative_path_is_read_from_disk(self, tmp_path,
+                                                      monkeypatch):
+        # numpy fetches a path that parses as a URL; this one names a
+        # local file
+        def no_network(*args, **kwargs):
+            raise AssertionError("ingest_csv tried to open a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_csv(tmp_path / "http:" / "host" / "d.csv", ["x", "y"],
+                  [[-0.5, 1.0], [0.5, 2.0]])
+        s = ingest_csv("http://host/d.csv", {"score": "x", "outcome": "y"})
+        assert s.score.tolist() == [-0.5, 0.5]
 
     def test_quoted_delimiter_keeps_columns(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -19,14 +19,11 @@ from math import fsum
 
 import numpy as np
 
-from rdtoolkit.bandwidth import (
-    oracle_mse_bandwidth,
-    oracle_replication_sample,
-    select_mse_bandwidth,
-)
+from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import sharp_estimate
 from rdtoolkit.dgps import curved_benchmark
 from rdtoolkit.parallel import run_indexed
+from rdtoolkit.powersim import oracle_mse_bandwidth, replication_sample
 from rdtoolkit.reports import make_report, write_report
 
 
@@ -53,7 +50,7 @@ def run(cfg: Config):
                                   seed=cfg.seed, threads=cfg.threads)
 
     def one(r):
-        s = oracle_replication_sample(dgp, cfg.n, cfg.seed, r)
+        s = replication_sample(dgp, cfg.n, cfg.seed, r)
         sel = select_mse_bandwidth(s, p=cfg.p, kernel=cfg.kernel)
         est = sharp_estimate(s, p=cfg.p, kernel=cfg.kernel,
                              h_below=sel.h_mse)

@@ -15,24 +15,21 @@ rather than hard-coded tables.  All pilot values are reported so a run
 can be audited.
 
 The CE-optimal bandwidth shrinks h_mse by the standard rule-of-thumb
-factor n^(-p/((3+p)(3+2p))).
+factor n^(-p/((3+p)(3+2p))).  The Monte Carlo oracle that audits the
+selector is :func:`rdtoolkit.powersim.oracle_mse_bandwidth`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, fsum, isnan, nan
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .continuity import sharp_estimate
-from .dgps import DgpSpec, simulate_sample
 from .errors import EmptySide, RankDeficient, TooFewObservations
 from .lpoly import kernel_weight, polyfit_lstsq, vander
-from .parallel import run_indexed
-from .rng import substream
 from .sample import RdSample
 
 # --------------------------------------------------------------------
@@ -231,84 +228,3 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
         kernel_constant=float(c_k), n_used=n, p=p, kernel=kernel,
         degenerate=bool(degenerate))
 
-
-# --------------------------------------------------------------------
-# Monte Carlo oracle (testing aid)
-# --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleBandwidth:
-    """Grid-search bandwidth oracle output."""
-
-    best_h: float
-    grid: np.ndarray
-    mse: np.ndarray
-    n_failed: np.ndarray
-    replications: int
-
-
-def oracle_mse_bandwidth(dgp: DgpSpec, p: int, kernel: str,
-                         grid, n: int, replications: int,
-                         seed: int, threads: int = 1) -> OracleBandwidth:
-    """Monte Carlo MSE of the jump estimator over a bandwidth grid.
-
-    Each replication draws one sample from its own seed substream and
-    evaluates every grid bandwidth on it (common random numbers), so
-    the MSE curve is smooth in h and deterministic given the seed no
-    matter how replications are scheduled.  Replications where a fit
-    fails at some h are skipped for that h and counted.  Per-h squared
-    errors are reduced in replication order with exact summation, so
-    the curve is invariant to the thread count.
-    """
-    grid = np.asarray(sorted(float(h) for h in grid))
-    if grid.size == 0:
-        raise ValueError("bandwidth grid must be non-empty")
-    if np.any(grid <= 0):
-        raise ValueError("bandwidths must be positive")
-    if replications < 100:
-        raise ValueError("need at least 100 replications for a usable oracle")
-    tau_true = dgp.true_tau()
-
-    def one(r: int) -> list[float]:
-        sample = simulate_sample(dgp, n, seed=_oracle_seed(seed, r))
-        row = []
-        for h in grid:
-            try:
-                est = sharp_estimate(sample, p=p, kernel=kernel, h_below=h,
-                                     h_above=h)
-            except (EmptySide, RankDeficient):
-                row.append(nan)
-                continue
-            row.append((est.tau_hat - tau_true) ** 2)
-        return row
-
-    rows = run_indexed(one, replications, threads)
-    n_failed = np.zeros(grid.size, dtype=int)
-    mse = np.zeros(grid.size)
-    for g in range(grid.size):
-        col = [row[g] for row in rows]
-        good = [v for v in col if not isnan(v)]
-        n_failed[g] = len(col) - len(good)
-        if not good:
-            raise TooFewObservations(
-                f"every replication failed at bandwidth {grid[g]}")
-        mse[g] = fsum(good) / len(good)
-    best = float(grid[int(np.argmin(mse))])
-    return OracleBandwidth(best_h=best, grid=grid, mse=mse,
-                           n_failed=n_failed, replications=replications)
-
-
-def _oracle_seed(seed: int, replication: int) -> int:
-    """Stable per-replication seed for the oracle's samples.
-
-    Exposed so acceptance tests can draw the identical sample sequence
-    when comparing the plug-in selector against the oracle curve.
-    """
-    return int(substream(seed, replication).integers(0, 2 ** 63 - 1))
-
-
-def oracle_replication_sample(dgp: DgpSpec, n: int, seed: int,
-                              replication: int) -> RdSample:
-    """The exact sample the oracle used in a given replication."""
-    return simulate_sample(dgp, n, seed=_oracle_seed(seed, replication))

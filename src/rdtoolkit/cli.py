@@ -474,6 +474,11 @@ def _write_battery_csv(path, report):
 
 
 def cmd_plot(args):
+    for flag, value, least in (("--bins-per-side", args.bins_per_side, 1),
+                               ("--poly-order", args.poly_order, 0),
+                               ("--grid-points", args.grid_points, 1)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}")
     sample = _ingest(args, treatment=False)
     plot = build_rdplot(sample, binning=args.binning,
                         bins_per_side=args.bins_per_side,

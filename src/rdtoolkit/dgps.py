@@ -36,32 +36,6 @@ class Uniform:
         return rng.uniform(self.a, self.b, size=n)
 
 
-@dataclass(frozen=True)
-class Normal:
-    mean: float
-    sd: float
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.mean + self.sd * rng.standard_normal(n)
-
-
-@dataclass(frozen=True)
-class Discrete:
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.probs):
-            raise BadSpec("support and probs must have equal length")
-        total = float(sum(self.probs))
-        if not np.isclose(total, 1.0):
-            raise BadSpec(f"probs must sum to 1, got {total}")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.support, dtype=float), size=n,
-                          p=np.asarray(self.probs, dtype=float))
-
-
 # --------------------------------------------------------------------
 # Compliance models: map assigned T to received D
 # --------------------------------------------------------------------
@@ -128,7 +102,7 @@ class DgpSpec:
         treated units and ``mu0`` only on the rest.
     noise_sd : float or callable
         Homoskedastic sd, or a function of the score.
-    score_dist : Uniform, Normal, or Discrete
+    score_dist : Uniform
     compliance : Perfect, OneSided, or TwoSided
     cutoff : float
     covariates : dict of str -> callable(x, rng)
@@ -139,7 +113,7 @@ class DgpSpec:
     mu0: Callable[[np.ndarray], np.ndarray]
     mu1: Callable[[np.ndarray], np.ndarray]
     noise_sd: float | Callable[[np.ndarray], np.ndarray]
-    score_dist: Uniform | Normal | Discrete
+    score_dist: Uniform
     compliance: Perfect | OneSided | TwoSided = Perfect()
     cutoff: float = 0.0
     covariates: dict[str, Callable] = field(default_factory=dict)

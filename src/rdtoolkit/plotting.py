@@ -145,6 +145,12 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
     """
     if binning not in ("evenly_spaced", "quantile"):
         raise ValueError(f"unknown binning {binning!r}")
+    if bins_per_side is not None and bins_per_side < 1:
+        raise ValueError("bins_per_side must be at least 1")
+    if poly_order < 0:
+        raise ValueError("poly_order must be at least 0")
+    if grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
     c = sample.cutoff
     below = sample.score < c
     sides = {}

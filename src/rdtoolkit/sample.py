@@ -37,6 +37,9 @@ from .errors import (
 # Tokens treated as "missing" when parsing CSV cells.
 NA_TOKENS = frozenset({"", "na", "nan", "n/a", "null", "none", "."})
 
+# Bytes per read of the quote scan, so the file is never held whole.
+_QUOTE_BLOCK = 1 << 16
+
 
 def _parse_cell(text: str) -> float:
     """Parse one CSV cell; NaN for missing tokens, NaN for unparseable."""
@@ -263,7 +266,8 @@ def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
     if path.endswith((".gz", ".bz2", ".xz", ".lzma")):
         return None  # numpy would open the file as an archive
     with open(path, "rb") as raw:
-        if b'"' in raw.read():
+        if any(b'"' in block
+               for block in iter(lambda: raw.read(_QUOTE_BLOCK), b"")):
             # A quoted cell may hold the delimiter, which only the csv
             # module splits correctly.
             return None

@@ -14,12 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rdtoolkit.bandwidth import (
-    ce_factor,
-    oracle_mse_bandwidth,
-    oracle_replication_sample,
-    select_mse_bandwidth,
-)
+from rdtoolkit.bandwidth import ce_factor, select_mse_bandwidth
 from rdtoolkit.cli import main
 from rdtoolkit.continuity import (
     fuzzy_estimate,
@@ -30,7 +25,13 @@ from rdtoolkit.continuity import (
 from rdtoolkit.dgps import curved_benchmark, piecewise_balance_dgp, simulate_sample
 from rdtoolkit.locrand import fisher_pvalue, make_window, select_window
 from rdtoolkit.parallel import run_indexed
-from rdtoolkit.powersim import mde, power_at, simulate_coverage
+from rdtoolkit.powersim import (
+    mde,
+    oracle_mse_bandwidth,
+    power_at,
+    replication_sample,
+    simulate_coverage,
+)
 from rdtoolkit.rng import substream
 from rdtoolkit.sample import RdSample
 from rdtoolkit.validation import (
@@ -166,7 +167,7 @@ def test_05_bandwidth_selector_vs_oracle(capsys):
     interior = grid[1] < oracle.best_h < grid[-2]
 
     def one(r):
-        s = oracle_replication_sample(dgp, 1000, SEED, r)
+        s = replication_sample(dgp, 1000, SEED, r)
         h = select_mse_bandwidth(s, p=1, kernel="triangular").h_mse
         est = sharp_estimate(s, p=1, kernel="triangular", h_below=h)
         return (est.tau_hat - tau) ** 2
@@ -175,7 +176,7 @@ def test_05_bandwidth_selector_vs_oracle(capsys):
     ratio = mse_plugin / mse_star
 
     sel = select_mse_bandwidth(
-        oracle_replication_sample(dgp, 1000, SEED, 0), p=1,
+        replication_sample(dgp, 1000, SEED, 0), p=1,
         kernel="triangular")
     ce_exact = sel.h_ce == sel.h_mse * ce_factor(sel.n_used, 1)
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from fractions import Fraction
 from math import factorial
 
@@ -6,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdtoolkit import bandwidth as bandwidth_module
 from rdtoolkit.bandwidth import (
     _silverman,
     ce_factor,
     kernel_constants,
     mse_constant,
-    oracle_mse_bandwidth,
     select_mse_bandwidth,
 )
 from rdtoolkit.dgps import curved_benchmark, linear_dgp, simulate_sample
 from rdtoolkit.errors import EmptySide, TooFewObservations
+from rdtoolkit.powersim import oracle_mse_bandwidth
 from rdtoolkit.sample import RdSample, ingest_csv
 
 from conftest import make_sample, multi_cutoff_rows, write_csv
@@ -249,3 +252,12 @@ def test_multi_cutoff_pilot_reads_centred_score(tmp_path):
     multi = ingest_csv(raw, {"score": "x", "outcome": "y", "cutoff": "c"})
     single = ingest_csv(centred, {"score": "x", "outcome": "y"})
     assert select_mse_bandwidth(multi) == select_mse_bandwidth(single)
+
+
+def test_selector_imports_no_monte_carlo_layer():
+    # the selector stands on the fit kernel alone; the Monte Carlo
+    # oracle that audits it lives in powersim
+    tree = ast.parse(pathlib.Path(bandwidth_module.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative == {"errors", "lpoly", "sample"}

@@ -481,6 +481,18 @@ class TestPlot:
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "usage"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bins-per-side", "0"), ("--bins-per-side", "-3"),
+        ("--poly-order", "-1"), ("--grid-points", "0"),
+        ("--grid-points", "-5")])
+    def test_out_of_range_flag_exits_1(self, step_csv, flag, value):
+        # 0 used to exit 0 with no bins or empty curves, poly order -1
+        # with all-zero curves; negative counts exited 2 from numpy
+        message = _usage_error_in_subprocess(
+            ["plot", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", flag, value])
+        assert flag in message
+
 
 class TestPower:
     def test_mde_reproduced(self, capsys):

@@ -202,6 +202,14 @@ class TestCurves:
         with pytest.raises(ValueError):
             build_rdplot(noisy_sample, binning="hexagonal")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"bins_per_side": 0}, {"bins_per_side": -3}, {"poly_order": -1},
+        {"grid_points": 0}, {"grid_points": -5}],
+        ids=["bins-0", "bins-neg", "order-neg", "grid-0", "grid-neg"])
+    def test_out_of_range_arguments(self, noisy_sample, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            build_rdplot(noisy_sample, **kwargs)
+
 
 # A small grid ties scores and outcomes heavily, signed zeros included.
 _TIED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])

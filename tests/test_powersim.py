@@ -1,4 +1,5 @@
 import hashlib
+from math import fsum
 from statistics import NormalDist
 
 import numpy as np
@@ -18,14 +19,18 @@ from rdtoolkit.dgps import (
     simulate_sample,
     step_dgp,
 )
+from rdtoolkit.continuity import sharp_estimate
 from rdtoolkit.errors import TooManyFailures
 from rdtoolkit.powersim import (
     mde,
+    oracle_mse_bandwidth,
     power_at,
     power_curve,
+    replication_sample,
     required_n,
     simulate_coverage,
 )
+from rdtoolkit.rng import substream
 
 
 def oracle_power(tau, se, alpha):
@@ -236,3 +241,42 @@ class TestPinnedBits:
         assert s.received.dtype == np.int8
         assert digest.hexdigest() == (
             "64ea9901965aa0bd5596a04a60c9c8577ddf654c41f8194abbca181f6700a36d")
+
+
+class TestReplicationSample:
+    """The oracle and the coverage engine draw replication r's sample
+    through one rule, :func:`replication_sample`."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_oracle_mse_from_replication_samples(self, threads):
+        dgp = linear_dgp(slope=0.3, tau=0.5, noise_sd=0.4)
+        n, seed, h = 300, 9, 0.4
+        tau = dgp.true_tau()
+        o = oracle_mse_bandwidth(dgp, 1, "triangular", [h], n, 100, seed,
+                                 threads=threads)
+        errors = [(sharp_estimate(replication_sample(dgp, n, seed, r), p=1,
+                                  kernel="triangular", h_below=h,
+                                  h_above=h).tau_hat - tau) ** 2
+                  for r in range(100)]
+        assert o.mse[0] == fsum(errors) / 100
+
+    def test_coverage_bias_from_replication_samples(self):
+        dgp = step_dgp(tau=0.5, noise_sd=0.3)
+        n, seed, h = 150, 3, 0.5
+        res = simulate_coverage(dgp, n=n, replications=500, seed=seed, h=h)
+        bias = [sharp_estimate(replication_sample(dgp, n, seed, r), p=1,
+                               kernel="triangular", h_below=h,
+                               h_above=h).tau_hat - 0.5
+                for r in range(500)]
+        assert res.mean_bias == fsum(bias) / 500
+
+    @pytest.mark.parametrize("seed, replication", [(0, 0), (11, 7),
+                                                   (20260814, 499)])
+    def test_seed_rule_bits(self, seed, replication):
+        # the rule replayed inline by scripts and the benchmark harness
+        dgp = curved_benchmark()
+        inline = simulate_sample(dgp, 200, seed=int(
+            substream(seed, replication).integers(0, 2 ** 63 - 1)))
+        s = replication_sample(dgp, 200, seed, replication)
+        assert s.score.tobytes() == inline.score.tobytes()
+        assert s.outcome.tobytes() == inline.outcome.tobytes()

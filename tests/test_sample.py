@@ -273,6 +273,33 @@ class TestParseTiers:
         s = ingest_csv(str(path), {"score": "x", "outcome": "y"})
         assert s.score.tolist() == [4.0] and s.outcome.tolist() == [5.0]
 
+    @pytest.mark.parametrize("where", ["past_first_block", "last_byte"])
+    def test_late_quote_sends_file_to_row_parser(self, tmp_path,
+                                                  monkeypatch, where):
+        # the quote check scans the file in blocks; a quote in any of
+        # them, down to the last byte, must still reach the row parser
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _ingest_rows(*args)
+
+        monkeypatch.setattr(sample_module, "_ingest_rows", spy)
+        # the quote sits in an unmapped column, which numpy would read
+        # without complaint
+        rows = [f"{-1 + i / 5000:.6f},{i % 7}.5,n\n" for i in range(10000)]
+        head = "x,y,note\n" + "".join(rows)
+        assert len(head) > sample_module._QUOTE_BLOCK
+        if where == "past_first_block":
+            text = head + '0.25,1.5,"late"\n' + "0.5,2.5,n\n" * 3
+        else:
+            text = head + '0.25,1.5,late"'
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        s = ingest_csv(str(path), {"score": "x", "outcome": "y"})
+        assert len(calls) == 1
+        assert s.score[10000] == 0.25 and s.outcome[10000] == 1.5
+
     def test_numeric_file_skips_row_parser(self, tmp_path, monkeypatch):
         def unreachable(*args):
             raise AssertionError("row parser used for an all-numeric file")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -112,6 +113,14 @@ def _add_out_flags(parser):
                    help="report JSON path (default: stdout)")
 
 
+_DGPS = {
+    "curved_benchmark": curved_benchmark,
+    "linear": linear_dgp,
+    "step": step_dgp,
+    "piecewise_balance": piecewise_balance_dgp,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rd-toolkit",
                      description="Regression discontinuity analysis toolkit")
@@ -134,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="shrink the auto bandwidth to its "
                           "coverage-error-optimal value")
     _add_out_flags(est)
+    est.set_defaults(run=cmd_estimate)
 
     loc = sub.add_parser("locrand",
                          help="local-randomization window analysis")
@@ -168,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--table", default=None,
                      help="write the window-selection trace as CSV")
     _add_out_flags(loc)
+    loc.set_defaults(run=cmd_locrand)
 
     val = sub.add_parser("validate", help="falsification battery")
     _add_data_flags(val)
@@ -193,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--table", default=None,
                      help="write the battery as wide CSV, one row per test")
     _add_out_flags(val)
+    val.set_defaults(run=cmd_validate)
 
     plot = sub.add_parser("plot", help="binned scatter + polynomial overlay")
     _add_data_flags(plot, treatment=False)
@@ -208,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--table", default=None,
                       help="write the bin table as CSV")
     _add_out_flags(plot)
+    plot.set_defaults(run=cmd_plot)
 
     pow_ = sub.add_parser("power", help="power, MDE, and sample-size math")
     pow_.add_argument("--se", type=float, required=True,
@@ -225,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     pow_.add_argument("--p", type=int, default=1, choices=range(0, 5),
                       metavar="P")
     _add_out_flags(pow_)
+    pow_.set_defaults(run=cmd_power)
 
     sim = sub.add_parser("simulate",
                          help="Monte Carlo coverage of a known design")
     sim.add_argument("--dgp", default="curved_benchmark",
-                     choices=("curved_benchmark", "linear", "step",
-                              "piecewise_balance"))
+                     choices=tuple(_DGPS))
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument("--replications", type=int, default=2000)
     sim.add_argument("--estimator", default="conventional",
@@ -244,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker threads (default 1); results never "
                           "depend on it")
     _add_out_flags(sim)
+    sim.set_defaults(run=cmd_simulate)
 
     return parser
 
@@ -518,9 +532,7 @@ def cmd_power(args):
                            alpha=args.alpha,
                            target_power=args.target_power,
                            scaling=args.scaling, p=args.p)
-        result = type(result)(se_used=result.se_used, alpha=result.alpha,
-                              power_curve=result.power_curve,
-                              mde=result.mde, n_required=n_req)
+        result = dataclasses.replace(result, n_required=n_req)
     config = {
         "se": args.se, "alpha": args.alpha,
         "target_power": args.target_power, "tau": args.tau,
@@ -528,14 +540,6 @@ def cmd_power(args):
         "scaling": args.scaling, "p": args.p,
     }
     return config, result, None
-
-
-_DGPS = {
-    "curved_benchmark": curved_benchmark,
-    "linear": linear_dgp,
-    "step": step_dgp,
-    "piecewise_balance": piecewise_balance_dgp,
-}
 
 
 def cmd_simulate(args):
@@ -557,18 +561,6 @@ def cmd_simulate(args):
     return config, result, args.seed
 
 
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "locrand": cmd_locrand,
-    "validate": cmd_validate,
-    "plot": cmd_plot,
-    "power": cmd_power,
-    "simulate": cmd_simulate,
-}
-
-_FILE_COMMANDS = frozenset(("estimate", "locrand", "validate", "plot"))
-
-
 def _fail(code: int, kind: str, exc: Exception) -> int:
     doc = {"error": {"type": type(exc).__name__, "kind": kind,
                      "message": str(exc)}}
@@ -584,9 +576,9 @@ def main(argv=None) -> int:
         return _fail(1, "usage", exc)
 
     try:
-        config, result, seed = _COMMANDS[args.command](args)
-        digest = sha256_file(args.input) \
-            if args.command in _FILE_COMMANDS else None
+        config, result, seed = args.run(args)
+        # exactly the subcommands that read a file define --input
+        digest = sha256_file(args.input) if hasattr(args, "input") else None
         report = make_report(args.command, result, config, seed=seed,
                              input_digest=digest)
         if args.output:

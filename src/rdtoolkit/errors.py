@@ -24,25 +24,27 @@ class MissingColumn(DataError):
     pass
 
 
-class NonFiniteScore(DataError):
+class _BadValueAtRow(DataError):
+    """A bad cell: the message names the row, and the value when given."""
+
+    _prefix: str
+
     def __init__(self, row: int, value: str = ""):
         self.row = row
-        super().__init__(f"non-finite or missing score at row {row}"
+        super().__init__(f"{self._prefix} at row {row}"
                          + (f" (value {value!r})" if value else ""))
 
 
-class NonFiniteOutcome(DataError):
-    def __init__(self, row: int, value: str = ""):
-        self.row = row
-        super().__init__(f"non-finite or missing outcome at row {row}"
-                         + (f" (value {value!r})" if value else ""))
+class NonFiniteScore(_BadValueAtRow):
+    _prefix = "non-finite or missing score"
 
 
-class BadTreatmentCode(DataError):
-    def __init__(self, row: int, value: str = ""):
-        self.row = row
-        super().__init__(f"treatment code outside {{0, 1}} at row {row}"
-                         + (f" (value {value!r})" if value else ""))
+class NonFiniteOutcome(_BadValueAtRow):
+    _prefix = "non-finite or missing outcome"
+
+
+class BadTreatmentCode(_BadValueAtRow):
+    _prefix = "treatment code outside {0, 1}"
 
 
 class MalformedRow(DataError):

@@ -1,0 +1,84 @@
+"""The package namespace: one export table, resolved on first use."""
+
+import ast
+import importlib
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import rdtoolkit
+
+PUBLIC = [
+    "BalanceRecord", "BandwidthSelection", "Bernoulli", "BinomialRecord",
+    "CoverageResult", "CutoffEstimate", "DensityRecord", "DgpSpec",
+    "DiscreteEstimate", "DonutRecord", "FisherCi", "FisherResult",
+    "FixedMargins", "LocRandEstimate", "LocalFit", "MassPointSummary",
+    "NeymanResult", "OracleBandwidth", "PlaceboRecord", "PlotBin",
+    "PooledEstimate", "PowerResult", "RbcResult", "RdEstimate", "RdPlotData",
+    "RdSample", "SensitivityRecord", "ValidationReport", "Window",
+    "WindowSelection", "__version__", "bandwidth_sensitivity",
+    "binomial_test", "build_rdplot", "canonical_json", "covariate_balance",
+    "curved_benchmark", "density_test", "diff_in_means", "discrete_estimate",
+    "donut_hole", "fisher_ci", "fisher_pvalue", "fit_values",
+    "fuzzy_estimate", "fuzzy_locrand", "ingest_csv", "kernel_constants",
+    "kernel_weight", "kink_estimate", "linear_dgp", "make_report",
+    "make_window", "mass_points", "mde", "mse_constant", "neyman_ci",
+    "normalize_and_pool", "oracle_mse_bandwidth", "piecewise_balance_dgp",
+    "placebo_cutoffs", "power_at", "power_curve", "rbc_inference",
+    "render_svg", "required_n", "run_battery", "select_mse_bandwidth",
+    "select_window", "sha256_file", "sharp_estimate", "simulate_coverage",
+    "simulate_sample", "step_dgp", "substream", "write_report",
+]
+
+
+def test_all_is_pinned():
+    assert len(PUBLIC) == 76
+    assert sorted(rdtoolkit.__all__) == PUBLIC
+    listed = [name for names in rdtoolkit._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed)) == 75
+
+
+@pytest.mark.parametrize("module", sorted(rdtoolkit._EXPORTS))
+def test_names_resolve_to_their_home(module):
+    home = importlib.import_module(f"rdtoolkit.{module}")
+    for name in rdtoolkit._EXPORTS[module]:
+        value = getattr(rdtoolkit, name)
+        assert value is getattr(home, name)
+        assert value.__module__ == home.__name__
+
+
+def test_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rdtoolkit; "
+         "print(sorted(m for m in sys.modules if m.startswith('rdtoolkit.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from rdtoolkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert set(PUBLIC) <= set(dir(rdtoolkit))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rdtoolkit.no_such_name
+    assert not hasattr(rdtoolkit, "cutoff_estimate")
+
+
+def test_no_module_imports_from_the_package_root():
+    # a lazy name read while its own module is still loading would
+    # re-enter that module's import; only the literal __version__ is safe
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module is None)
+                    or (node.level == 0 and node.module == "rdtoolkit")):
+                names = {alias.name for alias in node.names}
+                assert names == {"__version__"}, (path.name, names)

@@ -88,6 +88,18 @@ class TestIngest:
                                    "covariates": ["z"]}, cutoff=0.0)
         assert s.covariates["z"][0] == 2.5 and np.isnan(s.covariates["z"][1])
 
+    @pytest.mark.parametrize("error, message", [
+        (NonFiniteScore, "non-finite or missing score at row 7"),
+        (NonFiniteOutcome, "non-finite or missing outcome at row 7"),
+        (BadTreatmentCode, "treatment code outside {0, 1} at row 7"),
+    ])
+    @pytest.mark.parametrize("value, suffix",
+                             [("", ""), ("x'1", " (value \"x'1\")")])
+    def test_row_error_message(self, error, message, value, suffix):
+        exc = error(7, value) if value else error(7)
+        assert isinstance(exc, DataError)
+        assert exc.row == 7 and str(exc) == message + suffix
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n0.1,1\n\n0.2,2\n")

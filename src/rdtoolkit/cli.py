@@ -6,6 +6,10 @@ JSON report that embeds the resolved config, the toolkit version, the
 input file digest, and the seed, so the run can be reproduced exactly
 from its own output.  Reports go to --output or stdout.
 
+Each subcommand imports its analysis modules inside its own body, so a
+call loads only the modules it runs; the parser reads its shared
+defaults from ``rdtoolkit.defaults``, which imports nothing else.
+
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
 error, 3 estimation error.  Failures are reported as one JSON object on
 stderr.
@@ -18,42 +22,20 @@ import csv
 import dataclasses
 import math
 import sys
+from importlib import import_module
 
 from . import __version__
-from .bandwidth import select_mse_bandwidth
-from .continuity import per_cutoff_estimates, rbc_inference
-from .dgps import (
-    curved_benchmark,
-    linear_dgp,
-    piecewise_balance_dgp,
-    step_dgp,
-)
-from .errors import DataError, EstimationError, NoCovariates
-from .locrand import (
+from .defaults import (
     BALANCE_ALPHA,
-    DRAWS,
-    MAX_EXHAUSTIVE,
-    Bernoulli,
-    FixedMargins,
-    _fisher_pvalue_and_ci,
-    diff_in_means,
-    fisher_pvalue,
-    fuzzy_locrand,
-    make_window,
-    neyman_ci,
-    select_window,
-)
-from .lpoly import KERNELS
-from .plotting import build_rdplot, render_svg
-from .powersim import power_curve, required_n, simulate_coverage
-from .reports import canonical_json, make_report, sha256_file, write_report
-from .sample import ingest_csv
-from .validation import (
     BINS_PER_SIDE,
     DONUT_RADII,
+    DRAWS,
+    KERNELS,
+    MAX_EXHAUSTIVE,
     SENSITIVITY_FACTORS,
-    run_battery,
 )
+from .errors import DataError, EstimationError, NoCovariates
+from .reports import canonical_json, make_report, sha256_file, write_report
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -113,11 +95,12 @@ def _add_out_flags(parser):
                    help="report JSON path (default: stdout)")
 
 
+# --dgp name -> factory in rdtoolkit.dgps, resolved only by `simulate`
 _DGPS = {
-    "curved_benchmark": curved_benchmark,
-    "linear": linear_dgp,
-    "step": step_dgp,
-    "piecewise_balance": piecewise_balance_dgp,
+    "curved_benchmark": "curved_benchmark",
+    "linear": "linear_dgp",
+    "step": "step_dgp",
+    "piecewise_balance": "piecewise_balance_dgp",
 }
 
 
@@ -269,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ingest(args, treatment=True):
+    from .sample import ingest_csv
+
     if args.cutoff_col and args.cutoff != 0.0:
         raise UsageError("--cutoff cannot be combined with --cutoff-col: "
                          "the cutoff column sets each unit's cutoff")
@@ -299,6 +284,9 @@ def _data_config(args, treatment=True):
 
 
 def cmd_estimate(args):
+    from .bandwidth import select_mse_bandwidth
+    from .continuity import per_cutoff_estimates, rbc_inference
+
     sample = _ingest(args)
     h_requested = "auto" if args.h is None else args.h
     selection = None
@@ -344,6 +332,18 @@ def _check_draws(draws: int) -> None:
 
 
 def cmd_locrand(args):
+    from .locrand import (
+        Bernoulli,
+        FixedMargins,
+        _fisher_pvalue_and_ci,
+        diff_in_means,
+        fisher_pvalue,
+        fuzzy_locrand,
+        make_window,
+        neyman_ci,
+        select_window,
+    )
+
     for flag, value in (("--alpha", args.alpha),
                         ("--balance-alpha", args.balance_alpha),
                         ("--prob", args.prob)):
@@ -434,6 +434,8 @@ def _write_trace_csv(path, selection):
 
 
 def cmd_validate(args):
+    from .validation import run_battery
+
     if args.count_halfwidth is not None \
             and not 0 < args.count_halfwidth < math.inf:
         raise UsageError("--count-halfwidth must be positive and finite")
@@ -488,6 +490,8 @@ def _write_battery_csv(path, report):
 
 
 def cmd_plot(args):
+    from .plotting import build_rdplot, render_svg
+
     for flag, value, least in (("--bins-per-side", args.bins_per_side, 1),
                                ("--poly-order", args.poly_order, 0),
                                ("--grid-points", args.grid_points, 1)):
@@ -523,11 +527,13 @@ def _write_bins_csv(path, plot):
 
 
 def cmd_power(args):
+    from .powersim import power_curve, required_n
+
+    if args.target_mde is not None and args.n_pilot is None:
+        raise UsageError("--target-mde needs --n-pilot")
     result = power_curve(args.se, alpha=args.alpha, tau_grid=args.tau,
                          target_power=args.target_power)
     if args.target_mde is not None:
-        if args.n_pilot is None:
-            raise ValueError("--target-mde needs --n-pilot")
         n_req = required_n(args.se, args.n_pilot, args.target_mde,
                            alpha=args.alpha,
                            target_power=args.target_power,
@@ -543,9 +549,11 @@ def cmd_power(args):
 
 
 def cmd_simulate(args):
+    from .powersim import simulate_coverage
+
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    dgp = _DGPS[args.dgp]()
+    dgp = getattr(import_module(".dgps", __package__), _DGPS[args.dgp])()
     result = simulate_coverage(
         dgp, estimator=args.estimator, n=args.n,
         replications=args.replications, seed=args.seed, p=args.p,

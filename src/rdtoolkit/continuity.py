@@ -31,6 +31,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .defaults import WEAK_FIRST_STAGE_THRESHOLD
 from .errors import (
     EmptySide,
     InsufficientSideData,
@@ -42,8 +43,6 @@ from .errors import (
 )
 from .lpoly import LocalFit, fit_window, side_window
 from .sample import RdSample, mass_points
-
-WEAK_FIRST_STAGE_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)

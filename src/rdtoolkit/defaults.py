@@ -1,0 +1,24 @@
+"""Defaults shared by the analysis modules and the command line.
+
+Each value is defined here once.  The module imports nothing from the
+package, so the CLI parser can read it without loading an analysis
+module.
+"""
+
+# Local polynomial kernels, in the order the CLI lists them.
+KERNELS = ("triangular", "uniform", "epanechnikov")
+
+# First stages smaller than this in absolute value are rejected as weak.
+WEAK_FIRST_STAGE_THRESHOLD = 0.05
+
+# Permutation inference: Monte Carlo draws, the largest assignment count
+# enumerated exactly, and the balance p-value window selection requires.
+DRAWS = 9999
+MAX_EXHAUSTIVE = 200000
+BALANCE_ALPHA = 0.15
+
+# Validation battery: donut radii, bandwidth multipliers and density-test
+# histogram bins per side.
+DONUT_RADII = (0.0, 0.05, 0.1)
+SENSITIVITY_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
+BINS_PER_SIDE = 20

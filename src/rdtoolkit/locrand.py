@@ -34,6 +34,12 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .defaults import (
+    BALANCE_ALPHA,
+    DRAWS,
+    MAX_EXHAUSTIVE,
+    WEAK_FIRST_STAGE_THRESHOLD,
+)
 from .errors import (
     EmptyGroup,
     MissingTreatmentColumn,
@@ -42,16 +48,10 @@ from .errors import (
     TooFewObservations,
     WeakFirstStage,
 )
-from .continuity import WEAK_FIRST_STAGE_THRESHOLD
 from .rng import substream
 from .sample import RdSample
 
 FRAMEWORKS = ("fisher", "neyman", "superpop")
-
-# Defaults shared with the command line and the validation battery.
-DRAWS = 9999
-MAX_EXHAUSTIVE = 200000
-BALANCE_ALPHA = 0.15
 
 
 # --------------------------------------------------------------------

@@ -22,9 +22,8 @@ from math import factorial
 
 import numpy as np
 
+from .defaults import KERNELS
 from .errors import DerivativeOrderTooHigh, EmptySide, RankDeficient
-
-KERNELS = ("triangular", "uniform", "epanechnikov")
 
 # Singular-value ratio below which the weighted design is declared
 # rank deficient.

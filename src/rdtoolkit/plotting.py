@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewObservations
+from .errors import RankDeficient, TooFewObservations
 from .lpoly import polyfit_lstsq, vander
 from .sample import RdSample
 
@@ -129,7 +129,10 @@ def _quantile_bins(x, y, j):
 
 
 def _global_curve(x, y, cutoff, order, grid):
-    _, coef, _ = polyfit_lstsq(x - cutoff, y, order)
+    _, coef, rank = polyfit_lstsq(x - cutoff, y, order)
+    if rank < order + 1:
+        raise RankDeficient(
+            f"global polynomial of order {order} is rank deficient")
     fitted = vander(grid - cutoff, order + 1) @ coef
     return tuple((float(g), float(v)) for g, v in zip(grid, fitted))
 
@@ -141,7 +144,8 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
 
     The below curve is evaluated strictly left of the cutoff, the above
     curve from the cutoff rightward; neither fit ever sees the other
-    side's observations.
+    side's observations.  A side whose global design has rank below
+    ``poly_order + 1`` raises ``RankDeficient``.
     """
     if binning not in ("evenly_spaced", "quantile"):
         raise ValueError(f"unknown binning {binning!r}")

@@ -17,6 +17,13 @@ import numpy as np
 
 from .bandwidth import select_mse_bandwidth
 from .continuity import RbcResult, rbc_inference
+from .defaults import (
+    BINS_PER_SIDE,
+    DONUT_RADII,
+    DRAWS,
+    MAX_EXHAUSTIVE,
+    SENSITIVITY_FACTORS,
+)
 from .errors import (
     EmptySide,
     GridContainsTrueCutoff,
@@ -28,8 +35,6 @@ from .errors import (
     TooFewObservations,
 )
 from .locrand import (
-    DRAWS,
-    MAX_EXHAUSTIVE,
     FixedMargins,
     Window,
     _fisher_tests,
@@ -38,11 +43,6 @@ from .locrand import (
 )
 from .lpoly import polyfit_lstsq
 from .sample import RdSample
-
-# Battery defaults shared with the command line.
-DONUT_RADII = (0.0, 0.05, 0.1)
-SENSITIVITY_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
-BINS_PER_SIDE = 20
 
 
 def _rbc_pvalue(res: RbcResult) -> float:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import json
 import subprocess
 import sys
@@ -8,10 +10,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rdtoolkit import continuity
-from rdtoolkit.cli import main
+from rdtoolkit import continuity, dgps, lpoly
+from rdtoolkit.cli import _DGPS, build_parser, main
+from rdtoolkit.locrand import fisher_pvalue, select_window
 from rdtoolkit.powersim import mde
 from rdtoolkit.reports import SCHEMA, sha256_file
+from rdtoolkit.validation import run_battery
 
 from conftest import multi_cutoff_rows, write_csv
 
@@ -493,6 +497,14 @@ class TestPlot:
              "--outcome-col", "y", flag, value])
         assert flag in message
 
+    def test_rank_deficient_curve_exits_3(self, step_csv, capsys):
+        # order 30 on 40 rows a side is a rank-22 fit
+        code, out, err = run_cli(
+            ["plot", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", "--poly-order", "30"], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "RankDeficient"
+
 
 class TestPower:
     def test_mde_reproduced(self, capsys):
@@ -510,11 +522,12 @@ class TestPower:
         assert code == 0
         assert json.loads(out)["result"]["n_required"] == 6280
 
-    def test_target_mde_without_pilot_exits_2(self, capsys):
+    def test_target_mde_without_pilot_exits_1(self, capsys):
+        # a missing companion flag is a usage error, not a data error
         code, _, err = run_cli(
             ["power", "--se", "1.0", "--target-mde", "0.5"], capsys)
-        assert code == 2
-        assert json.loads(err)["error"]["kind"] == "data"
+        assert code == 1
+        assert json.loads(err)["error"]["kind"] == "usage"
 
 
 class TestSimulate:
@@ -564,6 +577,21 @@ class TestSimulate:
         assert doc["kind"] == "usage" and "--threads" in doc["message"]
 
 
+_ANALYSIS_MODULES = ("bandwidth", "continuity", "locrand", "validation",
+                     "plotting", "powersim", "parallel", "dgps", "sample",
+                     "lpoly")
+
+
+def _loaded_in_fresh_interpreter(statements):
+    """Names of the modules a new interpreter holds after `statements`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {statements}; print(*sorted(sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 class TestEntryPoint:
     def test_module_invocation(self, step_csv):
         proc = subprocess.run(
@@ -577,12 +605,29 @@ class TestEntryPoint:
             1.0, abs=1e-9)
 
     def test_import_loads_no_scipy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rdtoolkit.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout == "[]\n"
+        loaded = _loaded_in_fresh_interpreter("import rdtoolkit.cli")
+        assert not any(m.startswith("scipy") for m in loaded)
+        # the parser shell only: each subcommand imports its own modules
+        assert not loaded & {f"rdtoolkit.{m}" for m in _ANALYSIS_MODULES}
+
+    @pytest.mark.parametrize("argv, runs, absent", [
+        (["locrand", "--window", "0.5", "--draws", "99"], "locrand",
+         {"continuity", "bandwidth", "validation", "plotting", "powersim",
+          "parallel", "dgps"}),
+        (["estimate", "--h", "0.5"], "continuity",
+         {"locrand", "validation", "plotting", "powersim", "parallel",
+          "dgps"}),
+        (["plot"], "plotting",
+         {"bandwidth", "continuity", "locrand", "validation", "powersim"}),
+    ], ids=["locrand", "estimate", "plot"])
+    def test_subcommand_loads_only_its_modules(self, locrand_csv, tmp_path,
+                                               argv, runs, absent):
+        argv = [*argv, "--input", str(locrand_csv), "--score-col", "x",
+                "--outcome-col", "y", "--output", str(tmp_path / "r.json")]
+        loaded = _loaded_in_fresh_interpreter(
+            f"from rdtoolkit.cli import main; assert main({argv!r}) == 0")
+        assert f"rdtoolkit.{runs}" in loaded
+        assert not loaded & {f"rdtoolkit.{m}" for m in absent}
 
     def test_version_flag(self):
         proc = subprocess.run(
@@ -590,3 +635,44 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("rd-toolkit ")
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+def _option(command, dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+class TestDefaults:
+    """The parser's defaults are the library's own objects."""
+
+    DATA = ["--input", "in.csv", "--score-col", "x", "--outcome-col", "y"]
+
+    def test_locrand(self):
+        args = build_parser().parse_args(["locrand", *self.DATA])
+        assert args.draws is _default(fisher_pvalue, "draws")
+        assert args.max_exhaustive is _default(fisher_pvalue,
+                                               "max_exhaustive")
+        assert args.balance_alpha is _default(select_window, "alpha")
+
+    def test_validate(self):
+        args = build_parser().parse_args(["validate", *self.DATA])
+        for dest, parameter in (("draws", "draws"),
+                                ("donut", "donut_radii"),
+                                ("sensitivity", "sensitivity_factors"),
+                                ("bins_per_side", "bins_per_side")):
+            assert getattr(args, dest) is _default(run_battery, parameter)
+
+    @pytest.mark.parametrize("command", ["estimate", "validate", "simulate"])
+    def test_kernel_choices(self, command):
+        assert _option(command, "kernel").choices is lpoly.KERNELS
+
+    def test_dgp_names_resolve(self):
+        assert _option("simulate", "dgp").choices == tuple(_DGPS)
+        for factory in _DGPS.values():
+            assert callable(getattr(dgps, factory))

@@ -370,7 +370,9 @@ class TestCutoffConvention:
         assert locrand._window_arrays(s, win)[1].sum() == n_plus
         assert diff_in_means(s, win).ybar_plus == s.outcome[treated].mean()
         assert fisher_pvalue(s, win).total == comb(n, n_plus)
-        plot = build_rdplot(s, bins_per_side=2, poly_order=1)
+        # the bins do not depend on the curve's order; order 0 also fits
+        # a side whose scores are all tied
+        plot = build_rdplot(s, bins_per_side=2, poly_order=0)
         assert sum(b.count for b in plot.bins_above) == n_plus
         assert min(b.lower for b in plot.bins_above if b.count) == s.cutoff
 

@@ -82,3 +82,13 @@ def test_no_module_imports_from_the_package_root():
                     or (node.level == 0 and node.module == "rdtoolkit")):
                 names = {alias.name for alias in node.names}
                 assert names == {"__version__"}, (path.name, names)
+
+
+def test_shared_defaults_are_written_once():
+    # the CLI parser and the analysis modules read these from one module
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) \
+                    and type(node.value) in (int, float) \
+                    and node.value in (9999, 200000, 0.15):
+                assert path.name == "defaults.py", (path.name, node.lineno)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdtoolkit.errors import TooFewObservations
+from rdtoolkit.errors import RankDeficient, TooFewObservations
 from rdtoolkit.reports import canonical_json
 from rdtoolkit.plotting import (
     PlotBin,
@@ -198,6 +198,17 @@ class TestCurves:
         with pytest.raises(TooFewObservations):
             build_rdplot(make_sample(x, np.zeros_like(x)), poly_order=4)
 
+    @pytest.mark.parametrize("x_below, order", [
+        (np.repeat([-0.9, -0.5, -0.1], 4), 4),    # 3 distinct scores
+        (np.random.default_rng(3).uniform(-1, 0, 200), 30),  # rank 22
+    ], ids=["few-distinct", "high-order"])
+    def test_rank_deficient_fit_raises(self, x_below, order):
+        # lstsq falls back to the rank it finds; order 30 on 200 rows a
+        # side finds rank 22, and such a curve must not be drawn
+        x = np.r_[x_below, np.linspace(0.0, 1.0, 200)]
+        with pytest.raises(RankDeficient, match=f"order {order}"):
+            build_rdplot(make_sample(x, np.sin(3 * x)), poly_order=order)
+
     def test_unknown_binning(self, noisy_sample):
         with pytest.raises(ValueError):
             build_rdplot(noisy_sample, binning="hexagonal")
@@ -236,10 +247,17 @@ class TestRowOrder:
                                                 data):
         x, y = rows
         perm = np.array(data.draw(st.permutations(range(x.size))))
-        plots = [build_rdplot(make_sample(x[p], y[p]), binning=binning,
-                              bins_per_side=j, poly_order=1, grid_points=5)
-                 for p in (np.arange(x.size), perm)]
-        assert canonical_json(plots[0]) == canonical_json(plots[1])
+        outputs = []
+        for p in (np.arange(x.size), perm):
+            # a side whose scores are all tied cannot fit a line; then
+            # every row order must fail alike
+            try:
+                outputs.append(canonical_json(build_rdplot(
+                    make_sample(x[p], y[p]), binning=binning,
+                    bins_per_side=j, poly_order=1, grid_points=5)))
+            except RankDeficient as exc:
+                outputs.append(str(exc))
+        assert outputs[0] == outputs[1]
 
     @settings(max_examples=200, deadline=None)
     @given(_tied_rows())

@@ -132,10 +132,7 @@ def _lerp(a, b, g):
 
 def _pilot_fit(xc: np.ndarray, y: np.ndarray, order: int):
     """Unweighted global polynomial fit; returns (coefs, residuals)."""
-    design, coefs, rank = polyfit_lstsq(xc, y, order)
-    if rank < order + 1:
-        raise RankDeficient(
-            f"pilot design of order {order} is rank deficient")
+    design, coefs = polyfit_lstsq(xc, y, order, "pilot design")
     return coefs, y - design @ coefs
 
 

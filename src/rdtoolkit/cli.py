@@ -10,6 +10,14 @@ Each subcommand imports its analysis modules inside its own body, so a
 call loads only the modules it runs; the parser reads its shared
 defaults from ``rdtoolkit.defaults``, which imports nothing else.
 
+Each flag is declared once, in :func:`build_parser`.  Its type carries
+its range, so an out-of-range value is a usage error raised while the
+arguments are parsed, before the input is read, and the message names
+the flag.  The report's config is built from the parsed arguments: it
+echoes every flag except output paths, the seed (the report envelope
+carries it), ``--threads`` and ``--fisher-ci``, then adds the values
+the run resolved, such as an "auto" bandwidth.
+
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
 error, 3 estimation error.  Failures are reported as one JSON object on
 stderr.
@@ -32,6 +40,7 @@ from .defaults import (
     DRAWS,
     KERNELS,
     MAX_EXHAUSTIVE,
+    MIN_REPLICATIONS,
     SENSITIVITY_FACTORS,
 )
 from .errors import DataError, EstimationError, NoCovariates
@@ -46,18 +55,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(convert, ok, what):
+    """An argparse type: ``convert`` the text, then require ``ok``.
+
+    A value outside the range is reported as "must be <what>"; text that
+    does not convert keeps argparse's "invalid <type> value" message,
+    since the type carries ``convert``'s name.
+    """
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    check.__name__ = convert.__name__
+    return check
+
+
+def _at_least(least):
+    return _checked(int, lambda v: v >= least, f"at least {least}")
+
+
+_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf,
+                     "positive and finite")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
+                        "non-negative and finite")
+_FINITE = _checked(float, math.isfinite, "finite")
+_NATURAL = _at_least(0)
+_COUNT = _at_least(1)
+_CHAR = _checked(str, lambda v: len(v) == 1, "one character")
+
+
 def _auto_or_float(text: str):
     if text.strip().lower() == "auto":
         return None
     try:
-        value = float(text)
+        return _POSITIVE(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'auto' or a number, got {text!r}")
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            "bandwidth/window must be positive and finite")
-    return value
 
 
 def _add_data_flags(parser, treatment=True):
@@ -74,19 +110,20 @@ def _add_data_flags(parser, treatment=True):
     g.add_argument("--covariate", action="append", default=[],
                    dest="covariates", metavar="NAME",
                    help="covariate column; repeatable")
-    g.add_argument("--cutoff", type=float, default=0.0,
+    g.add_argument("--cutoff", type=_FINITE, default=0.0,
                    help="cutoff value (default 0; not with --cutoff-col)")
-    g.add_argument("--delimiter", default=",", help="CSV delimiter")
+    g.add_argument("--delimiter", type=_CHAR, default=",",
+                   help="CSV delimiter, one character")
 
 
-def _add_fit_flags(parser, default_p=1):
+def _add_fit_flags(parser):
     g = parser.add_argument_group("fit")
-    g.add_argument("--p", type=int, default=default_p,
+    g.add_argument("--p", type=int, default=1,
                    choices=range(0, 5), metavar="P",
                    help="local polynomial order (0-4)")
     g.add_argument("--kernel", default="triangular", choices=KERNELS)
-    g.add_argument("--level", type=float, default=0.95,
-                   help="confidence level")
+    g.add_argument("--level", type=_UNIT, default=0.95,
+                   help="confidence level, in (0, 1)")
 
 
 def _add_out_flags(parser):
@@ -135,29 +172,29 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="W", help="window half-width, or 'auto' to "
                                        "select by covariate balance "
                                        "(default auto)")
-    loc.add_argument("--candidates", type=float, nargs="+", default=None,
+    loc.add_argument("--candidates", type=_POSITIVE, nargs="+", default=None,
                      metavar="W", help="candidate half-widths for auto "
                                        "selection")
-    loc.add_argument("--balance-alpha", type=float, default=BALANCE_ALPHA,
+    loc.add_argument("--balance-alpha", type=_UNIT, default=BALANCE_ALPHA,
                      help="minimum balance p-value for auto selection, "
                           "in (0, 1)")
     loc.add_argument("--model", default="fixed_margins",
                      choices=("fixed_margins", "bernoulli"))
-    loc.add_argument("--prob", type=float, default=0.5,
+    loc.add_argument("--prob", type=_UNIT, default=0.5,
                      help="Bernoulli assignment probability")
     loc.add_argument("--statistic", default="diff_means",
                      choices=("diff_means", "studentized"))
     loc.add_argument("--framework", default="neyman",
                      choices=("neyman", "superpop"))
-    loc.add_argument("--alpha", type=float, default=0.05,
+    loc.add_argument("--alpha", type=_UNIT, default=0.05,
                      help="test level for intervals, in (0, 1)")
-    loc.add_argument("--draws", type=int, default=DRAWS,
+    loc.add_argument("--draws", type=_COUNT, default=DRAWS,
                      help="Monte Carlo draws when enumeration is infeasible")
     loc.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE,
                      help="largest assignment count enumerated exactly")
     loc.add_argument("--fisher-ci", action="store_true",
                      help="also invert the Fisher test into a CI")
-    loc.add_argument("--seed", type=int, default=0)
+    loc.add_argument("--seed", type=_NATURAL, default=0)
     loc.add_argument("--table", default=None,
                      help="write the window-selection trace as CSV")
     _add_out_flags(loc)
@@ -168,22 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(val)
     val.add_argument("--h", type=_auto_or_float, default=None, metavar="H",
                      help="estimation bandwidth (default auto)")
-    val.add_argument("--count-halfwidth", type=float, default=None,
+    val.add_argument("--count-halfwidth", type=_POSITIVE, default=None,
                      help="window half-width for the binomial count test "
                           "(default h/2)")
-    val.add_argument("--placebo", type=float, nargs="+", default=None,
+    val.add_argument("--placebo", type=_FINITE, nargs="+", default=None,
                      metavar="C", help="placebo cutoffs (default: side "
                                        "quantiles outside the bandwidth)")
-    val.add_argument("--donut", type=float, nargs="+",
+    val.add_argument("--donut", type=_NONNEGATIVE, nargs="+",
                      default=DONUT_RADII, metavar="R",
                      help="donut radii")
-    val.add_argument("--sensitivity", type=float, nargs="+",
+    val.add_argument("--sensitivity", type=_POSITIVE, nargs="+",
                      default=SENSITIVITY_FACTORS, metavar="F",
                      help="bandwidth multipliers")
-    val.add_argument("--bins-per-side", type=int, default=BINS_PER_SIDE,
+    val.add_argument("--bins-per-side", type=_at_least(2),
+                     default=BINS_PER_SIDE,
                      help="density-test histogram bins")
-    val.add_argument("--draws", type=int, default=DRAWS)
-    val.add_argument("--seed", type=int, default=0)
+    val.add_argument("--draws", type=_COUNT, default=DRAWS)
+    val.add_argument("--seed", type=_NATURAL, default=0)
     val.add_argument("--table", default=None,
                      help="write the battery as wide CSV, one row per test")
     _add_out_flags(val)
@@ -193,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(plot, treatment=False)
     plot.add_argument("--binning", default="evenly_spaced",
                       choices=("evenly_spaced", "quantile"))
-    plot.add_argument("--bins-per-side", type=int, default=None,
+    plot.add_argument("--bins-per-side", type=_COUNT, default=None,
                       help="bins per side (default: mimicking-variance "
                            "heuristic)")
-    plot.add_argument("--poly-order", type=int, default=4,
+    plot.add_argument("--poly-order", type=_NATURAL, default=4,
                       help="global polynomial order")
-    plot.add_argument("--grid-points", type=int, default=200)
+    plot.add_argument("--grid-points", type=_COUNT, default=200)
     plot.add_argument("--svg", default=None, help="also render an SVG here")
     plot.add_argument("--table", default=None,
                       help="write the bin table as CSV")
@@ -206,15 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     plot.set_defaults(run=cmd_plot)
 
     pow_ = sub.add_parser("power", help="power, MDE, and sample-size math")
-    pow_.add_argument("--se", type=float, required=True,
+    pow_.add_argument("--se", type=_POSITIVE, required=True,
                       help="standard error of the effect estimator")
-    pow_.add_argument("--alpha", type=float, default=0.05)
-    pow_.add_argument("--target-power", type=float, default=0.80)
+    pow_.add_argument("--alpha", type=_UNIT, default=0.05)
+    pow_.add_argument("--target-power", type=_UNIT, default=0.80)
     pow_.add_argument("--tau", type=float, nargs="+", default=None,
                       metavar="T", help="effects to evaluate power at")
-    pow_.add_argument("--target-mde", type=float, default=None,
+    pow_.add_argument("--target-mde", type=_POSITIVE, default=None,
                       help="solve for the n reaching this MDE")
-    pow_.add_argument("--n-pilot", type=int, default=None,
+    pow_.add_argument("--n-pilot", type=_COUNT, default=None,
                       help="sample size behind --se")
     pow_.add_argument("--scaling", default="fixed_h",
                       choices=("fixed_h", "mse_h"))
@@ -227,16 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Monte Carlo coverage of a known design")
     sim.add_argument("--dgp", default="curved_benchmark",
                      choices=tuple(_DGPS))
-    sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--replications", type=int, default=2000)
+    sim.add_argument("--n", type=_COUNT, default=1000)
+    sim.add_argument("--replications", type=_at_least(MIN_REPLICATIONS),
+                     default=2000)
     sim.add_argument("--estimator", default="conventional",
                      choices=("conventional", "rbc"))
     sim.add_argument("--h", type=_auto_or_float, default=None, metavar="H",
                      help="fixed bandwidth, or 'auto' to reselect per "
                           "replication (default auto)")
     _add_fit_flags(sim)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1,
+    sim.add_argument("--seed", type=_NATURAL, default=0)
+    sim.add_argument("--threads", type=_COUNT, default=1,
                      help="worker threads (default 1); results never "
                           "depend on it")
     _add_out_flags(sim)
@@ -249,6 +288,34 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand bodies.  Each returns (config, result, seed) and the
 # caller wraps them into the report envelope.
 # --------------------------------------------------------------------
+
+# Parsed dests the config leaves out: the dispatch, output paths, the
+# seed (the envelope carries it) and --threads, which changes no number.
+# --fisher-ci only adds a result section; echoing it waits for the next
+# report schema, so that today's reports keep their bytes.
+_UNECHOED = frozenset({"command", "run", "output", "table", "seed",
+                       "threads", "fisher_ci"})
+
+
+def _config(args, **resolved):
+    """The report's config: every parsed flag not in ``_UNECHOED``, with
+    ``--h`` and ``--window`` as requested ("auto" for None), then the
+    values the run resolved."""
+    config = {}
+    for dest, value in vars(args).items():
+        if dest in ("h", "window"):
+            dest = f"{dest}_requested"
+            value = "auto" if value is None else value
+        if dest not in _UNECHOED:
+            config[dest] = value
+    return {**config, **resolved}
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _ingest(args, treatment=True):
@@ -268,27 +335,13 @@ def _ingest(args, treatment=True):
                       delimiter=args.delimiter)
 
 
-def _data_config(args, treatment=True):
-    cfg = {
-        "input": args.input,
-        "score_col": args.score_col,
-        "outcome_col": args.outcome_col,
-        "cutoff_col": args.cutoff_col,
-        "covariates": list(args.covariates),
-        "cutoff": args.cutoff,
-        "delimiter": args.delimiter,
-    }
-    if treatment:
-        cfg["treatment_col"] = getattr(args, "treatment_col", None)
-    return cfg
-
-
 def cmd_estimate(args):
     from .bandwidth import select_mse_bandwidth
     from .continuity import per_cutoff_estimates, rbc_inference
 
+    if args.design == "kink" and args.p < 1:
+        raise UsageError("--design kink needs --p of at least 1")
     sample = _ingest(args)
-    h_requested = "auto" if args.h is None else args.h
     selection = None
     h_below = args.h
     if args.h is None:
@@ -304,31 +357,18 @@ def cmd_estimate(args):
     rbc = rbc_inference(sample, kind=kind, **kwargs)
     est = rbc.base
 
-    config = _data_config(args)
-    config.update(design=args.design, p=args.p, kernel=args.kernel,
-                  level=args.level, h_requested=h_requested,
-                  h_below=float(h_below), h_above=float(h_above),
-                  ce=bool(args.ce))
+    config = _config(args, h_below=float(h_below), h_above=float(h_above))
     result = {
         "estimate": est,
-        "rbc": {
-            "bias_estimate": rbc.bias_estimate,
-            "tau_bc": rbc.tau_bc,
-            "se_robust": rbc.se_robust,
-            "ci_rbc": rbc.ci_rbc,
-            "inference_order": rbc.inference_order,
-        },
+        "rbc": {name: getattr(rbc, name) for name in (
+            "bias_estimate", "tau_bc", "se_robust", "ci_rbc",
+            "inference_order")},
     }
     if args.design == "pooled":
         result["per_cutoff"] = per_cutoff_estimates(sample, est)
     if selection is not None:
         result["bandwidth_selection"] = selection
     return config, result, None
-
-
-def _check_draws(draws: int) -> None:
-    if draws < 1:
-        raise UsageError("--draws must be at least 1")
 
 
 def cmd_locrand(args):
@@ -344,19 +384,9 @@ def cmd_locrand(args):
         select_window,
     )
 
-    for flag, value in (("--alpha", args.alpha),
-                        ("--balance-alpha", args.balance_alpha),
-                        ("--prob", args.prob)):
-        if not 0 < value < 1:
-            raise UsageError(f"{flag} must be in (0, 1)")
-    if not all(0 < w < math.inf for w in args.candidates or ()):
-        raise UsageError("--candidates must be positive and finite")
-    _check_draws(args.draws)
     sample = _ingest(args)
-    if args.model == "bernoulli":
-        model = Bernoulli(args.prob)
-    else:
-        model = FixedMargins()
+    model = (Bernoulli(args.prob) if args.model == "bernoulli"
+             else FixedMargins())
 
     selection = None
     if args.window is None:
@@ -366,20 +396,16 @@ def cmd_locrand(args):
         selection = select_window(
             sample, candidates=args.candidates, alpha=args.balance_alpha,
             model=model, statistic=args.statistic, seed=args.seed)
-        window = selection.window
-        w_left = selection.w_left
-        w_right = selection.w_right
+        window, w_left, w_right = (selection.window, selection.w_left,
+                                   selection.w_right)
     else:
         w_left = w_right = args.window
         window = make_window(sample, w_left, w_right)
 
     estimate = diff_in_means(sample, window, model=model,
                              framework=args.framework)
-    if sample.received is not None:
-        estimate_fuzzy = fuzzy_locrand(sample, window, model=model,
-                                       framework=args.framework)
-    else:
-        estimate_fuzzy = None
+    estimate_fuzzy = None if sample.received is None else fuzzy_locrand(
+        sample, window, model=model, framework=args.framework)
     if args.fisher_ci:
         # the p-value and the interval share one ensemble
         fisher, ci = _fisher_pvalue_and_ci(
@@ -393,16 +419,7 @@ def cmd_locrand(args):
     neyman = neyman_ci(sample, window, framework=args.framework,
                        alpha=args.alpha, model=model)
 
-    config = _data_config(args)
-    config.update(window_requested="auto" if args.window is None
-                  else args.window,
-                  w_left=float(w_left), w_right=float(w_right),
-                  model=args.model, prob=args.prob,
-                  statistic=args.statistic, framework=args.framework,
-                  alpha=args.alpha, draws=args.draws,
-                  max_exhaustive=args.max_exhaustive,
-                  balance_alpha=args.balance_alpha,
-                  candidates=args.candidates)
+    config = _config(args, w_left=float(w_left), w_right=float(w_right))
     result = {
         "window": window,
         "estimate": estimate,
@@ -413,33 +430,24 @@ def cmd_locrand(args):
         "window_selection": selection,
     }
     if args.table and selection is not None:
-        _write_trace_csv(args.table, selection)
+        _write_csv(args.table, *_trace_table(selection))
     return config, result, args.seed
 
 
-def _write_trace_csv(path, selection):
+def _trace_table(selection):
     rows = selection.trace
     covariates = sorted(name for name, _ in rows[0].p_values) if rows else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w_left", "w_right", "n_w", "n_plus", "n_minus",
-                         "feasible", "min_p", "passed"]
-                        + [f"p_{c}" for c in covariates])
-        for row in rows:
-            by_name = dict(row.p_values)
-            writer.writerow([row.w_left, row.w_right, row.n_w, row.n_plus,
-                             row.n_minus, row.feasible, row.min_p,
-                             row.passed]
-                            + [by_name.get(c) for c in covariates])
+    header = ["w_left", "w_right", "n_w", "n_plus", "n_minus", "feasible",
+              "min_p", "passed"] + [f"p_{c}" for c in covariates]
+    return header, ([row.w_left, row.w_right, row.n_w, row.n_plus,
+                     row.n_minus, row.feasible, row.min_p, row.passed]
+                    + list(map(dict(row.p_values).get, covariates))
+                    for row in rows)
 
 
 def cmd_validate(args):
     from .validation import run_battery
 
-    if args.count_halfwidth is not None \
-            and not 0 < args.count_halfwidth < math.inf:
-        raise UsageError("--count-halfwidth must be positive and finite")
-    _check_draws(args.draws)
     sample = _ingest(args)
     report = run_battery(
         sample, p=args.p, kernel=args.kernel, h=args.h, level=args.level,
@@ -447,20 +455,12 @@ def cmd_validate(args):
         donut_radii=tuple(args.donut),
         sensitivity_factors=tuple(args.sensitivity),
         bins_per_side=args.bins_per_side, draws=args.draws, seed=args.seed)
-    config = _data_config(args)
-    config.update(p=args.p, kernel=args.kernel, level=args.level,
-                  h_requested="auto" if args.h is None else args.h,
-                  h_baseline=report.h_baseline,
-                  count_halfwidth=args.count_halfwidth,
-                  placebo=args.placebo, donut=list(args.donut),
-                  sensitivity=list(args.sensitivity),
-                  bins_per_side=args.bins_per_side, draws=args.draws)
     if args.table:
-        _write_battery_csv(args.table, report)
-    return config, report, args.seed
+        _write_csv(args.table, *_battery_table(report))
+    return _config(args, h_baseline=report.h_baseline), report, args.seed
 
 
-def _write_battery_csv(path, report):
+def _battery_table(report):
     rows = []
     for rec in report.balance:
         rows.append(["balance", f"{rec.covariate}/{rec.method}", None,
@@ -482,21 +482,13 @@ def _write_battery_csv(path, report):
         label = f"h={rec.h:g}" + ("/baseline" if rec.baseline else "")
         rows.append(["sensitivity", label, None, None, rec.tau_hat,
                      rec.ci[0], rec.ci[1], rec.n_eff])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["test", "detail", "statistic", "p_value",
-                         "estimate", "ci_low", "ci_high", "n"])
-        writer.writerows(rows)
+    return ["test", "detail", "statistic", "p_value", "estimate", "ci_low",
+            "ci_high", "n"], rows
 
 
 def cmd_plot(args):
     from .plotting import build_rdplot, render_svg
 
-    for flag, value, least in (("--bins-per-side", args.bins_per_side, 1),
-                               ("--poly-order", args.poly_order, 0),
-                               ("--grid-points", args.grid_points, 1)):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}")
     sample = _ingest(args, treatment=False)
     plot = build_rdplot(sample, binning=args.binning,
                         bins_per_side=args.bins_per_side,
@@ -506,24 +498,12 @@ def cmd_plot(args):
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_svg(plot))
     if args.table:
-        _write_bins_csv(args.table, plot)
-    config = _data_config(args, treatment=False)
-    config.update(binning=args.binning, bins_per_side=args.bins_per_side,
-                  poly_order=args.poly_order, grid_points=args.grid_points,
-                  svg=args.svg)
-    return config, plot, None
-
-
-def _write_bins_csv(path, plot):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["side", "lower", "upper", "midpoint",
-                         "mean_outcome", "count"])
-        for side, bins in (("below", plot.bins_below),
-                           ("above", plot.bins_above)):
-            for b in bins:
-                writer.writerow([side, b.lower, b.upper, b.midpoint,
-                                 b.mean_outcome, b.count])
+        rows = ([side, b.lower, b.upper, b.midpoint, b.mean_outcome, b.count]
+                for side, bins in (("below", plot.bins_below),
+                                   ("above", plot.bins_above)) for b in bins)
+        _write_csv(args.table, ["side", "lower", "upper", "midpoint",
+                                "mean_outcome", "count"], rows)
+    return _config(args), plot, None
 
 
 def cmd_power(args):
@@ -539,34 +519,19 @@ def cmd_power(args):
                            target_power=args.target_power,
                            scaling=args.scaling, p=args.p)
         result = dataclasses.replace(result, n_required=n_req)
-    config = {
-        "se": args.se, "alpha": args.alpha,
-        "target_power": args.target_power, "tau": args.tau,
-        "target_mde": args.target_mde, "n_pilot": args.n_pilot,
-        "scaling": args.scaling, "p": args.p,
-    }
-    return config, result, None
+    return _config(args), result, None
 
 
 def cmd_simulate(args):
     from .powersim import simulate_coverage
 
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     dgp = getattr(import_module(".dgps", __package__), _DGPS[args.dgp])()
     result = simulate_coverage(
         dgp, estimator=args.estimator, n=args.n,
         replications=args.replications, seed=args.seed, p=args.p,
         kernel=args.kernel, level=args.level, h=args.h,
         threads=args.threads)
-    config = {
-        "dgp": args.dgp, "n": args.n, "replications": args.replications,
-        "estimator": args.estimator, "p": args.p, "kernel": args.kernel,
-        "level": args.level,
-        "h_requested": "auto" if args.h is None else args.h,
-        "true_tau": dgp.true_tau(),
-    }
-    return config, result, args.seed
+    return _config(args, true_tau=dgp.true_tau()), result, args.seed
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:

@@ -22,3 +22,6 @@ BALANCE_ALPHA = 0.15
 DONUT_RADII = (0.0, 0.05, 0.1)
 SENSITIVITY_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
 BINS_PER_SIDE = 20
+
+# Coverage simulations: the fewest replications a coverage rate rests on.
+MIN_REPLICATIONS = 500

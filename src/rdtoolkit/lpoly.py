@@ -101,15 +101,18 @@ def vander(x, n: int) -> np.ndarray:
     return v
 
 
-def polyfit_lstsq(x, y, order: int):
+def polyfit_lstsq(x, y, order: int, what: str):
     """Unweighted least-squares fit of y on 1, x, ..., x^order.
 
-    Returns ``(design, coefs, rank)`` from ``np.linalg.lstsq`` with its
-    default cut-off; the caller applies its own rank rule.
+    Returns ``(design, coefs)`` from ``np.linalg.lstsq`` with its default
+    cut-off.  A design of rank below ``order + 1`` raises
+    ``RankDeficient``, whose message names the fit as ``what``.
     """
     design = vander(x, order + 1)
     coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    return design, coefs, rank
+    if rank < order + 1:
+        raise RankDeficient(f"{what} of order {order} is rank deficient")
+    return design, coefs
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, TooFewObservations
+from .errors import TooFewObservations
 from .lpoly import polyfit_lstsq, vander
 from .sample import RdSample
 
@@ -129,10 +129,7 @@ def _quantile_bins(x, y, j):
 
 
 def _global_curve(x, y, cutoff, order, grid):
-    _, coef, rank = polyfit_lstsq(x - cutoff, y, order)
-    if rank < order + 1:
-        raise RankDeficient(
-            f"global polynomial of order {order} is rank deficient")
+    _, coef = polyfit_lstsq(x - cutoff, y, order, "global polynomial")
     fitted = vander(grid - cutoff, order + 1) @ coef
     return tuple((float(g), float(v)) for g, v in zip(grid, fitted))
 

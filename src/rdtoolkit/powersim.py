@@ -25,6 +25,7 @@ import numpy as np
 
 from .bandwidth import select_mse_bandwidth
 from .continuity import rbc_inference, sharp_estimate
+from .defaults import MIN_REPLICATIONS
 from .dgps import DgpSpec, simulate_sample
 from .errors import (
     EmptySide,
@@ -184,8 +185,8 @@ def simulate_coverage(dgp: DgpSpec, estimator: str = "conventional",
     a thread pool) and are aggregated in index order with exact
     summation, so the result does not depend on the worker count.
     """
-    if replications < 500:
-        raise ValueError("need at least 500 replications")
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     if estimator not in ("conventional", "rbc"):
         raise ValueError(f"unknown estimator {estimator!r}")
     tau_true = dgp.true_tau()

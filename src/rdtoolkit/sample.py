@@ -232,6 +232,8 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
         Scalar cutoff.  Ignored when a cutoff column is mapped: the
         sample then holds the centred score X - C with cutoff 0, and the
         column only labels the units for per-cutoff estimates.
+    delimiter : str, default ","
+        One character; anything else raises ``BadSpec``.
 
     Rows whose score or outcome is missing or non-finite are rejected with
     the offending row index (0-based data row, excluding the header).  A
@@ -250,6 +252,8 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     Both tiers parse a number with the same routine, so on every file
     the first tier accepts they return bit-identical arrays.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise BadSpec(f"delimiter must be one character, got {delimiter!r}")
     sample = _ingest_numeric(path, column_map, cutoff, delimiter)
     if sample is None:
         sample = _ingest_rows(path, column_map, cutoff, delimiter)

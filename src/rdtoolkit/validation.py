@@ -201,9 +201,7 @@ def _side_density_fit(edges_lo, edges_hi, counts, n_total, cutoff):
     width = edges_hi - edges_lo
     heights = counts / (n_total * width)
     mids = 0.5 * (edges_lo + edges_hi) - cutoff
-    design, coef, rank = polyfit_lstsq(mids, heights, 1)
-    if rank < 2:
-        raise RankDeficient("density bins are collinear")
+    design, coef = polyfit_lstsq(mids, heights, 1, "density fit")
     resid = heights - design @ coef
     dof = mids.size - 2
     sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0

@@ -12,8 +12,9 @@ import pytest
 
 from rdtoolkit import continuity, dgps, lpoly
 from rdtoolkit.cli import _DGPS, build_parser, main
+from rdtoolkit.defaults import MIN_REPLICATIONS
 from rdtoolkit.locrand import fisher_pvalue, select_window
-from rdtoolkit.powersim import mde
+from rdtoolkit.powersim import mde, simulate_coverage
 from rdtoolkit.reports import SCHEMA, sha256_file
 from rdtoolkit.validation import run_battery
 
@@ -329,17 +330,52 @@ class TestLocrand:
         ("--count-halfwidth", ["validate", "--h", "0.5",
                                "--count-halfwidth", "inf"]),
         ("--count-halfwidth", ["validate", "--h", "0.5",
-                               "--count-halfwidth", "0"])],
+                               "--count-halfwidth", "0"]),
+        ("--delimiter", ["estimate", "--h", "0.5", "--delimiter", ";;"]),
+        ("--delimiter", ["estimate", "--h", "0.5", "--delimiter="]),
+        ("--level", ["estimate", "--h", "0.5", "--level", "1.5"]),
+        ("--level", ["validate", "--h", "0.5", "--level", "nan"]),
+        ("--level", ["simulate", "--level", "0"]),
+        ("--seed", ["locrand", "--window", "0.5", "--seed", "-1"]),
+        ("--seed", ["validate", "--h", "0.5", "--seed", "-1"]),
+        ("--seed", ["simulate", "--seed", "-1"]),
+        ("--cutoff", ["estimate", "--h", "0.5", "--cutoff", "nan"]),
+        ("--cutoff", ["plot", "--cutoff", "inf"]),
+        ("--placebo", ["validate", "--h", "0.5", "--placebo", "0.5", "inf"]),
+        ("--bins-per-side", ["validate", "--h", "0.5",
+                             "--bins-per-side", "1"]),
+        ("--donut", ["validate", "--h", "0.5", "--donut", "0", "-0.1"]),
+        ("--sensitivity", ["validate", "--h", "0.5", "--sensitivity", "0"]),
+        ("--se", ["power", "--se", "0"]),
+        ("--se", ["power", "--se", "inf"]),
+        ("--target-mde", ["power", "--se", "0.1", "--target-mde", "-1",
+                          "--n-pilot", "100"]),
+        ("--alpha", ["power", "--se", "0.1", "--alpha", "1.5"]),
+        ("--target-power", ["power", "--se", "0.1", "--target-power", "1"]),
+        ("--n-pilot", ["power", "--se", "0.1", "--target-mde", "0.2",
+                       "--n-pilot", "0"]),
+        ("--n", ["simulate", "--n", "0"]),
+        ("--replications", ["simulate", "--replications", "499"]),
+        ("--p", ["estimate", "--h", "0.5", "--design", "kink", "--p", "0"])],
         ids=["candidates-inf", "candidates-nan", "candidates-negative",
              "draws-0", "draws-negative", "prob-1.5", "validate-draws-0",
-             "count_halfwidth-inf", "count_halfwidth-0"])
+             "count_halfwidth-inf", "count_halfwidth-0", "delimiter-two",
+             "delimiter-empty", "level-1.5", "validate-level-nan",
+             "simulate-level-0", "seed-negative", "validate-seed-negative",
+             "simulate-seed-negative", "cutoff-nan", "plot-cutoff-inf",
+             "placebo-inf", "validate-bins_per_side-1", "donut-negative",
+             "sensitivity-0", "se-0", "se-inf", "target_mde-negative",
+             "power-alpha-1.5", "target_power-1", "n_pilot-0", "n-0",
+             "replications-499", "kink-p-0"])
     def test_out_of_range_flag_exits_1(self, locrand_csv, flag, argv):
         # these used to exit 0 (a window over every row, a null
-        # candidate or count window, p = 1 from zero draws) or 2 as a
-        # data error
-        message = _usage_error_in_subprocess(
-            [argv[0], "--input", str(locrand_csv), "--score-col", "x",
-             "--outcome-col", "y", "--covariate", "z", *argv[1:]])
+        # candidate or count window, p = 1 from zero draws, a negative
+        # seed the run never read), 2 as a data error raised deep in the
+        # library, or 1 with a traceback (a delimiter csv refuses)
+        data = [] if argv[0] in ("power", "simulate") else [
+            "--input", str(locrand_csv), "--score-col", "x",
+            "--outcome-col", "y", "--covariate", "z"]
+        message = _usage_error_in_subprocess([argv[0], *data, *argv[1:]])
         assert flag in message
 
     def test_nonzero_cutoff_window_holds_the_units_analysed(self, tmp_path):
@@ -641,11 +677,16 @@ def _default(function, parameter):
     return inspect.signature(function).parameters[parameter].default
 
 
-def _option(command, dest):
+def _subparsers():
     parser = build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return sub.choices
+
+
+def _option(command, dest):
+    return next(a for a in _subparsers()[command]._actions
+                if a.dest == dest)
 
 
 class TestDefaults:
@@ -672,7 +713,82 @@ class TestDefaults:
     def test_kernel_choices(self, command):
         assert _option(command, "kernel").choices is lpoly.KERNELS
 
+    def test_replication_floor(self):
+        # the flag and the library refuse the same replication counts
+        check = _option("simulate", "replications").type
+        assert check(str(MIN_REPLICATIONS)) == MIN_REPLICATIONS
+        with pytest.raises(argparse.ArgumentTypeError):
+            check(str(MIN_REPLICATIONS - 1))
+        with pytest.raises(ValueError, match=str(MIN_REPLICATIONS)):
+            simulate_coverage(dgps.linear_dgp(),
+                              replications=MIN_REPLICATIONS - 1)
+
     def test_dgp_names_resolve(self):
         assert _option("simulate", "dgp").choices == tuple(_DGPS)
         for factory in _DGPS.values():
             assert callable(getattr(dgps, factory))
+
+
+class TestFlagDeclarations:
+    """Each flag is declared once: its type holds its range, and the
+    report's config is derived from the parsed arguments."""
+
+    def test_numeric_flags_declare_their_range(self):
+        # a bare int or float type lets any number through to the
+        # library; only flags for which every number is valid may use one
+        bare = {action.dest for parser in _subparsers().values()
+                for action in parser._actions
+                if action.type in (int, float) and action.choices is None}
+        assert bare <= {"max_exhaustive", "tau"}
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--level", "abc", "float"), ("--seed", "1.5", "int")])
+    def test_unconvertible_value_keeps_argparse_message(
+            self, step_csv, flag, value, kind, capsys):
+        code, _, err = run_cli(
+            ["validate", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", flag, value], capsys)
+        assert code == 1
+        assert json.loads(err)["error"]["message"] == (
+            f"argument {flag}: invalid {kind} value: {value!r}")
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["estimate", "--h", "0.5"],
+         {"input", "score_col", "outcome_col", "treatment_col", "cutoff_col",
+          "covariates", "cutoff", "delimiter", "design", "p", "kernel",
+          "level", "h_requested", "h_below", "h_above", "ce"}),
+        (["locrand", "--window", "0.5", "--draws", "99", "--fisher-ci",
+          "--seed", "3", "--table", "TABLE"],
+         {"input", "score_col", "outcome_col", "treatment_col", "cutoff_col",
+          "covariates", "cutoff", "delimiter", "window_requested", "w_left",
+          "w_right", "model", "prob", "statistic", "framework", "alpha",
+          "draws", "max_exhaustive", "balance_alpha", "candidates"}),
+        (["validate", "--h", "0.5", "--draws", "99", "--seed", "3",
+          "--table", "TABLE"],
+         {"input", "score_col", "outcome_col", "treatment_col", "cutoff_col",
+          "covariates", "cutoff", "delimiter", "p", "kernel", "level",
+          "h_requested", "h_baseline", "count_halfwidth", "placebo", "donut",
+          "sensitivity", "bins_per_side", "draws"}),
+        (["plot", "--table", "TABLE"],
+         {"input", "score_col", "outcome_col", "cutoff_col", "covariates",
+          "cutoff", "delimiter", "binning", "bins_per_side", "poly_order",
+          "grid_points", "svg"}),
+        (["power", "--se", "0.1"],
+         {"se", "alpha", "target_power", "tau", "target_mde", "n_pilot",
+          "scaling", "p"}),
+        (["simulate", "--dgp", "linear", "--n", "200", "--replications",
+          "500", "--h", "0.4", "--seed", "3", "--threads", "2"],
+         {"dgp", "n", "replications", "estimator", "p", "kernel", "level",
+          "h_requested", "true_tau"})],
+        ids=["estimate", "locrand", "validate", "plot", "power", "simulate"])
+    def test_config_keys_pinned(self, locrand_csv, tmp_path, argv, keys,
+                                capsys):
+        # the key sets of the reports before the config was derived from
+        # the parsed arguments; a new flag joins its set on purpose
+        argv = [str(tmp_path / "t.csv") if a == "TABLE" else a for a in argv]
+        data = [] if argv[0] in ("power", "simulate") else [
+            "--input", str(locrand_csv), "--score-col", "x",
+            "--outcome-col", "y"]
+        code, out, _ = run_cli([*argv, *data], capsys)
+        assert code == 0
+        assert set(json.loads(out)["config"]) == keys

@@ -8,7 +8,7 @@ from rdtoolkit.errors import (
     EmptySide,
     RankDeficient,
 )
-from rdtoolkit.lpoly import fit_values, kernel_weight, vander
+from rdtoolkit.lpoly import fit_values, kernel_weight, polyfit_lstsq, vander
 
 
 def oracle_wls(x, y, cutoff, p, kernel, h):
@@ -145,6 +145,17 @@ class TestFitContract:
         y = np.arange(10.0)
         with pytest.raises(RankDeficient):
             fit_values(x, y, 0.0, p=1, kernel="triangular", h=1.0)
+
+    def test_global_fit_rank_rule(self):
+        # three distinct scores support order 2, not order 3
+        x = np.repeat([0.1, 0.2, 0.3], 4)
+        y = x ** 2
+        design, coefs = polyfit_lstsq(x, y, 2, "global fit")
+        assert design.shape == (12, 3)
+        np.testing.assert_allclose(design @ coefs, y, atol=1e-12)
+        with pytest.raises(RankDeficient,
+                           match="^global fit of order 3 is rank deficient$"):
+            polyfit_lstsq(x, y, 3, "global fit")
 
     def test_condition_at_least_one(self):
         x = np.linspace(0.01, 1, 20)

@@ -120,6 +120,14 @@ class TestIngest:
                        delimiter=";")
         assert s.n == 2
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        # csv.reader raises TypeError for these, which is no DataError
+        path = write_csv(tmp_path / "d.csv", ["x", "y"], [[0.1, 1]])
+        with pytest.raises(BadSpec, match="one character"):
+            ingest_csv(path, {"score": "x", "outcome": "y"},
+                       delimiter=delimiter)
+
     def test_per_unit_cutoff_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "y", "c"],
                          [[0.5, 1, 0.0], [1.5, 2, 1.0]])

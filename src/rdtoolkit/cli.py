@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="test level for intervals, in (0, 1)")
     loc.add_argument("--draws", type=_COUNT, default=DRAWS,
                      help="Monte Carlo draws when enumeration is infeasible")
-    loc.add_argument("--max-exhaustive", type=int, default=MAX_EXHAUSTIVE,
+    loc.add_argument("--max-exhaustive", type=_NATURAL,
+                     default=MAX_EXHAUSTIVE,
                      help="largest assignment count enumerated exactly")
     loc.add_argument("--fisher-ci", action="store_true",
                      help="also invert the Fisher test into a CI")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="standard error of the effect estimator")
     pow_.add_argument("--alpha", type=_UNIT, default=0.05)
     pow_.add_argument("--target-power", type=_UNIT, default=0.80)
-    pow_.add_argument("--tau", type=float, nargs="+", default=None,
+    pow_.add_argument("--tau", type=_FINITE, nargs="+", default=None,
                       metavar="T", help="effects to evaluate power at")
     pow_.add_argument("--target-mde", type=_POSITIVE, default=None,
                       help="solve for the n reaching this MDE")

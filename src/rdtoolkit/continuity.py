@@ -7,9 +7,10 @@ for multi-cutoff samples.
 
 Every estimator here reaches the one side-fit kernel,
 :func:`rdtoolkit.lpoly.fit_window`, through ``_side_fit``: one SVD per
-(side window, polynomial order).  Each side's window is selected once
-per call, so robust bias correction fits orders p and p+1 on the same
-windows.  The fuzzy design fits outcome and
+(side window, polynomial order).  ``_sides`` builds both side windows
+once per call, eagerly, before any fit runs, so robust bias correction
+fits orders p and p+1 on the same windows and an invalid bandwidth is
+reported before a fit can fail.  The fuzzy design fits outcome and
 treatment as a two-column response on each side and reads the
 outcome-treatment intercept covariance from the cross-response block of
 that fit's covariance.
@@ -26,7 +27,6 @@ fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -114,38 +114,6 @@ def _zvalue(level: float) -> float:
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-class _SideWindows:
-    """Each side's kernel window at its bandwidth, built on first use and
-    shared by the fits of every order.  Fits run below side first, and a
-    window is built just before its first fit, so errors surface in the
-    order that fitting each side from scratch would raise them."""
-
-    def __init__(self, sample: RdSample, kernel, h_below, h_above,
-                 outcome=None):
-        self.xc = sample.centered_score()
-        self.is_below = self.xc < 0
-        self.y = sample.outcome if outcome is None else outcome
-        self.kernel, self.h_below, self.h_above = kernel, h_below, h_above
-
-    @cached_property
-    def below(self):
-        m = self.is_below
-        return side_window(self.xc[m], self.y[m], 0.0, self.kernel,
-                           self.h_below)
-
-    @cached_property
-    def above(self):
-        m = ~self.is_below
-        return side_window(self.xc[m], self.y[m], 0.0, self.kernel,
-                           self.h_above)
-
-    def fits(self, p):
-        """Order-p fits (below, above)."""
-        fit_b = _side_fit(self.below, p, "below")
-        fit_a = _side_fit(self.above, p, "above")
-        return fit_b, fit_a
-
-
 def _side_fit(window, p, side):
     """Fit one side, labeling errors with the side they came from."""
     try:
@@ -160,28 +128,29 @@ def _difference(fit_b: LocalFit, fit_a: LocalFit, nu: int):
     return tau, float(np.sqrt(var))
 
 
-def _sides(kind: str, sample: RdSample, p, kernel, h_below,
-           h_above) -> _SideWindows:
-    """Check a design's inputs and set up its side windows."""
+def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
+    """Check a design's inputs and build its (below, above) side windows."""
     if kind not in _DESIGNS:
         raise ValueError(f"unknown design {kind!r}")
     if kind == "kink" and p < 1:
         raise ValueError("kink estimation requires polynomial order p >= 1")
-    outcome = None
+    y = sample.outcome
     if kind == "fuzzy":
         if sample.received is None:
             raise MissingTreatmentColumn(
                 "fuzzy estimation requires a received-treatment column")
-        outcome = np.column_stack([sample.outcome,
-                                   sample.received.astype(float)])
+        y = np.column_stack([y, sample.received.astype(float)])
     h_below, h_above = _resolve_bandwidths(h_below, h_above)
-    return _SideWindows(sample, kernel, h_below, h_above, outcome)
+    xc = sample.centered_score()
+    below = xc < 0
+    return (side_window(xc[below], y[below], 0.0, kernel, h_below),
+            side_window(xc[~below], y[~below], 0.0, kernel, h_above))
 
 
-def _estimate(kind: str, sides: _SideWindows, p: int,
-              level: float) -> RdEstimate:
-    """The order-p estimate of a design from its side windows."""
-    fit_b, fit_a = sides.fits(p)
+def _estimate(kind: str, windows, p: int, level: float) -> RdEstimate:
+    """The order-p estimate of a design from its (below, above) windows."""
+    fit_b = _side_fit(windows[0], p, "below")
+    fit_a = _side_fit(windows[1], p, "above")
     first_stage = None
     if kind == "fuzzy":
         reduced, first_stage = fit_a.beta[0] - fit_b.beta[0]
@@ -202,9 +171,9 @@ def _estimate(kind: str, sides: _SideWindows, p: int,
     return RdEstimate(
         kind=kind, tau_hat=float(tau), se_conventional=se,
         ci_conventional=(tau - z * se, tau + z * se),
-        h_below=sides.h_below, h_above=sides.h_above,
+        h_below=fit_b.h, h_above=fit_a.h,
         n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
-        p=p, kernel=sides.kernel, level=level, first_stage=first_stage)
+        p=p, kernel=fit_b.kernel, level=level, first_stage=first_stage)
 
 
 def sharp_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
@@ -217,16 +186,16 @@ def sharp_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
     h_below, h_above : float
         Side bandwidths; passing only one uses it on both sides.
     """
-    sides = _sides("sharp", sample, p, kernel, h_below, h_above)
-    return _estimate("sharp", sides, p, level)
+    windows = _sides("sharp", sample, p, kernel, h_below, h_above)
+    return _estimate("sharp", windows, p, level)
 
 
 def kink_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
                   h_below: float = None, h_above: float = None,
                   level: float = 0.95) -> RdEstimate:
     """Kink effect: difference of side-wise boundary slopes (requires p >= 1)."""
-    sides = _sides("kink", sample, p, kernel, h_below, h_above)
-    return _estimate("kink", sides, p, level)
+    windows = _sides("kink", sample, p, kernel, h_below, h_above)
+    return _estimate("kink", windows, p, level)
 
 
 def _resolve_bandwidths(h_below, h_above):
@@ -249,8 +218,8 @@ def fuzzy_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",
     cross-response block of the stacked sandwich) and applies the delta
     method to the ratio; the two sides are independent.
     """
-    sides = _sides("fuzzy", sample, p, kernel, h_below, h_above)
-    return _estimate("fuzzy", sides, p, level)
+    windows = _sides("fuzzy", sample, p, kernel, h_below, h_above)
+    return _estimate("fuzzy", windows, p, level)
 
 
 _DESIGNS = ("sharp", "kink", "fuzzy")
@@ -267,9 +236,9 @@ def rbc_inference(sample: RdSample, p: int = 1, kernel: str = "triangular",
     and the interval is that point plus/minus z times its robust se.
     Both orders fit the same side windows, each built once.
     """
-    sides = _sides(kind, sample, p, kernel, h_below, h_above)
-    base = _estimate(kind, sides, p, level)
-    higher = _estimate(kind, sides, p + 1, level)
+    windows = _sides(kind, sample, p, kernel, h_below, h_above)
+    base = _estimate(kind, windows, p, level)
+    higher = _estimate(kind, windows, p + 1, level)
     bias = base.tau_hat - higher.tau_hat
     se_robust = higher.se_conventional
     z = _zvalue(level)

@@ -12,17 +12,18 @@ intervals.  A unit is in a window when lower <= score <= upper, on the
 bounds a report prints, and treated when score >= cutoff; every count,
 estimate and test of a window uses that rule.
 
-Every permutation ensemble, enumerated or drawn, is one stream of
-blocks of treated sets, built once for the units analysed and reduced
-to the subset sums its statistic reads: the treated count and the
-overlap with the observed assignment once, the outcome sum for each
-response that shares the stream, and two more sums per response for
-the studentized statistic.  It holds O(assignments) sums plus one
-block.  The observed assignment is reduced first, by the same
-expression at the same row width as its enumerated copy, so it ties
-with itself and always counts as extreme.  Distinct assignments that
-tie only in exact arithmetic, such as complements, may still differ in
-the last bits.
+Every permutation ensemble, enumerated or drawn, is one stream of blocks
+of treated sets, built once for the units analysed and reduced to the
+subset sums its statistic reads: the treated count and the overlap with
+the observed assignment once, the outcome sum for each response that
+shares the stream, and two more sums per response for the studentized
+statistic, in the rows ``_build_ensemble`` lays out; ``_fisher_tests``
+computes every statistic from them.  It holds O(assignments) sums plus
+one block.  The observed assignment is reduced first, by the same
+expression at the same row width as its enumerated copy, so it ties with
+itself and always counts as extreme.  Distinct assignments that tie only
+in exact arithmetic, such as complements, may still differ in the last
+bits.
 """
 
 from __future__ import annotations
@@ -217,31 +218,6 @@ class FisherResult:
 _BLOCK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class _Ensemble:
-    """Per-assignment subset sums of one response over the permutation
-    ensemble.
-
-    ``agg`` holds five arrays with one entry per assignment: n1 treated
-    units, sY = sum of outcomes over the treated set, m = overlap with
-    the observed treated set, sTY = sum of T_obs*Y over the treated set
-    and sY2 = sum of Y^2; sTY and sY2 are None unless the statistic is
-    studentized.  Entry 0 is the observed assignment and entries 1..
-    the ensemble.  ``weights`` is None for uniform ensembles (fixed
-    margins, or Monte Carlo draws).  Responses that share a stream share
-    n1, m and ``weights``.
-    """
-
-    agg: tuple
-    weights: np.ndarray | None
-    exact: bool
-    draws: int
-    total: int
-    n: int
-    tot_y: float
-    tot_y2: float
-
-
 def _blocks(block, count, n):
     """block(a, b) over spans of ``count`` rows of n cells, in order."""
     rows = max(1, _BLOCK_CELLS // n)
@@ -269,17 +245,28 @@ def _reduce(blocks, cols, size):
 
 
 def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
-                    studentized=False) -> list[_Ensemble]:
+                    studentized=False):
     """One stream of assignments of the units with observed assignment
-    ``t``, reduced for every response in ``ys``: one ensemble each."""
+    ``t``, reduced to the subset sums of every response in ``ys``.
+
+    Returns ``(agg, weights, exact, total)``.  ``agg`` has one column per
+    assignment: column 0 is the observed assignment and columns 1.. the
+    ``total`` assignments of the ensemble (all of them when ``exact``,
+    else the draws).  Its rows are n1, the treated count, then m, the
+    overlap with the observed treated set, then per response in order
+    sY, the sum of Y over the treated set, and, when ``studentized``,
+    sTY, the sum of T_obs*Y over it, and sY2, the sum of Y^2.
+    ``weights`` gives each ensemble assignment's probability under
+    exact Bernoulli enumeration, and is None for uniform ensembles
+    (fixed margins, or Monte Carlo draws).
+    """
     ys = [np.asarray(y, dtype=float) for y in ys]
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
     n_plus = int(t.sum())
     if n_plus == 0 or n_plus == n:
         raise EmptyGroup(f"window has {n_plus} treated of {n} units")
-    # n1 and m summands, then sY (and sTY, sY2 when studentized) of each
-    # response; a zero pad column follows
+    # the summands of the rows of agg; a zero pad column follows
     summands = [np.ones(n), t]
     for y in ys:
         summands += [y, t * y, y * y] if studentized else [y]
@@ -334,78 +321,67 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
             agg[:, rows] = _reduce(_blocks(block, rows.size, n), cols,
                                    rows.size)
 
-    ensembles = []
-    for r, y in enumerate(ys):
-        a = 2 + r * (3 if studentized else 1)
-        s_y, s_ty, s_y2 = agg[a:a + 3] if studentized \
-            else (agg[a], None, None)
-        ensembles.append(_Ensemble(
-            agg=(agg[0], s_y, agg[1], s_ty, s_y2), weights=weights,
-            exact=exact, draws=0 if exact else draws, total=total, n=n,
-            tot_y=float(y.sum()), tot_y2=float((y * y).sum())))
-    return ensembles
-
-
-def _statistics(ens: _Ensemble, statistic: str, tau0: float):
-    """Statistic for every ensemble assignment and for the observed one
-    (column 0), on outcomes adjusted by tau0 (Y - tau0*T_obs)."""
-    n1, sY, m, sTY, sY2 = ens.agg
-    tot_y = ens.tot_y - tau0 * n1[0]
-    s_plus = sY - tau0 * m
-    n0 = ens.n - n1
-    mean_p = s_plus / n1
-    mean_m = (tot_y - s_plus) / n0
-    diff = mean_p - mean_m
-    if statistic == "diff_means":
-        stats = diff
-    elif statistic == "studentized":
-        tot_y2 = ens.tot_y2 - 2.0 * tau0 * sTY[0] + tau0 * tau0 * n1[0]
-        s2_plus_sum = sY2 - 2.0 * tau0 * sTY + tau0 * tau0 * m
-        s2_minus_sum = tot_y2 - s2_plus_sum
-        with np.errstate(invalid="ignore", divide="ignore"):
-            var_p = (s2_plus_sum - n1 * mean_p * mean_p) / (n1 - 1.0)
-            var_m = (s2_minus_sum - n0 * mean_m * mean_m) / (n0 - 1.0)
-            se = np.sqrt(np.maximum(var_p, 0.0) / n1
-                         + np.maximum(var_m, 0.0) / n0)
-            stats = np.where(se > 0, diff / se, np.where(
-                diff == 0.0, 0.0, np.sign(diff) * np.inf))
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return stats[1:], float(stats[0])
-
-
-def _pvalue_from(ens: _Ensemble, stats, s_obs):
-    extreme = np.abs(stats) >= abs(s_obs)
-    if ens.weights is not None:  # exact Bernoulli
-        count = float(ens.weights[extreme].sum())
-        return count / float(ens.weights.sum()), count
-    count = float(np.count_nonzero(extreme))
-    if ens.exact:
-        return count / ens.total, count
-    return (count + 1.0) / (ens.draws + 1.0), count
+    return agg, weights, exact, total
 
 
 def _fisher_tests(ys, t, model, statistic, max_exhaustive, draws, seed,
                   taus=(0.0,)) -> list[list[FisherResult]]:
     """The one Fisher test path: one ensemble of the units analysed,
     reduced for every response in ``ys``, then one result per
-    (response, sharp null tau0), outcomes adjusted to Y - tau0*T."""
+    (response, sharp null tau0), on outcomes adjusted to Y - tau0*T_obs:
+    the statistic of every assignment, then the weight or count of
+    those at least as extreme as the observed one (column 0)."""
     if statistic == "studentized" and not 2 <= t.sum() <= t.size - 2:
         raise TooFewObservations(
             "studentized statistic needs at least 2 units per group")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    studentized = statistic == "studentized"
+    agg, weights, exact, total = _build_ensemble(
+        ys, t, model, max_exhaustive, draws, seed, studentized)
+    n1, m = agg[0], agg[1]
+    n0 = t.shape[0] - n1
     results = []
-    for ens in _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
-                               statistic == "studentized"):
+    for r, y in enumerate(ys):
+        y = np.asarray(y, dtype=float)
+        s_y, s_ty, s_y2 = agg[2 + 3 * r:5 + 3 * r] if studentized \
+            else (agg[2 + r], None, None)
+        sum_y, sum_y2 = float(y.sum()), float((y * y).sum())
         results.append([])
-        for tau0 in taus:
-            stats, s_obs = _statistics(ens, statistic, float(tau0))
-            p, count = _pvalue_from(ens, stats, s_obs)
+        for tau0 in map(float, taus):
+            tot_y = sum_y - tau0 * n1[0]
+            s_plus = s_y - tau0 * m
+            mean_p = s_plus / n1
+            mean_m = (tot_y - s_plus) / n0
+            diff = mean_p - mean_m
+            if statistic == "diff_means":
+                stats = diff
+            elif studentized:
+                tot_y2 = sum_y2 - 2.0 * tau0 * s_ty[0] + tau0 * tau0 * n1[0]
+                s2_plus_sum = s_y2 - 2.0 * tau0 * s_ty + tau0 * tau0 * m
+                s2_minus_sum = tot_y2 - s2_plus_sum
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    var_p = (s2_plus_sum - n1 * mean_p * mean_p) / (n1 - 1.0)
+                    var_m = (s2_minus_sum - n0 * mean_m * mean_m) / (n0 - 1.0)
+                    se = np.sqrt(np.maximum(var_p, 0.0) / n1
+                                 + np.maximum(var_m, 0.0) / n0)
+                    stats = np.where(se > 0, diff / se, np.where(
+                        diff == 0.0, 0.0, np.sign(diff) * np.inf))
+            else:
+                raise ValueError(f"unknown statistic {statistic!r}")
+            s_obs = float(stats[0])
+            extreme = np.abs(stats[1:]) >= abs(s_obs)
+            if weights is not None:  # exact Bernoulli
+                count = float(weights[extreme].sum())
+                p = count / float(weights.sum())
+            else:
+                count = float(np.count_nonzero(extreme))
+                p = count / total if exact else \
+                    (count + 1.0) / (draws + 1.0)
             results[-1].append(FisherResult(
-                p_value=float(p), exact=ens.exact, draws=ens.draws,
+                p_value=float(p), exact=exact, draws=0 if exact else draws,
                 statistic_observed=s_obs, statistic=statistic,
-                extreme_count=count, total=ens.total))
+                extreme_count=count, total=total))
     return results
 
 

@@ -23,10 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bandwidth import select_mse_bandwidth
-from .continuity import rbc_inference, sharp_estimate
 from .defaults import MIN_REPLICATIONS
-from .dgps import DgpSpec, simulate_sample
 from .errors import (
     EmptySide,
     RankDeficient,
@@ -34,9 +31,6 @@ from .errors import (
     TooManyFailures,
     UnreachableTarget,
 )
-from .parallel import run_indexed
-from .rng import substream
-from .sample import RdSample
 
 
 @dataclass(frozen=True)
@@ -152,6 +146,9 @@ def replication_sample(dgp: DgpSpec, n: int, seed: int,
     """The sample a Monte Carlo run with this seed draws in the given
     replication: a stable per-replication seed from its own substream,
     so the sample does not depend on how replications are scheduled."""
+    from .dgps import simulate_sample
+    from .rng import substream
+
     rep_seed = int(substream(seed, replication).integers(0, 2 ** 63 - 1))
     return simulate_sample(dgp, n, seed=rep_seed)
 
@@ -185,6 +182,10 @@ def simulate_coverage(dgp: DgpSpec, estimator: str = "conventional",
     a thread pool) and are aggregated in index order with exact
     summation, so the result does not depend on the worker count.
     """
+    from .bandwidth import select_mse_bandwidth
+    from .continuity import rbc_inference, sharp_estimate
+    from .parallel import run_indexed
+
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     if estimator not in ("conventional", "rbc"):
@@ -250,6 +251,9 @@ def oracle_mse_bandwidth(dgp: DgpSpec, p: int, kernel: str,
     reduced in replication order with exact summation, so the curve is
     invariant to the thread count.
     """
+    from .continuity import sharp_estimate
+    from .parallel import run_indexed
+
     grid = np.asarray(sorted(float(h) for h in grid))
     if grid.size == 0:
         raise ValueError("bandwidth grid must be non-empty")

@@ -348,6 +348,10 @@ class TestLocrand:
         ("--sensitivity", ["validate", "--h", "0.5", "--sensitivity", "0"]),
         ("--se", ["power", "--se", "0"]),
         ("--se", ["power", "--se", "inf"]),
+        ("--tau", ["power", "--se", "0.1", "--tau", "nan", "0.2"]),
+        ("--tau", ["power", "--se", "0.1", "--tau", "0.2", "inf"]),
+        ("--max-exhaustive", ["locrand", "--window", "0.5",
+                              "--max-exhaustive", "-5"]),
         ("--target-mde", ["power", "--se", "0.1", "--target-mde", "-1",
                           "--n-pilot", "100"]),
         ("--alpha", ["power", "--se", "0.1", "--alpha", "1.5"]),
@@ -364,13 +368,15 @@ class TestLocrand:
              "simulate-level-0", "seed-negative", "validate-seed-negative",
              "simulate-seed-negative", "cutoff-nan", "plot-cutoff-inf",
              "placebo-inf", "validate-bins_per_side-1", "donut-negative",
-             "sensitivity-0", "se-0", "se-inf", "target_mde-negative",
+             "sensitivity-0", "se-0", "se-inf", "tau-nan", "tau-inf",
+             "max_exhaustive-negative", "target_mde-negative",
              "power-alpha-1.5", "target_power-1", "n_pilot-0", "n-0",
              "replications-499", "kink-p-0"])
     def test_out_of_range_flag_exits_1(self, locrand_csv, flag, argv):
         # these used to exit 0 (a window over every row, a null
         # candidate or count window, p = 1 from zero draws, a negative
-        # seed the run never read), 2 as a data error raised deep in the
+        # seed the run never read, a negative enumeration limit, a
+        # non-finite power effect), 2 as a data error raised deep in the
         # library, or 1 with a traceback (a delimiter csv refuses)
         data = [] if argv[0] in ("power", "simulate") else [
             "--input", str(locrand_csv), "--score-col", "x",
@@ -655,11 +661,16 @@ class TestEntryPoint:
           "dgps"}),
         (["plot"], "plotting",
          {"bandwidth", "continuity", "locrand", "validation", "powersim"}),
-    ], ids=["locrand", "estimate", "plot"])
+        (["power", "--se", "0.1"], "powersim",
+         {"bandwidth", "continuity", "dgps", "parallel", "rng", "sample",
+          "lpoly", "locrand", "validation", "plotting"}),
+    ], ids=["locrand", "estimate", "plot", "power"])
     def test_subcommand_loads_only_its_modules(self, locrand_csv, tmp_path,
                                                argv, runs, absent):
-        argv = [*argv, "--input", str(locrand_csv), "--score-col", "x",
-                "--outcome-col", "y", "--output", str(tmp_path / "r.json")]
+        if argv[0] != "power":  # power reads no file
+            argv = [*argv, "--input", str(locrand_csv), "--score-col", "x",
+                    "--outcome-col", "y"]
+        argv = [*argv, "--output", str(tmp_path / "r.json")]
         loaded = _loaded_in_fresh_interpreter(
             f"from rdtoolkit.cli import main; assert main({argv!r}) == 0")
         assert f"rdtoolkit.{runs}" in loaded
@@ -735,11 +746,11 @@ class TestFlagDeclarations:
 
     def test_numeric_flags_declare_their_range(self):
         # a bare int or float type lets any number through to the
-        # library; only flags for which every number is valid may use one
+        # library, and no numeric flag accepts every number
         bare = {action.dest for parser in _subparsers().values()
                 for action in parser._actions
                 if action.type in (int, float) and action.choices is None}
-        assert bare <= {"max_exhaustive", "tau"}
+        assert bare == set()
 
     @pytest.mark.parametrize("flag, value, kind", [
         ("--level", "abc", "float"), ("--seed", "1.5", "int")])

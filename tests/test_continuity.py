@@ -122,6 +122,16 @@ class TestSharp:
         assert est.n_eff_below == int(((xc < 0) & (xc > -0.4)).sum())
         assert est.n_eff_above == int(((xc >= 0) & (xc < 0.4)).sum())
 
+    def test_invalid_bandwidth_reported_before_any_fit(self):
+        # the below side has one point within 0.5, too few for a linear
+        # fit; the invalid above-side bandwidth is still the error
+        x = np.r_[-0.9, -0.8, -0.2, np.linspace(0.0, 1.0, 20)]
+        s = make_sample(x, np.zeros(x.size))
+        with pytest.raises(ValueError) as err:
+            sharp_estimate(s, h_below=0.5, h_above=-1.0)
+        assert err.type is ValueError
+        assert str(err.value) == "bandwidth must be positive, got -1.0"
+
 
 class TestFuzzy:
     def test_perfect_compliance_equals_sharp(self, noisy_sample):

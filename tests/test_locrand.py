@@ -216,9 +216,11 @@ def _design(draw):
     return np.asarray(y), np.asarray(t, dtype=np.int8)
 
 
-def _sums(ens):
-    """The subset sums an ensemble holds, one row per sum."""
-    return np.array([row for row in ens.agg if row is not None])
+def _rows(agg, r, studentized):
+    """The subset sums of response r of an ensemble's ``agg``: n1, m and
+    that response's sY (and sTY, sY2 when studentized)."""
+    k = 3 if studentized else 1
+    return agg[[0, 1, *range(2 + k * r, 2 + k * (r + 1))]]
 
 
 class TestEnsemble:
@@ -228,13 +230,13 @@ class TestEnsemble:
         # column 0 is the observed assignment; enumeration reaches the
         # same assignment again, and the two columns agree bit for bit
         y, t = design
-        ens, = locrand._build_ensemble([y], t, model, 10 ** 6, 0, 0, True)
+        sums, *_ = locrand._build_ensemble([y], t, model, 10 ** 6, 0, 0,
+                                           True)
         if isinstance(model, FixedMargins):
             subsets = list(combinations(range(len(t)), int(t.sum())))
             column = 1 + subsets.index(tuple(np.flatnonzero(t)))
         else:
             column = int(sum(int(b) << i for i, b in enumerate(t)))
-        sums = _sums(ens)
         assert sums.shape[0] == 5
         assert sums[:, column].tobytes() == sums[:, 0].tobytes()
 
@@ -258,13 +260,13 @@ class TestEnsemble:
     def test_block_size_does_not_change_bits(self, monkeypatch, source,
                                              cells):
         y, *args = self._sources()[source]
-        whole, = locrand._build_ensemble([y], *args, True)
+        whole, whole_w, *_ = locrand._build_ensemble([y], *args, True)
         monkeypatch.setattr(locrand, "_BLOCK_CELLS", cells)
-        blocks, = locrand._build_ensemble([y], *args, True)
-        assert _sums(blocks).tobytes() == _sums(whole).tobytes()
-        assert (whole.weights is None) == (blocks.weights is None)
-        if whole.weights is not None:
-            assert blocks.weights.tobytes() == whole.weights.tobytes()
+        blocks, blocks_w, *_ = locrand._build_ensemble([y], *args, True)
+        assert blocks.tobytes() == whole.tobytes()
+        assert (whole_w is None) == (blocks_w is None)
+        if whole_w is not None:
+            assert blocks_w.tobytes() == whole_w.tobytes()
 
     def test_bernoulli_draws_redraw_degenerate_rows_in_order(self):
         # reference: all draws at once, then the degenerate rows redrawn
@@ -275,8 +277,8 @@ class TestEnsemble:
         assert np.any(mat.sum(axis=1) % 5 == 0)  # the redraw runs
         while (bad := np.flatnonzero(mat.sum(axis=1) % 5 == 0)).size:
             mat[bad] = rng.random((bad.size, 5)) < model.prob
-        ens, = locrand._build_ensemble([y], t, model, 10, draws, seed)
-        n1, s_y = ens.agg[:2]
+        agg, *_ = locrand._build_ensemble([y], t, model, 10, draws, seed)
+        n1, s_y = agg[0], agg[2]
         assert np.array_equal(n1[1:], mat.sum(axis=1))
         assert np.array_equal(s_y[1:], np.where(mat, y, 0.0).sum(1))
 
@@ -300,18 +302,27 @@ class TestEnsemble:
         args = (t, model, 10 ** 6 if exact else 1, 0 if exact else 40,
                 data.draw(st.integers(0, 2 ** 31)), studentized)
         with mock.patch.object(locrand, "_BLOCK_CELLS", cells):
-            shared = locrand._build_ensemble(ys, *args)
-        assert len(shared) == k
-        for y, ens in zip(ys, shared):
-            single, = locrand._build_ensemble([y], *args)
-            assert _sums(ens).shape[0] == (5 if studentized else 3)
-            assert _sums(ens).tobytes() == _sums(single).tobytes()
-            assert (ens.weights is None) == (single.weights is None)
-            if single.weights is not None:
-                assert ens.weights.tobytes() == single.weights.tobytes()
-            assert (ens.exact, ens.draws, ens.total, ens.n) == \
-                (single.exact, single.draws, single.total, single.n)
-            assert (ens.tot_y, ens.tot_y2) == (single.tot_y, single.tot_y2)
+            agg, weights, *rest = locrand._build_ensemble(ys, *args)
+        assert agg.shape[0] == 2 + k * (3 if studentized else 1)
+        for r, y in enumerate(ys):
+            single, single_w, *single_rest = locrand._build_ensemble(
+                [y], *args)
+            assert single.shape[0] == (5 if studentized else 3)
+            assert _rows(agg, r, studentized).tobytes() == single.tobytes()
+            assert (weights is None) == (single_w is None)
+            if single_w is not None:
+                assert weights.tobytes() == single_w.tobytes()
+            assert rest == single_rest  # exact, total
+        # each response's results from the shared ensemble equal its own
+        # test's; the test needs draws >= 1, which enumeration ignores
+        stat = "studentized" if studentized and 2 <= t.sum() <= n - 2 \
+            else "diff_means"
+        test_args = (t, model, stat, args[2], max(args[3], 1), args[4],
+                     (0.0, 1.5))
+        with mock.patch.object(locrand, "_BLOCK_CELLS", cells):
+            shared = locrand._fisher_tests(ys, *test_args)
+        for y, results in zip(ys, shared):
+            assert results == locrand._fisher_tests([y], *test_args)[0]
 
     def test_monte_carlo_memory_bounded(self):
         # draws x n_w is 5e6 cells (40 MB as floats); the ensemble keeps
@@ -337,12 +348,12 @@ class TestEnsemble:
         ys = [rng.normal(0, 1, 5_000) for _ in range(3)]
         tracemalloc.start()
         try:
-            shared = locrand._build_ensemble(ys, t, FixedMargins(),
-                                             locrand.MAX_EXHAUSTIVE, 999, 1)
+            agg, _, exact, _ = locrand._build_ensemble(
+                ys, t, FixedMargins(), locrand.MAX_EXHAUSTIVE, 999, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(shared) == 3 and not shared[0].exact
+        assert agg.shape[0] == 2 + 3 and not exact
         assert peak < 16 * 2 ** 20
 
 

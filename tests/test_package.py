@@ -84,6 +84,15 @@ def test_no_module_imports_from_the_package_root():
                 assert names == {"__version__"}, (path.name, names)
 
 
+def test_powersim_loads_no_monte_carlo_stack_at_import():
+    # power math needs none of the sampling, fitting or threading
+    # modules; the Monte Carlo functions import them when they run
+    path = pathlib.Path(rdtoolkit.__file__).parent / "powersim.py"
+    relative = {node.module for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative == {"defaults", "errors"}
+
+
 def test_shared_defaults_are_written_once():
     # the CLI parser and the analysis modules read these from one module
     for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):

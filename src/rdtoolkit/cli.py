@@ -44,7 +44,7 @@ from .defaults import (
     SENSITIVITY_FACTORS,
 )
 from .errors import DataError, EstimationError, NoCovariates
-from .reports import canonical_json, make_report, sha256_file, write_report
+from .reports import canonical_json, make_report, write_report
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -293,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 # Parsed dests the config leaves out: the dispatch, output paths, the
 # seed (the envelope carries it) and --threads, which changes no number.
 # --fisher-ci only adds a result section; echoing it waits for the next
-# report schema, so that today's reports keep their bytes.
+# report schema, so that today's reports keep their bytes.  The input
+# digest is set by the read of the input and has its own envelope field.
 _UNECHOED = frozenset({"command", "run", "output", "table", "seed",
-                       "threads", "fisher_ci"})
+                       "threads", "fisher_ci", "input_digest"})
 
 
 def _config(args, **resolved):
@@ -320,7 +321,9 @@ def _write_csv(path, header, rows):
 
 
 def _ingest(args, treatment=True):
-    from .sample import ingest_csv
+    """The input's sample; its digest, from the same read, goes to
+    ``args.input_digest``."""
+    from .sample import ingest_with_digest
 
     if args.cutoff_col and args.cutoff != 0.0:
         raise UsageError("--cutoff cannot be combined with --cutoff-col: "
@@ -332,8 +335,9 @@ def _ingest(args, treatment=True):
         column_map["cutoff"] = args.cutoff_col
     for name in args.covariates:
         column_map.setdefault("covariates", []).append(name)
-    return ingest_csv(args.input, column_map, cutoff=args.cutoff,
-                      delimiter=args.delimiter)
+    sample, args.input_digest = ingest_with_digest(
+        args.input, column_map, cutoff=args.cutoff, delimiter=args.delimiter)
+    return sample
 
 
 def cmd_estimate(args):
@@ -551,10 +555,9 @@ def main(argv=None) -> int:
 
     try:
         config, result, seed = args.run(args)
-        # exactly the subcommands that read a file define --input
-        digest = sha256_file(args.input) if hasattr(args, "input") else None
+        # exactly the subcommands that read a file set it
         report = make_report(args.command, result, config, seed=seed,
-                             input_digest=digest)
+                             input_digest=getattr(args, "input_digest", None))
         if args.output:
             write_report(args.output, report)
         else:

@@ -25,3 +25,8 @@ BINS_PER_SIDE = 20
 
 # Coverage simulations: the fewest replications a coverage rate rests on.
 MIN_REPLICATIONS = 500
+
+# CSV parse cache: the most bytes of parsed columns kept on disk under
+# $XDG_CACHE_HOME/rd-toolkit; the least recently used entries go first.
+# A 1e6-row file with two bound columns takes 16 MB.
+PARSE_CACHE_BYTES = 256 * 2 ** 20

@@ -80,7 +80,9 @@ def _bin_bounds(idx, j):
 
 
 def _evenly_spaced_bins(x, y, j):
-    """Equal-width bins over [x[0], x[-1]]; one bin when all x are equal."""
+    """Equal-width bins over [x[0], x[-1]]; one bin when all x are equal.
+    A row belongs to the last bin whose lower edge it reaches, so on the
+    sorted side bin b starts at the first row at or above edges[b]."""
     lo, hi = float(x[0]), float(x[-1])
     if hi == lo:
         # All scores identical: one interval holds everything.
@@ -88,8 +90,8 @@ def _evenly_spaced_bins(x, y, j):
         j = 1
     else:
         edges = np.linspace(lo, hi, j + 1)
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, j - 1)
-    bounds = _bin_bounds(idx, j)
+    bounds = np.concatenate(([0], np.searchsorted(x, edges[1:j]),
+                             [x.shape[0]]))
     bins = []
     for b in range(j):
         s, e = bounds[b], bounds[b + 1]

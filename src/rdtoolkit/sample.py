@@ -13,21 +13,26 @@ cutoff are sensitive to this choice.
 :func:`ingest_csv` reads a delimited file in two tiers that agree bit for
 bit.  numpy's C parser reads a file whose mapped cells are all numbers
 that pass validation; a row-by-row ``csv.reader`` parser reads every
-other file and raises the row-indexed errors.
+other file and raises the row-indexed errors.  A file whose bytes were
+parsed before with the same bindings is read once, for its digest, and
+its columns are loaded from an on-disk cache instead of parsed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .defaults import PARSE_CACHE_BYTES
 from .errors import (
     BadSpec,
     BadTreatmentCode,
+    DataError,
     MalformedRow,
     MissingColumn,
     NonFiniteOutcome,
@@ -37,8 +42,11 @@ from .errors import (
 # Tokens treated as "missing" when parsing CSV cells.
 NA_TOKENS = frozenset({"", "na", "nan", "n/a", "null", "none", "."})
 
-# Bytes per read of the quote scan, so the file is never held whole.
-_QUOTE_BLOCK = 1 << 16
+# Bytes per read of the digest pass, so the file is never held whole.
+_READ_BLOCK = 1 << 16
+
+# File-name suffixes numpy opens as archives.
+_ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_cell(text: str) -> float:
@@ -251,30 +259,178 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     ``.lzma``, which numpy would open as an archive: it is read as text.
     Both tiers parse a number with the same routine, so on every file
     the first tier accepts they return bit-identical arrays.
+
+    The file is read once for its SHA-256 digest and the quote check.
+    A parse is stored as one ``(k, n)`` float64 ``.npy`` file under
+    ``$XDG_CACHE_HOME/rd-toolkit`` (default ``~/.cache/rd-toolkit``),
+    keyed by that digest, the delimiter, the bindings, the numpy version,
+    the text encoding and csv field-size limit the parse reads with, and
+    the bytes of this module.  A later call with the same key loads the
+    columns instead of parsing, and still builds the sample through its
+    full validation.  Errors are never stored, nor a parse of a file that
+    changed while it was read; the cache holds at most
+    ``defaults.PARSE_CACHE_BYTES``, least recently used entries going
+    first, and any failure to read or write it falls back to the parse.
     """
+    return ingest_with_digest(path, column_map, cutoff, delimiter)[0]
+
+
+def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
+                       delimiter: str) -> tuple[RdSample, str]:
+    """:func:`ingest_csv`, and the SHA-256 hex digest of the file's bytes
+    from the same read."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise BadSpec(f"delimiter must be one character, got {delimiter!r}")
-    sample = _ingest_numeric(path, column_map, cutoff, delimiter)
+    bindings = _bindings(column_map, cutoff)
+    # numpy reads a relative path that parses as a URL from the network,
+    # so the numeric tier opens the file below the current directory; a
+    # file named like an archive, which numpy would decompress, goes to
+    # the row parser by the name it was given.
+    archive = os.fspath(path).endswith(_ARCHIVE_SUFFIXES)
+    local = path if archive else os.path.join(os.curdir, path)
+    digest, quoted, identity = _scan(local)
+    entry = _cache_entry(digest, delimiter, bindings)
+    table = None if entry is None else _cache_load(entry, bindings)
+    if table is not None:
+        try:
+            return _cached_sample(table, bindings, cutoff), digest
+        except DataError:
+            pass  # an entry that fails validation is a miss
+    # A quoted cell may hold the delimiter, which only the csv module
+    # splits correctly.
+    sample = None if archive or quoted else _ingest_numeric(
+        local, column_map, cutoff, delimiter)
     if sample is None:
         sample = _ingest_rows(path, column_map, cutoff, delimiter)
-    return sample
+    if entry is not None:
+        _cache_store(entry, sample, local, identity)
+    return sample, digest
+
+
+def _scan(path) -> tuple[str, bool, tuple]:
+    """One streamed read of the file: its SHA-256 hex digest, whether it
+    holds a quote character, and its identity when opened."""
+    digest = hashlib.sha256()
+    quoted = False
+    with open(path, "rb") as raw:
+        identity = _identity(os.fstat(raw.fileno()))
+        for block in iter(lambda: raw.read(_READ_BLOCK), b""):
+            digest.update(block)
+            quoted = quoted or b'"' in block
+    return digest.hexdigest(), quoted, identity
+
+
+def _identity(stat) -> tuple:
+    """What changes when a file is rewritten or replaced."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _cache_entry(digest, delimiter, bindings) -> str | None:
+    """Path of the cache entry for a file's parse; None when there is no
+    absolute cache directory or this module cannot be read."""
+    import locale
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+    if not os.path.isabs(base):
+        return None
+    try:
+        with open(__file__, "rb") as module:
+            parser = hashlib.sha256(module.read()).hexdigest()
+    except OSError:
+        return None
+    key = ascii((digest, delimiter, bindings, np.__version__, parser,
+                 locale.getpreferredencoding(False), csv.field_size_limit()))
+    return os.path.join(base, "rd-toolkit",
+                        hashlib.sha256(key.encode()).hexdigest() + ".npy")
+
+
+def _cache_load(entry, bindings) -> np.ndarray | None:
+    """The stored ``(k, n)`` table, its entry marked as just used; None
+    for a missing, unreadable or wrong-shape entry."""
+    _, _, treat_col, cutoff_col, cov_cols = bindings
+    k = 2 + bool(treat_col) + bool(cutoff_col) + len(cov_cols)
+    try:
+        with open(entry, "rb") as handle:
+            table = np.load(handle, allow_pickle=False)
+        os.utime(entry)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (isinstance(table, np.ndarray) and table.dtype == np.float64
+            and table.ndim == 2 and table.shape[0] == k
+            and table.flags.c_contiguous):
+        return table
+    return None
+
+
+def _cached_sample(table, bindings, cutoff) -> RdSample:
+    """The sample a stored table holds: the arrays of the sample that was
+    stored, in table order."""
+    _, _, treat_col, cutoff_col, cov_cols = bindings
+    rows = iter(table)
+    score, outcome = next(rows), next(rows)
+    received = next(rows) if treat_col else None
+    unit_cutoffs = next(rows) if cutoff_col else None
+    return RdSample(score=score, outcome=outcome,
+                    cutoff=0.0 if cutoff_col else float(cutoff),
+                    received=received, covariates=dict(zip(cov_cols, rows)),
+                    unit_cutoffs=unit_cutoffs)
+
+
+def _cache_store(entry, sample, path, identity) -> None:
+    """Store a sample's arrays, unless the file changed since it was
+    opened for its digest, then evict least recently used entries down
+    to the budget.  Written to a temporary file and renamed into place,
+    so a reader never sees a partial entry."""
+    import tempfile
+
+    table = np.stack([row for row in (
+        sample.score, sample.outcome, sample.received, sample.unit_cutoffs,
+        *sample.covariates.values()) if row is not None])
+    if table.nbytes > PARSE_CACHE_BYTES:
+        return
+    try:
+        if _identity(os.stat(path)) != identity:
+            return
+        directory = os.path.dirname(entry)
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.save(handle, table)
+            os.replace(temp, entry)
+        except OSError:
+            os.unlink(temp)
+            raise
+        _evict(directory)
+    except OSError:
+        pass
+
+
+def _evict(directory) -> None:
+    """Delete the least recently used files until the cache fits its
+    budget."""
+    files = []
+    with os.scandir(directory) as items:
+        for item in items:
+            if item.is_file(follow_symlinks=False):
+                stat = item.stat(follow_symlinks=False)
+                files.append((stat.st_mtime_ns, stat.st_size, item.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, name in sorted(files):
+        if total <= PARSE_CACHE_BYTES:
+            break
+        os.unlink(name)
+        total -= size
 
 
 def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
-    """The C-parser tier of :func:`ingest_csv`; None when the file needs
-    the row parser."""
+    """The C-parser tier of :func:`ingest_csv`, for a file with no quote
+    character and no archive suffix; None when the file needs the row
+    parser."""
     score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
         column_map, cutoff)
-    # numpy reads a relative path that parses as a URL from the network.
-    path = os.path.join(os.curdir, path)
-    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return None  # numpy would open the file as an archive
-    with open(path, "rb") as raw:
-        if any(b'"' in block
-               for block in iter(lambda: raw.read(_QUOTE_BLOCK), b"")):
-            # A quoted cell may hold the delimiter, which only the csv
-            # module splits correctly.
-            return None
     with open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         positions, _ = _read_header(

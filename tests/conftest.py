@@ -6,6 +6,14 @@ import pytest
 from rdtoolkit.sample import RdSample
 
 
+@pytest.fixture(autouse=True)
+def parse_cache(tmp_path, monkeypatch):
+    """Each test's own, initially empty, CSV parse cache directory, so that
+    no test reads an entry stored by another test or an earlier run."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "rd-toolkit"
+
+
 def write_csv(path, header, rows, delimiter=","):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rdtoolkit import continuity, dgps, lpoly
+from rdtoolkit import sample as sample_module
 from rdtoolkit.cli import _DGPS, build_parser, main
 from rdtoolkit.defaults import MIN_REPLICATIONS
 from rdtoolkit.locrand import fisher_pvalue, select_window
@@ -132,7 +133,7 @@ class TestEstimate:
         assert out_a.read_bytes().endswith(b"\n")
 
     def test_compressed_suffix_plain_text_exits_0(self, step_csv, tmp_path,
-                                                   capsys):
+                                                   capsys, monkeypatch):
         # a plain-text CSV named like an xz archive is read as text
         named = tmp_path / "step.csv.xz"
         named.write_bytes(step_csv.read_bytes())
@@ -142,6 +143,8 @@ class TestEstimate:
             [sys.executable, "-m", "rdtoolkit", *argv, str(named)],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stderr == ""
+        # the same bytes, parsed by numpy rather than loaded from the cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "plain"))
         code, out, _ = run_cli(argv + [str(step_csv)], capsys)
         assert code == 0
         assert json.loads(proc.stdout)["result"] == json.loads(out)["result"]
@@ -546,6 +549,60 @@ class TestPlot:
              "--outcome-col", "y", "--poly-order", "30"], capsys)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "RankDeficient"
+
+
+class TestParseCache:
+    """A call whose input was parsed before loads the stored columns and
+    writes the bytes a parse writes."""
+
+    @pytest.fixture()
+    def session(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, 2000)
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x", "y"],
+                  zip(x, 0.5 * x + (x >= 0) + rng.normal(0, 0.2, 2000)))
+        data = ["--input", str(path), "--score-col", "x", "--outcome-col",
+                "y"]
+
+        def run():
+            """Report, plot report and SVG bytes of estimate and plot; the
+            report echoes the SVG path, so every run writes the same
+            paths."""
+            files = [tmp_path / name
+                     for name in ("estimate.json", "plot.json", "plot.svg")]
+            assert main(["estimate", *data, "--output", str(files[0])]) == 0
+            assert main(["plot", *data, "--svg", str(files[2]),
+                         "--output", str(files[1])]) == 0
+            assert capsys.readouterr() == ("", "")
+            return [f.read_bytes() for f in files]
+
+        return path, run
+
+    def test_warm_calls_write_the_same_bytes(self, session, parse_cache,
+                                             monkeypatch):
+        path, run = session
+        cold = run()
+        # plot binds the columns estimate bound: one entry serves both
+        assert len(list(parse_cache.iterdir())) == 1
+        for report in cold[:2]:
+            assert json.loads(report)["input_digest"] == sha256_file(path)
+
+        def unparsed(*args):
+            raise AssertionError("a cached input was parsed again")
+
+        monkeypatch.setattr(sample_module, "_ingest_numeric", unparsed)
+        monkeypatch.setattr(sample_module, "_ingest_rows", unparsed)
+        assert run() == cold
+
+    def test_unusable_cache_location_changes_nothing(self, session, tmp_path,
+                                                     monkeypatch):
+        _, run = session
+        cold = run()
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert run() == cold
 
 
 class TestPower:

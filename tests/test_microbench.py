@@ -1,16 +1,19 @@
-"""Microbenchmarks: CSV ingest, RD-plot construction, the side-fit
-kernel, robust bias-corrected inference and the binomial count test at
-1e5 rows; permutation ensembles (fixed-margins Monte Carlo, exhaustive
-enumeration and Bernoulli draws), window selection by covariate
-balance, Fisher test inversion alone and with its p-value, and the
-battery's permutation balance checks; one coverage replication and its
-draw and bandwidth stages at n = 1,000.
+"""Microbenchmarks: CSV ingest (a parse and a parse-cache hit), RD-plot
+construction, the side-fit kernel, robust bias-corrected inference and
+the binomial count test at 1e5 rows; permutation ensembles
+(fixed-margins Monte Carlo, exhaustive enumeration and Bernoulli
+draws), window selection by covariate balance, Fisher test inversion
+alone and with its p-value, and the battery's permutation balance
+checks; one coverage replication and its draw and bandwidth stages at
+n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
 
     PYTHONPATH=src python -m pytest tests/test_microbench.py --benchmark-enable
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -60,10 +63,28 @@ def csv_paths(tmp_path_factory):
 
 
 @pytest.mark.parametrize("kind", ["numeric", "fallback"])
-def test_ingest_csv(benchmark, csv_paths, kind):
-    sample = benchmark(ingest_csv, csv_paths[kind], COLUMN_MAP)
+def test_ingest_csv(benchmark, csv_paths, kind, tmp_path, monkeypatch):
+    # a parse: each round starts from an empty cache
+    rounds = itertools.count()
+
+    def empty_cache():
+        monkeypatch.setenv("XDG_CACHE_HOME",
+                           str(tmp_path / f"round{next(rounds)}"))
+        return (csv_paths[kind], COLUMN_MAP), {}
+
+    sample = benchmark.pedantic(ingest_csv, setup=empty_cache, rounds=5)
     assert sample.n == ROWS + (kind == "fallback")
     assert np.isnan(sample.covariates["age"][-1]) == (kind == "fallback")
+
+
+@pytest.mark.parametrize("kind", ["numeric", "fallback"])
+def test_ingest_csv_cached(benchmark, csv_paths, kind):
+    # a hit: the digest pass and a load of the stored columns
+    parsed = ingest_csv(csv_paths[kind], COLUMN_MAP)
+    sample = benchmark(ingest_csv, csv_paths[kind], COLUMN_MAP)
+    assert sample.score.tobytes() == parsed.score.tobytes()
+    assert sample.covariates["age"].tobytes() == \
+        parsed.covariates["age"].tobytes()
 
 
 def test_build_rdplot(benchmark):

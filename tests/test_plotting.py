@@ -10,6 +10,7 @@ from rdtoolkit.errors import RankDeficient, TooFewObservations
 from rdtoolkit.reports import canonical_json
 from rdtoolkit.plotting import (
     PlotBin,
+    _bin_bounds,
     _evenly_spaced_bins,
     _quantile_bins,
     _sorted_side,
@@ -99,6 +100,30 @@ class TestBins:
                                   (_quantile_bins, _mask_quantile_bins)):
             assert (list(map(repr, built(x, y, j)))
                     == list(map(repr, mask_built(x, y, j))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.integers(1, 3000), st.sampled_from([None, 0, 1, 2]),
+           st.sampled_from([1e-3, 1.0, 1e5]))
+    def test_even_bin_bounds_match_row_rule(self, seed, j, n, decimals,
+                                            scale):
+        # reference: each sorted row goes to the last edge at or below
+        # it, clipped to the bins, and each bin is one slice.  Rounded
+        # scores put edges on data values; narrow rounded sides are
+        # constant.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, n) * scale
+        if decimals is not None:
+            x = np.round(x, decimals)
+        x, y = _sorted_side(x, rng.normal(size=n))
+        bins = _evenly_spaced_bins(x, y, j)
+        lo, hi = float(x[0]), float(x[-1])
+        if hi == lo:
+            edges, j = np.array([lo, hi]), 1
+        else:
+            edges = np.linspace(lo, hi, j + 1)
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, j - 1)
+        assert [b.count for b in bins] == np.diff(_bin_bounds(idx, j)).tolist()
 
     def test_default_bin_count_scales_with_sqrt_n(self):
         rng = np.random.default_rng(11)

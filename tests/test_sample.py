@@ -1,6 +1,8 @@
+import os
 import pathlib
 import tempfile
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +228,11 @@ def _ingest_outcome(reader, path, column_map, delimiter):
         return type(exc), str(exc)
 
 
+def _cache_home(path):
+    """Point the parse cache at a directory of its own for a with block."""
+    return mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(path)})
+
+
 def _same_sample(a, b):
     """Bit-for-bit equality of every array, including NaN payloads."""
     def same(u, v):
@@ -251,8 +258,11 @@ class TestParseTiers:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / f"d{suffix}"
             path.write_bytes(text.encode())
-            fast = _ingest_outcome(ingest_csv, str(path), column_map,
-                                   delimiter)
+            # an empty cache, so ingest_csv parses even a case Hypothesis
+            # repeats
+            with _cache_home(tmp):
+                fast = _ingest_outcome(ingest_csv, str(path), column_map,
+                                       delimiter)
             rows = _ingest_outcome(_ingest_rows, str(path), column_map,
                                    delimiter)
         if isinstance(rows, RdSample):
@@ -269,8 +279,10 @@ class TestParseTiers:
         named = tmp_path / f"d.csv{suffix}"
         named.write_bytes(pathlib.Path(plain).read_bytes())
         column_map = {"score": "x", "outcome": "y", "treatment": "t"}
-        assert _same_sample(ingest_csv(str(named), column_map),
-                            ingest_csv(plain, column_map))
+        as_text = ingest_csv(str(named), column_map)
+        # the same bytes, parsed by numpy rather than loaded from the cache
+        with _cache_home(tmp_path / "plain"):
+            assert _same_sample(as_text, ingest_csv(plain, column_map))
 
     def test_url_like_relative_path_is_read_from_disk(self, tmp_path,
                                                       monkeypatch):
@@ -309,7 +321,7 @@ class TestParseTiers:
         # without complaint
         rows = [f"{-1 + i / 5000:.6f},{i % 7}.5,n\n" for i in range(10000)]
         head = "x,y,note\n" + "".join(rows)
-        assert len(head) > sample_module._QUOTE_BLOCK
+        assert len(head) > sample_module._READ_BLOCK
         if where == "past_first_block":
             text = head + '0.25,1.5,"late"\n' + "0.5,2.5,n\n" * 3
         else:
@@ -332,6 +344,192 @@ class TestParseTiers:
         assert s.score.tolist() == [-0.5, 0.5]
         assert s.received.tolist() == [0, 1]
         assert np.isnan(s.covariates["z"][1])
+
+
+def _entries(directory):
+    """Names of the entries in a parse cache directory."""
+    return sorted(p.name for p in pathlib.Path(directory).glob("*"))
+
+
+def _unparsed(*args):
+    raise AssertionError("a cached file was parsed again")
+
+
+class TestParseCache:
+    """A stored parse is loaded, never shown: every warm read returns what
+    the parse returns."""
+
+    COLUMNS = {"score": "x", "outcome": "y", "treatment": "t",
+               "covariates": ["z"]}
+
+    @staticmethod
+    def _write(path, rows=((-0.5, 1.0, 0, 2.0), (0.5, 2.0, 1, "NA"),
+                           (0.25, 3.0, 1, 4.5))):
+        return write_csv(path, ["x", "y", "t", "z"], rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_case())
+    def test_warm_read_matches_cold(self, case):
+        text, column_map, delimiter, suffix = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / f"d{suffix}"
+            path.write_bytes(text.encode())
+            with _cache_home(tmp):
+                cold = _ingest_outcome(ingest_csv, str(path), column_map,
+                                       delimiter)
+                stored = _entries(pathlib.Path(tmp) / "rd-toolkit")
+                if isinstance(cold, RdSample):
+                    # a stored parse is loaded, not parsed again
+                    with mock.patch.object(sample_module, "_ingest_rows",
+                                           _unparsed), \
+                            mock.patch.object(sample_module,
+                                              "_ingest_numeric", _unparsed):
+                        warm = _ingest_outcome(ingest_csv, str(path),
+                                               column_map, delimiter)
+                else:
+                    warm = _ingest_outcome(ingest_csv, str(path),
+                                           column_map, delimiter)
+        if isinstance(cold, RdSample):
+            assert len(stored) == 1
+            assert isinstance(warm, RdSample) and _same_sample(cold, warm)
+        else:
+            # errors are never stored
+            assert stored == [] and warm == cold
+
+    @pytest.mark.parametrize("text, error", [
+        ("x,y\n0.5,1\nNA,2\n", NonFiniteScore),
+        ("x,w\n0.5,1\n", MissingColumn),
+        ("x,y\n\n", BadSpec),
+    ], ids=["non_finite_score", "missing_column", "no_data_rows"])
+    def test_errors_are_not_stored(self, tmp_path, parse_cache, text, error):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                ingest_csv(str(path), {"score": "x", "outcome": "y"})
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert _entries(parse_cache) == []
+
+    def test_scalar_cutoff_is_applied_on_a_hit(self, tmp_path):
+        path = self._write(tmp_path / "d.csv")
+        ingest_csv(path, self.COLUMNS, cutoff=0.0)
+        warm = ingest_csv(path, self.COLUMNS, cutoff=0.25)
+        with _cache_home(tmp_path / "cold"):
+            cold = ingest_csv(path, self.COLUMNS, cutoff=0.25)
+        assert _same_sample(warm, cold) and warm.cutoff == 0.25
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "wrong_shape", "empty_table", "float32", "fortran",
+        "not_npy", "npz", "invalid_sample"])
+    def test_damaged_entry_is_a_miss_and_replaced(self, tmp_path,
+                                                  parse_cache, damage):
+        path = self._write(tmp_path / "d.csv")
+        cold = ingest_csv(path, self.COLUMNS)
+        (entry,) = parse_cache.iterdir()
+        good = entry.read_bytes()
+        table = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(good[:len(good) - 8])
+        elif damage == "wrong_shape":
+            np.save(entry, table[:3])
+        elif damage == "empty_table":
+            np.save(entry, table[:, :0])
+        elif damage == "float32":
+            np.save(entry, table.astype(np.float32))
+        elif damage == "fortran":
+            np.save(entry, np.asfortranarray(table))
+        elif damage == "not_npy":
+            entry.write_bytes(b"x,y\n1,2\n")
+        elif damage == "npz":
+            with open(entry, "wb") as handle:
+                np.savez(handle, table)
+        else:
+            table[0, 1] = np.nan  # a score the sample rejects
+            np.save(entry, table)
+        assert _same_sample(ingest_csv(path, self.COLUMNS), cold)
+        assert entry.read_bytes() == good
+
+    def test_unusable_cache_location(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path / "d.csv")
+        with _cache_home(tmp_path / "cold"):
+            cold = ingest_csv(path, self.COLUMNS)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for _ in range(2):
+            assert _same_sample(ingest_csv(path, self.COLUMNS), cold)
+
+    def test_rewritten_file_misses(self, tmp_path, parse_cache):
+        path = self._write(tmp_path / "d.csv")
+        ingest_csv(path, self.COLUMNS)
+        before = os.stat(path)
+        # same size, same mtime, other bytes
+        self._write(path, ((-0.5, 1.0, 0, 2.0), (0.5, 2.0, 1, "NA"),
+                           (0.75, 3.0, 1, 4.5)))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        assert ingest_csv(path, self.COLUMNS).score.tolist() == [
+            -0.5, 0.5, 0.75]
+        assert len(_entries(parse_cache)) == 2
+
+    def test_file_changed_during_parse_is_not_stored(self, tmp_path,
+                                                     monkeypatch,
+                                                     parse_cache):
+        path = self._write(tmp_path / "d.csv")
+        parse = sample_module._ingest_numeric
+
+        def rewrite_then_parse(*args):
+            with open(path, "a") as handle:
+                handle.write("0.125,5.0,1,1.0\n")
+            return parse(*args)
+
+        monkeypatch.setattr(sample_module, "_ingest_numeric",
+                            rewrite_then_parse)
+        ingest_csv(path, self.COLUMNS)
+        assert _entries(parse_cache) == []
+
+    def test_changed_parser_misses(self, tmp_path, monkeypatch, parse_cache):
+        path = self._write(tmp_path / "d.csv")
+        ingest_csv(path, self.COLUMNS)
+        edited = tmp_path / "sample.py"
+        edited.write_bytes(pathlib.Path(sample_module.__file__).read_bytes()
+                           + b"# edited\n")
+        monkeypatch.setattr(sample_module, "__file__", str(edited))
+        calls = []
+        parse = sample_module._ingest_numeric
+
+        def spy(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(sample_module, "_ingest_numeric", spy)
+        ingest_csv(path, self.COLUMNS)
+        assert len(calls) == 1
+        assert len(_entries(parse_cache)) == 2
+
+    def test_budget_evicts_least_recently_used(self, tmp_path, monkeypatch,
+                                               parse_cache):
+        paths = [self._write(tmp_path / f"{name}.csv",
+                             ((-0.5, 1.0, 0, 2.0), (offset, 2.0, 1, 3.0)))
+                 for name, offset in (("a", 0.5), ("b", 0.25), ("c", 0.75))]
+        owner = {}
+        for name, path in zip("ab", paths):
+            known = set(owner)
+            ingest_csv(path, self.COLUMNS)
+            (entry,) = set(_entries(parse_cache)) - known
+            owner[entry] = name
+        # a stored, then b stored a second later
+        for entry, name in owner.items():
+            stamp = 1_000_000_000 * (1_700_000_000 + (name == "b"))
+            os.utime(parse_cache / entry, ns=(stamp, stamp))
+        size = (parse_cache / entry).stat().st_size
+        monkeypatch.setattr(sample_module, "PARSE_CACHE_BYTES", 2 * size)
+        ingest_csv(paths[0], self.COLUMNS)  # a hit makes a the newest
+        ingest_csv(paths[2], self.COLUMNS)  # c's entry pushes b's out
+        left = {owner.get(name, "c") for name in _entries(parse_cache)}
+        assert left == {"a", "c"}
 
 
 class TestSampleModel:

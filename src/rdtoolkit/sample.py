@@ -267,8 +267,10 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     the text encoding and csv field-size limit the parse reads with, and
     the bytes of this module.  A later call with the same key loads the
     columns instead of parsing, and still builds the sample through its
-    full validation.  Errors are never stored, nor a parse of a file that
-    changed while it was read; the cache holds at most
+    full validation.  Errors are never stored.  Before a parse is stored
+    the file is hashed again, and a file whose bytes no longer have the
+    digest is not stored; so a call that parses reads the file three
+    times, and a call that hits reads it once.  The cache holds at most
     ``defaults.PARSE_CACHE_BYTES``, least recently used entries going
     first, and any failure to read or write it falls back to the parse.
     """
@@ -288,7 +290,7 @@ def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
     # the row parser by the name it was given.
     archive = os.fspath(path).endswith(_ARCHIVE_SUFFIXES)
     local = path if archive else os.path.join(os.curdir, path)
-    digest, quoted, identity = _scan(local)
+    digest, quoted = _scan(local)
     entry = _cache_entry(digest, delimiter, bindings)
     table = None if entry is None else _cache_load(entry, bindings)
     if table is not None:
@@ -303,26 +305,20 @@ def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
     if sample is None:
         sample = _ingest_rows(path, column_map, cutoff, delimiter)
     if entry is not None:
-        _cache_store(entry, sample, local, identity)
+        _cache_store(entry, sample, local, digest)
     return sample, digest
 
 
-def _scan(path) -> tuple[str, bool, tuple]:
-    """One streamed read of the file: its SHA-256 hex digest, whether it
-    holds a quote character, and its identity when opened."""
+def _scan(path) -> tuple[str, bool]:
+    """One streamed read of the file: its SHA-256 hex digest, and whether
+    it holds a quote character."""
     digest = hashlib.sha256()
     quoted = False
     with open(path, "rb") as raw:
-        identity = _identity(os.fstat(raw.fileno()))
         for block in iter(lambda: raw.read(_READ_BLOCK), b""):
             digest.update(block)
             quoted = quoted or b'"' in block
-    return digest.hexdigest(), quoted, identity
-
-
-def _identity(stat) -> tuple:
-    """What changes when a file is rewritten or replaced."""
-    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+    return digest.hexdigest(), quoted
 
 
 def _cache_entry(digest, delimiter, bindings) -> str | None:
@@ -354,9 +350,12 @@ def _cache_load(entry, bindings) -> np.ndarray | None:
     try:
         with open(entry, "rb") as handle:
             table = np.load(handle, allow_pickle=False)
-        os.utime(entry)
     except (OSError, ValueError, EOFError):
         return None
+    try:
+        os.utime(entry)
+    except OSError:
+        pass  # a cache that can be read but not written still serves
     if (isinstance(table, np.ndarray) and table.dtype == np.float64
             and table.ndim == 2 and table.shape[0] == k
             and table.flags.c_contiguous):
@@ -378,11 +377,11 @@ def _cached_sample(table, bindings, cutoff) -> RdSample:
                     unit_cutoffs=unit_cutoffs)
 
 
-def _cache_store(entry, sample, path, identity) -> None:
-    """Store a sample's arrays, unless the file changed since it was
-    opened for its digest, then evict least recently used entries down
-    to the budget.  Written to a temporary file and renamed into place,
-    so a reader never sees a partial entry."""
+def _cache_store(entry, sample, path, digest) -> None:
+    """Store a sample's arrays, unless the file's bytes no longer have the
+    digest the entry is keyed by, then evict least recently used entries
+    down to the budget.  Written to a temporary file and renamed into
+    place, so a reader never sees a partial entry."""
     import tempfile
 
     table = np.stack([row for row in (
@@ -391,7 +390,9 @@ def _cache_store(entry, sample, path, identity) -> None:
     if table.nbytes > PARSE_CACHE_BYTES:
         return
     try:
-        if _identity(os.stat(path)) != identity:
+        # Store the parse only if the file after it still holds the bytes
+        # the digest pass read.
+        if _scan(path)[0] != digest:
             return
         directory = os.path.dirname(entry)
         os.makedirs(directory, mode=0o700, exist_ok=True)

@@ -490,6 +490,40 @@ class TestParseCache:
         ingest_csv(path, self.COLUMNS)
         assert _entries(parse_cache) == []
 
+    def test_file_rewritten_in_place_during_parse_is_not_stored(
+            self, tmp_path, monkeypatch, parse_cache):
+        # same inode, size and mtime, other bytes: only the content shows
+        path = self._write(tmp_path / "d.csv")
+        parse = sample_module._ingest_numeric
+
+        def parse_then_rewrite(*args):
+            sample = parse(*args)
+            before = os.stat(path)
+            with open(path, "r+b") as handle:
+                handle.seek(-4, os.SEEK_END)
+                handle.write(b"9.5\n")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return sample
+
+        monkeypatch.setattr(sample_module, "_ingest_numeric",
+                            parse_then_rewrite)
+        ingest_csv(path, self.COLUMNS)
+        assert _entries(parse_cache) == []
+
+    def test_hit_survives_a_failed_refresh(self, tmp_path, monkeypatch,
+                                           parse_cache):
+        # a cache that can be read but not written still serves its entries
+        path = self._write(tmp_path / "d.csv")
+        cold = ingest_csv(path, self.COLUMNS)
+
+        def read_only(*args, **kwargs):
+            raise PermissionError("read-only cache")
+
+        monkeypatch.setattr(sample_module.os, "utime", read_only)
+        monkeypatch.setattr(sample_module, "_ingest_numeric", _unparsed)
+        monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
+        assert _same_sample(ingest_csv(path, self.COLUMNS), cold)
+
     def test_changed_parser_misses(self, tmp_path, monkeypatch, parse_cache):
         path = self._write(tmp_path / "d.csv")
         ingest_csv(path, self.COLUMNS)

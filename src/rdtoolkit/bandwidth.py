@@ -110,15 +110,14 @@ class BandwidthSelection:
 
 def _silverman(x: np.ndarray) -> float:
     sd = float(np.std(x))
-    # numpy's linear-interpolation quartiles, read from one partition.
-    # They can differ from np.percentile only in the sign of a zero,
-    # which neither iqr > 0 nor iqr / 1.349 can see.
+    # numpy's linear-interpolation quartiles, read from one sort.  They
+    # can differ from np.percentile only in the sign of a zero, which
+    # neither iqr > 0 nor iqr / 1.349 can see.
     n = x.shape[0]
-    at = ((n - 1) * 0.75, (n - 1) * 0.25)
-    ends = [(int(v), min(int(v) + 1, n - 1)) for v in at]
-    part = np.partition(x, [i for pair in ends for i in pair])
-    q75, q25 = (_lerp(part[i], part[j], v - i)
-                for v, (i, j) in zip(at, ends))
+    ordered = np.sort(x)
+    q75, q25 = (_lerp(ordered[int(v)], ordered[min(int(v) + 1, n - 1)],
+                      v - int(v))
+                for v in ((n - 1) * 0.75, (n - 1) * 0.25))
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.349) if iqr > 0 else sd
     return 1.06 * spread * n ** (-0.2)
@@ -152,19 +151,21 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
         raise TooFewObservations(
             f"need at least {10 * (p + 2)} observations for the order-{p} "
             f"plug-in, got {n}")
-    xc = sample.centered_score()
-    below = xc < 0
-    x_b, x_a = xc[below], xc[~below]
-    if x_b.size == 0 or x_a.size == 0:
+    rows_b, rows_a = sample.side_rows
+    if rows_b.size == 0 or rows_a.size == 0:
         raise EmptySide("both sides of the cutoff must be populated")
     pilot_order = p + 2
-    if x_b.size < pilot_order + 1 or x_a.size < pilot_order + 1:
+    if rows_b.size < pilot_order + 1 or rows_a.size < pilot_order + 1:
         raise TooFewObservations(
             f"each side needs at least {pilot_order + 1} observations for "
             f"the order-{pilot_order} pilot fit")
 
-    coef_b, resid_b = _pilot_fit(x_b, sample.outcome[below], pilot_order)
-    coef_a, resid_a = _pilot_fit(x_a, sample.outcome[~below], pilot_order)
+    x_b = sample.score.take(rows_b) - sample.cutoff
+    x_a = sample.score.take(rows_a) - sample.cutoff
+    coef_b, resid_b = _pilot_fit(x_b, sample.outcome.take(rows_b),
+                                 pilot_order)
+    coef_a, resid_a = _pilot_fit(x_a, sample.outcome.take(rows_a),
+                                 pilot_order)
     deriv_b = factorial(p + 1) * coef_b[p + 1]
     deriv_a = factorial(p + 1) * coef_a[p + 1]
 

@@ -15,8 +15,9 @@ treatment as a two-column response on each side and reads the
 outcome-treatment intercept covariance from the cross-response block of
 that fit's covariance.
 
-Conventions: the side split is below = score < cutoff, above = score >=
-cutoff (ties at the cutoff are treated).  Confidence intervals use normal
+Conventions: the side split is :attr:`rdtoolkit.sample.RdSample.side_rows`
+(below = score < cutoff, above = score >= cutoff, so ties at the cutoff
+are treated), computed once per sample.  Confidence intervals use normal
 quantiles at the requested level.  Robust bias correction follows the
 order-increase recipe: the order-(p+1) intercept difference at the same
 bandwidth is both the bias-corrected point and the inference target, so
@@ -134,17 +135,20 @@ def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
         raise ValueError(f"unknown design {kind!r}")
     if kind == "kink" and p < 1:
         raise ValueError("kink estimation requires polynomial order p >= 1")
-    y = sample.outcome
-    if kind == "fuzzy":
-        if sample.received is None:
-            raise MissingTreatmentColumn(
-                "fuzzy estimation requires a received-treatment column")
-        y = np.column_stack([y, sample.received.astype(float)])
+    if kind == "fuzzy" and sample.received is None:
+        raise MissingTreatmentColumn(
+            "fuzzy estimation requires a received-treatment column")
     h_below, h_above = _resolve_bandwidths(h_below, h_above)
-    xc = sample.centered_score()
-    below = xc < 0
-    return (side_window(xc[below], y[below], 0.0, kernel, h_below),
-            side_window(xc[~below], y[~below], 0.0, kernel, h_above))
+
+    def window(rows, h):
+        y = sample.outcome.take(rows)
+        if kind == "fuzzy":
+            y = np.column_stack([y, sample.received.take(rows).astype(float)])
+        return side_window(sample.score.take(rows) - sample.cutoff, y, 0.0,
+                           kernel, h)
+
+    rows_b, rows_a = sample.side_rows
+    return window(rows_b, h_below), window(rows_a, h_above)
 
 
 def _estimate(kind: str, windows, p: int, level: float) -> RdEstimate:

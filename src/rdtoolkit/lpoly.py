@@ -141,9 +141,9 @@ def side_window(x: np.ndarray, y: np.ndarray, cutoff: float,
     if not np.isfinite(h) or h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     w = kernel_weight((x - cutoff) / h, kernel)
-    keep = w > 0
-    return SideWindow(xc=x[keep] - cutoff, y=y[keep], w=w[keep],
-                      kernel=kernel, h=h)
+    keep = np.flatnonzero(w > 0)
+    return SideWindow(xc=x.take(keep) - cutoff, y=y.take(keep, axis=0),
+                      w=w.take(keep), kernel=kernel, h=h)
 
 
 def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,

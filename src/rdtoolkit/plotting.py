@@ -4,10 +4,10 @@ The plot layer is presentational: evenly spaced or quantile bins
 summarize the outcome within each side, and an unweighted global
 polynomial (order 4 by default) per side traces the shape of the
 regression function.  Each side's rows are first ordered by score, then
-outcome, with one stable sort of complex values (score as the real part,
-outcome as the imaginary part), so that permuting input rows reproduces
-the identical plot data bit for bit.  A minimal static SVG rendering is
-provided for convenience.
+outcome: one argsort of the score, then one argsort of only the rows
+in runs of tied scores, so that permuting input rows reproduces the
+identical plot data bit for bit.  A minimal static SVG rendering is provided for
+convenience.
 """
 
 from __future__ import annotations
@@ -47,30 +47,51 @@ class RdPlotData:
     j_above: int
 
 
-# The bits of -0.0 read as an int64.
-_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
-
-
 def _default_bins(n_side: int) -> int:
     return max(10, round(np.sqrt(n_side) / 2.0))
 
 
+# XOR-ed into the int64 view of a negative float, it reverses the order
+# of the negative ints, so the ints order as the floats do, with -0.0
+# just below 0.0.
+_MAGNITUDE_BITS = np.int64(0x7FFFFFFFFFFFFFFF)
+
+
 def _sorted_side(x, y):
-    """The rows ordered by score, then outcome, so that nothing
-    downstream depends on input row order: one stable sort of complex
-    values, which numpy orders as ``np.lexsort((y, x))`` does.  The
-    parts are filled by assignment, so no arithmetic touches the bits.
-    Rows that differ only in the sign of a zero tie, so those holding
-    -0.0 are moved ahead first, score before outcome."""
-    z = np.empty(x.shape[0], dtype=complex)
-    z.real = x
-    z.imag = y
-    neg_zero = (z.view(np.int64) == _NEG_ZERO_BITS).reshape(-1, 2)
-    if neg_zero.any():
-        z = z[np.argsort(-(2 * neg_zero[:, 0] + neg_zero[:, 1]),
-                         kind="stable")]
-    z.sort(kind="stable")
-    return z.real.copy(), z.imag.copy()
+    """The rows ordered by score, then outcome, as ``np.lexsort((y, x))``
+    orders them, so that nothing downstream depends on input row order.
+    Rows that differ only in the sign of a zero compare equal there, so
+    those holding -0.0 go first, score before outcome.  Every value is
+    moved, none computed.
+
+    One argsort orders the scores.  Only the rows in runs of tied scores
+    are ordered again: by run, then by the rank of the outcome's bits,
+    in one argsort of ``run * m + rank``.  The bits order -0.0 before
+    0.0, which puts the outcome's sign in its place everywhere but in
+    the one run where scores of both signs tie, the run at zero; that
+    run is lexsorted on its own."""
+    order = np.argsort(x)
+    x, y = x.take(order), y.take(order)
+    tied = x[1:] == x[:-1]
+    in_run = np.zeros(x.shape[0], dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    rows = np.flatnonzero(in_run)
+    xr, yr = x.take(rows), y.take(rows)
+    m = rows.shape[0]
+    bits = yr.view(np.int64)
+    key = np.empty(m, dtype=np.int64)
+    key[np.argsort(bits ^ ((bits >> 63) & _MAGNITUDE_BITS))] = np.arange(m)
+    run = np.zeros(m, dtype=np.int64)
+    np.not_equal(xr[1:], xr[:-1], out=run[1:], casting="unsafe")
+    key += np.cumsum(run, out=run) * m
+    within = np.argsort(key)
+    lo, hi = xr.searchsorted(0.0, "left"), xr.searchsorted(0.0, "right")
+    xz, yz = xr[lo:hi], yr[lo:hi]
+    within[lo:hi] = lo + np.lexsort((~np.signbit(yz), ~np.signbit(xz), yz))
+    x[rows] = xr.take(within)
+    y[rows] = yr.take(within)
+    return x, y
 
 
 def _bin_bounds(idx, j):
@@ -155,30 +176,31 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     c = sample.cutoff
-    below = sample.score < c
-    sides = {}
-    for label, mask in (("below", below), ("above", ~below)):
-        n_side = int(mask.sum())
-        if n_side < poly_order + 1:
+    labels = ("below", "above")
+    for label, rows in zip(labels, sample.side_rows):
+        if rows.shape[0] < poly_order + 1:
             raise TooFewObservations(
-                f"{label} side has {n_side} observations; a global "
+                f"{label} side has {rows.shape[0]} observations; a global "
                 f"order-{poly_order} fit needs {poly_order + 1}")
-        x, y = _sorted_side(sample.score[mask], sample.outcome[mask])
-        j = bins_per_side if bins_per_side is not None else _default_bins(n_side)
-        if binning == "evenly_spaced":
-            bins = _evenly_spaced_bins(x, y, j)
-        else:
-            bins = _quantile_bins(x, y, j)
-        sides[label] = (x, y, bins)
+    binned = (_evenly_spaced_bins if binning == "evenly_spaced"
+              else _quantile_bins)
+    sides = []
+    # One side at a time, so that only its own sorted rows are held
+    # while its global curve is fitted.
+    for label, rows in zip(labels, sample.side_rows):
+        x, y = _sorted_side(sample.score.take(rows), sample.outcome.take(rows))
+        j = (bins_per_side if bins_per_side is not None
+             else _default_bins(rows.shape[0]))
+        grid = (np.linspace(x[0], c, grid_points, endpoint=False)
+                if label == "below" else np.linspace(c, x[-1], grid_points))
+        sides.append((tuple(binned(x, y, j)),
+                      _global_curve(x, y, c, poly_order, grid)))
+        del x, y
 
-    xb, yb, bins_b = sides["below"]
-    xa, ya, bins_a = sides["above"]
-    grid_b = np.linspace(xb[0], c, grid_points, endpoint=False)
-    grid_a = np.linspace(c, xa[-1], grid_points)
+    (bins_b, curve_b), (bins_a, curve_a) = sides
     return RdPlotData(
-        bins_below=tuple(bins_b), bins_above=tuple(bins_a),
-        curve_below=_global_curve(xb, yb, c, poly_order, grid_b),
-        curve_above=_global_curve(xa, ya, c, poly_order, grid_a),
+        bins_below=bins_b, bins_above=bins_a,
+        curve_below=curve_b, curve_above=curve_a,
         cutoff=float(c), poly_order=poly_order, binning=binning,
         j_below=len(bins_b), j_above=len(bins_a))
 

@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,9 @@ class RdSample:
     unit_cutoffs : ndarray or None
         Per-unit cutoffs C_i of multi-cutoff data.  They only label the
         units for per-cutoff estimates; the score is centred on them.
+
+    The side split, :attr:`side_rows`, is computed on first use and kept;
+    every estimator gathers a side's columns with ``take`` on its rows.
     """
 
     score: np.ndarray
@@ -146,11 +150,26 @@ class RdSample:
         """Score minus the cutoff."""
         return self.score - self.cutoff
 
+    @cached_property
+    def side_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The package's one side split: the ascending row indices below
+        the cutoff (score < cutoff) and at or above it (ties are treated).
+
+        Computed on first use and kept.  Threads that race on the first
+        use can only compute the same frozen arrays more than once."""
+        below = self.score < self.cutoff
+        rows = (np.flatnonzero(below), np.flatnonzero(~below))
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
+
     def replace_outcome(self, outcome: np.ndarray) -> "RdSample":
         """Same design, different outcome (used by balance and placebo tests).
 
-        The new sample shares this one's frozen arrays."""
-        return replace(self, outcome=outcome)
+        The new sample shares this one's frozen arrays and side split."""
+        derived = replace(self, outcome=outcome)
+        derived.__dict__["side_rows"] = self.side_rows
+        return derived
 
     def subset(self, mask: np.ndarray) -> "RdSample":
         """Row subset preserving cutoff metadata."""

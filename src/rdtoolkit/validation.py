@@ -269,14 +269,11 @@ def default_placebo_grid(sample: RdSample, h: float) -> list[float]:
     quantiles {0.25, 0.45, 0.55, 0.75}, dropping values within one
     bandwidth of the true cutoff."""
     c = sample.cutoff
-    below = sample.score[sample.score < c]
-    above = sample.score[sample.score >= c]
     grid = []
     levels = (0.25, 0.45, 0.55, 0.75)
-    if below.size:
-        grid.extend(np.quantile(below, levels))
-    if above.size:
-        grid.extend(np.quantile(above, levels))
+    for rows in sample.side_rows:
+        if rows.size:
+            grid.extend(np.quantile(sample.score.take(rows), levels))
     return [float(g) for g in grid if abs(g - c) > h]
 
 
@@ -297,15 +294,11 @@ def placebo_cutoffs(sample: RdSample, grid, p: int = 1,
             f"placebo grid must not contain the true cutoff {c:g}")
     records = []
     for g in grid:
-        if g > c:
-            mask = sample.score >= c
-            side = "above"
-        else:
-            mask = sample.score < c
-            side = "below"
-        sub = RdSample(score=sample.score[mask], outcome=sample.outcome[mask],
-                       cutoff=g)
-        if not ((sub.score < g).any() and (sub.score >= g).any()):
+        side = "above" if g > c else "below"
+        rows = sample.side_rows[g > c]
+        sub = RdSample(score=sample.score.take(rows),
+                       outcome=sample.outcome.take(rows), cutoff=g)
+        if not all(r.size for r in sub.side_rows):
             raise InsufficientSideData(
                 f"placebo cutoff {g:g} leaves an empty side within the "
                 f"{side} subsample")
@@ -355,9 +348,14 @@ def donut_hole(sample: RdSample, radii, p: int = 1,
     dist = np.abs(sample.centered_score())
     records = []
     for r in radii:
-        keep = dist >= r
-        n_dropped = int(sample.n - keep.sum())
-        sub = sample.subset(keep)
+        if r == 0:
+            # Nothing is dropped: estimate on the sample itself, so the
+            # record reuses its arrays and its side split.
+            sub, n_dropped = sample, 0
+        else:
+            keep = dist >= r
+            n_dropped = int(sample.n - keep.sum())
+            sub = sample.subset(keep)
         try:
             res = rbc_inference(sub, p=p, kernel=kernel, h_below=h,
                                 h_above=h, level=level)

@@ -1,11 +1,12 @@
 """Microbenchmarks: CSV ingest (a parse and a parse-cache hit), RD-plot
-construction, the side-fit kernel, robust bias-corrected inference and
-the binomial count test at 1e5 rows; permutation ensembles
-(fixed-margins Monte Carlo, exhaustive enumeration and Bernoulli
-draws), window selection by covariate balance, Fisher test inversion
-alone and with its p-value, and the battery's permutation balance
-checks; one coverage replication and its draw and bandwidth stages at
-n = 1,000.
+construction, a tie-heavy plot side's row order, the side-fit kernel,
+robust bias-corrected inference, the `estimate` path (bandwidth, then
+inference, on a fresh sample) and the binomial count test at 1e5 rows;
+permutation ensembles (fixed-margins Monte Carlo, exhaustive enumeration
+and Bernoulli draws), window selection by covariate balance, Fisher test
+inversion alone and with its p-value, and the battery's permutation
+balance checks; one coverage replication and its draw and bandwidth
+stages at n = 1,000.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -32,7 +33,7 @@ from rdtoolkit.locrand import (
     select_window,
 )
 from rdtoolkit.lpoly import fit_values
-from rdtoolkit.plotting import build_rdplot
+from rdtoolkit.plotting import _sorted_side, build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 from rdtoolkit.validation import _locrand_balance, binomial_test
 
@@ -96,6 +97,18 @@ def test_build_rdplot(benchmark):
     assert sum(b.count for b in (*plot.bins_below, *plot.bins_above)) == ROWS
 
 
+def test_sorted_side_ties(benchmark):
+    # one plot side on a grid of 10,001 scores: every row is in a run of
+    # tied scores, about ten rows long, and the outcomes tie too, some
+    # at -0.0
+    rng = np.random.default_rng(0)
+    x = np.round(rng.uniform(0, 1, ROWS), 4)
+    y = np.round(rng.normal(0, 1, ROWS), 2)
+    xs, ys = benchmark(_sorted_side, x, y)
+    assert xs.tobytes() == np.sort(x).tobytes()
+    assert ys.tobytes() == y[np.lexsort((~np.signbit(y), y, x))].tobytes()
+
+
 @pytest.mark.parametrize("h, n_eff", [(0.01, 1_000), (2.0, ROWS)])
 def test_fit_values(benchmark, h, n_eff):
     # one side of ROWS scores on [0, 1); h sets how many carry weight
@@ -108,6 +121,22 @@ def test_rbc_inference(benchmark):
     x, y, _, _ = _draw(ROWS)
     sample = RdSample(score=x, outcome=y, cutoff=0.0)
     rbc = benchmark(rbc_inference, sample, h_below=0.5)
+    assert rbc.ci_rbc[0] < 0.3 < rbc.ci_rbc[1]
+
+
+def test_estimate_path(benchmark):
+    # what `estimate` runs on its sample: the plug-in bandwidth, then
+    # inference at it; each round's sample is fresh, so it splits once
+    x, y, _, _ = _draw(ROWS)
+
+    def fresh_sample():
+        return (RdSample(score=x, outcome=y, cutoff=0.0),), {}
+
+    def estimate(sample):
+        h = select_mse_bandwidth(sample).h_mse
+        return rbc_inference(sample, h_below=h)
+
+    rbc = benchmark.pedantic(estimate, setup=fresh_sample, rounds=20)
     assert rbc.ci_rbc[0] < 0.3 < rbc.ci_rbc[1]
 
 

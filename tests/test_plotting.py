@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -264,6 +266,17 @@ def _tied_rows(draw):
     return x, y
 
 
+@st.composite
+def _grid_rows(draw):
+    """Up to ~2,000 rows on a coarse grid of each column, so that runs of
+    three or more tied scores occur, with both signs of zero in both
+    columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 2_000))
+    grid = np.array([-0.0, 0.0, *np.linspace(-1, 1, draw(st.integers(1, 40)))])
+    return rng.choice(grid, n), rng.choice(grid, n)
+
+
 class TestRowOrder:
     @settings(max_examples=200, deadline=None)
     @given(_tied_rows(), st.sampled_from(["evenly_spaced", "quantile"]),
@@ -284,8 +297,8 @@ class TestRowOrder:
                 outputs.append(str(exc))
         assert outputs[0] == outputs[1]
 
-    @settings(max_examples=200, deadline=None)
-    @given(_tied_rows())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_tied_rows(), _grid_rows()))
     def test_sorted_side_matches_lexsort(self, rows):
         # lexsort orders by score, then outcome; rows equal in value but
         # for the sign of a zero go -0.0 first, score before outcome
@@ -300,6 +313,43 @@ class TestRowOrder:
         xs, ys = _sorted_side(x, y)
         assert xs.tobytes() == x[order].tobytes()
         assert ys.tobytes() == y[order].tobytes()
+
+
+def _hex_digest(value):
+    """SHA-256 of every float's ``float.hex`` (and every other leaf's
+    repr) in a nested tuple, in order."""
+    def leaves(v):
+        if isinstance(v, tuple):
+            for item in v:
+                yield from leaves(item)
+        else:
+            yield v.hex() if isinstance(v, float) else repr(v)
+    return hashlib.sha256(" ".join(leaves(value)).encode()).hexdigest()
+
+
+class TestPinnedPlot:
+    # 1e5 rows with six-decimal scores, as in the CLI's CSVs: 22% of the
+    # rows share a score with another, 910 scores tie three or more
+    # rows, and 60 rows hold a zero score of either sign.  Recorded
+    # with the stable complex sort that _sorted_side replaced.
+    PINNED = {
+        "evenly_spaced":
+            "6a246db4388306d1c582e14bad340268a62c6608b28a680e0dba3af8a7fe70de",
+        "quantile":
+            "7567d37faffd417a219fcd0ef8c7a4ba573355a27d8405dad7054812090c74d5",
+    }
+
+    @pytest.mark.parametrize("binning", sorted(PINNED))
+    def test_tie_heavy_plot_bits(self, binning):
+        rng = np.random.default_rng(17)
+        n = 100_000
+        x = np.round(rng.uniform(-0.2, 0.2, n), 6)
+        y = np.round(0.5 * x + 0.3 * (x >= 0) + rng.normal(0, 0.1, n), 6)
+        x[:60] = np.where(np.arange(60) % 2, 0.0, -0.0)
+        y[:60:3] = 0.0
+        y[1:60:3] = -0.0
+        plot = build_rdplot(make_sample(x, y), binning=binning)
+        assert _hex_digest(dataclasses.astuple(plot)) == self.PINNED[binning]
 
 
 class TestSvg:

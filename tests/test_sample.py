@@ -1,7 +1,10 @@
 import os
 import pathlib
+import sys
 import tempfile
+import threading
 import urllib.request
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit import sample as sample_module
+from rdtoolkit.bandwidth import select_mse_bandwidth
+from rdtoolkit.continuity import rbc_inference
 from rdtoolkit.errors import (
     BadSpec,
     BadTreatmentCode,
@@ -18,6 +23,7 @@ from rdtoolkit.errors import (
     NonFiniteOutcome,
     NonFiniteScore,
 )
+from rdtoolkit.parallel import run_indexed
 from rdtoolkit.sample import RdSample, _ingest_rows, ingest_csv, mass_points
 
 from conftest import make_sample, write_csv
@@ -613,3 +619,86 @@ class TestSampleModel:
     def test_received_must_be_binary(self):
         with pytest.raises(BadTreatmentCode):
             make_sample([0.0, 1.0], [1.0, 2.0], received=[0, 2])
+
+
+# Scores on a coarse grid that holds both signs of zero, so rows tie with
+# each other and with any cutoff drawn from the same grid.
+_GRID = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def _split_case(draw):
+    """A single-cutoff sample, its cutoff on the score grid (so scores
+    equal to it occur) or beyond every score (so one side is empty), or
+    a multi-cutoff sample (a centred score with cutoff 0)."""
+    x = np.array(draw(st.lists(_GRID, min_size=1, max_size=60)))
+    y = np.arange(x.size, dtype=float)
+    if draw(st.booleans()):
+        cuts = np.array(draw(st.lists(st.sampled_from([10.0, 20.0]),
+                                      min_size=x.size, max_size=x.size)))
+        return RdSample(score=x, outcome=y, cutoff=0.0, unit_cutoffs=cuts)
+    cutoff = draw(st.one_of(_GRID, st.sampled_from([-9.0, 9.0])))
+    return RdSample(score=x, outcome=y, cutoff=cutoff)
+
+
+class TestSideRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_split_case())
+    def test_split_is_flatnonzero_and_its_complement(self, s):
+        below, above = s.side_rows
+        expected = np.flatnonzero(s.score < s.cutoff)
+        assert below.tolist() == expected.tolist()
+        assert above.tolist() == np.setdiff1d(np.arange(s.n),
+                                              expected).tolist()
+        assert below.dtype == above.dtype == np.intp
+        assert not (below.flags.writeable or above.flags.writeable)
+        assert s.side_rows is s.side_rows
+
+    def test_replace_outcome_reuses_the_split(self, noisy_sample):
+        derived = noisy_sample.replace_outcome(noisy_sample.covariates["age"])
+        for mine, theirs in zip(derived.side_rows, noisy_sample.side_rows):
+            assert mine is theirs
+
+    def test_bandwidth_then_inference_split_once(self, noisy_sample,
+                                                 monkeypatch):
+        calls = []
+        plain = RdSample.side_rows.func
+
+        def counted(sample):
+            calls.append(sample)
+            return plain(sample)
+
+        prop = cached_property(counted)
+        prop.__set_name__(RdSample, "side_rows")
+        monkeypatch.setattr(RdSample, "side_rows", prop)
+        s = RdSample(score=noisy_sample.score, outcome=noisy_sample.outcome,
+                     cutoff=0.0)
+        h = select_mse_bandwidth(s).h_mse
+        rbc_inference(s, h_below=h)
+        assert len(calls) == 1 and calls[0] is s
+
+    def test_racing_threads_agree(self):
+        # more workers than cores read the split of one fresh sample at
+        # once; at worst each computes it, and all see the same arrays
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 200_000)
+        s = RdSample(score=x, outcome=x, cutoff=0.0)
+        workers = (os.cpu_count() or 1) + 2
+        start = threading.Barrier(workers, timeout=30)
+
+        def read(_):
+            start.wait()
+            return s.side_rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = run_indexed(read, workers, threads=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = np.flatnonzero(x < 0)
+        for below, above in seen:
+            assert below.tolist() == expected.tolist()
+            assert below.size + above.size == x.size
+            assert np.array_equal(above, np.flatnonzero(x >= 0))
+        assert any(rows is s.side_rows for rows in seen)

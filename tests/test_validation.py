@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rdtoolkit.continuity import sharp_estimate
+from rdtoolkit.continuity import rbc_inference, sharp_estimate
 from rdtoolkit.errors import (
     EmptyGroup,
     GridContainsTrueCutoff,
@@ -206,6 +206,15 @@ class TestDonut:
         assert recs[0].radius == 0.0
         assert recs[0].tau_hat == pytest.approx(baseline.tau_hat, abs=1e-12)
         assert recs[0].n_dropped == 0
+
+    def test_zero_radius_is_the_baseline_bit_for_bit(self, noisy_sample):
+        # radius 0 estimates on the sample itself, with its side split
+        rec, = donut_hole(noisy_sample, [0.0], h=0.4)
+        assert "side_rows" in vars(noisy_sample)
+        res = rbc_inference(noisy_sample, h_below=0.4, h_above=0.4)
+        assert (rec.tau_hat.hex(), *(v.hex() for v in rec.ci)) == \
+            (res.base.tau_hat.hex(), *(v.hex() for v in res.ci_rbc))
+        assert rec.n_dropped == 0
 
     def test_dropped_counts(self, noisy_sample):
         recs = donut_hole(noisy_sample, [0.2], h=0.5)

@@ -26,6 +26,9 @@ BINS_PER_SIDE = 20
 # Coverage simulations: the fewest replications a coverage rate rests on.
 MIN_REPLICATIONS = 500
 
+# Bytes per read when a file is hashed, so it is never held whole.
+READ_BLOCK = 1 << 16
+
 # CSV parse cache: the most bytes of parsed columns kept on disk under
 # $XDG_CACHE_HOME/rd-toolkit; the least recently used entries go first.
 # A 1e6-row file with two bound columns takes 16 MB.

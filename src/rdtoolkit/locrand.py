@@ -105,16 +105,16 @@ def make_window(sample: RdSample, w_left: float,
                          "finite, not both zero")
     c = sample.cutoff
     lower, upper = float(c - w_left), float(c + w_right)
-    x = sample.score[_inside(sample, lower, upper)]
-    n_plus = int(np.count_nonzero(x >= c))
-    return Window(lower=lower, upper=upper, n_w=x.size, n_plus=n_plus,
-                  n_minus=x.size - n_plus)
+    treated = sample.treated[_inside(sample, lower, upper)]
+    n_plus = int(np.count_nonzero(treated))
+    return Window(lower=lower, upper=upper, n_w=treated.size, n_plus=n_plus,
+                  n_minus=treated.size - n_plus)
 
 
 def _window_arrays(sample: RdSample, window: Window):
     """Outcome, treatment (int8) and receipt of the units in the window."""
     mask = _inside(sample, window.lower, window.upper)
-    t = (sample.score[mask] >= sample.cutoff).astype(np.int8)
+    t = sample.treated[mask].astype(np.int8)
     d = None if sample.received is None else sample.received[mask].astype(float)
     return sample.outcome[mask], t, d
 
@@ -334,6 +334,8 @@ def _fisher_tests(ys, t, model, statistic, max_exhaustive, draws, seed,
     if statistic == "studentized" and not 2 <= t.sum() <= t.size - 2:
         raise TooFewObservations(
             "studentized statistic needs at least 2 units per group")
+    if statistic not in ("diff_means", "studentized"):
+        raise ValueError(f"unknown statistic {statistic!r}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     studentized = statistic == "studentized"
@@ -356,7 +358,7 @@ def _fisher_tests(ys, t, model, statistic, max_exhaustive, draws, seed,
             diff = mean_p - mean_m
             if statistic == "diff_means":
                 stats = diff
-            elif studentized:
+            else:
                 tot_y2 = sum_y2 - 2.0 * tau0 * s_ty[0] + tau0 * tau0 * n1[0]
                 s2_plus_sum = s_y2 - 2.0 * tau0 * s_ty + tau0 * tau0 * m
                 s2_minus_sum = tot_y2 - s2_plus_sum
@@ -367,8 +369,6 @@ def _fisher_tests(ys, t, model, statistic, max_exhaustive, draws, seed,
                                  + np.maximum(var_m, 0.0) / n0)
                     stats = np.where(se > 0, diff / se, np.where(
                         diff == 0.0, 0.0, np.sign(diff) * np.inf))
-            else:
-                raise ValueError(f"unknown statistic {statistic!r}")
             s_obs = float(stats[0])
             extreme = np.abs(stats[1:]) >= abs(s_obs)
             if weights is not None:  # exact Bernoulli
@@ -576,14 +576,15 @@ def select_window(sample: RdSample, candidates=None,
     names = sorted(sample.covariates)
     if not names:
         raise NoCovariates("window selection requires at least one covariate")
-    if candidates is None or len(list(candidates)) == 0:
+    pairs = [_as_pair(cand) for cand in
+             (() if candidates is None else candidates)]
+    if not pairs:
         raise NoFeasibleWindow("no candidate windows supplied")
-    pairs = [_as_pair(cand) for cand in candidates]
     widths = [left + right for left, right in pairs]
     if any(b < a for a, b in zip(widths, widths[1:])):
         raise ValueError("candidate windows must be ascending")
 
-    treated = sample.score >= sample.cutoff
+    treated = sample.treated
     trace = []
     for idx, (w_left, w_right) in enumerate(pairs):
         win = make_window(sample, w_left, w_right)

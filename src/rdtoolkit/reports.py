@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import __version__
+from .defaults import READ_BLOCK
 
 SCHEMA = "rd-toolkit-report/1"
 
@@ -55,7 +56,7 @@ def canonical_json(document) -> str:
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
+        for block in iter(lambda: handle.read(READ_BLOCK), b""):
             digest.update(block)
     return digest.hexdigest()
 

@@ -10,12 +10,14 @@ Assignment convention: a unit with score exactly equal to its cutoff is
 assigned to treatment (weak inequality).  Datasets with score mass at the
 cutoff are sensitive to this choice.
 
-:func:`ingest_csv` reads a delimited file in two tiers that agree bit for
-bit.  numpy's C parser reads a file whose mapped cells are all numbers
-that pass validation; a row-by-row ``csv.reader`` parser reads every
-other file and raises the row-indexed errors.  A file whose bytes were
-parsed before with the same bindings is read once, for its digest, and
-its columns are loaded from an on-disk cache instead of parsed.
+:func:`ingest_csv` reads the bound columns of a delimited file into one
+C-ordered ``(k, n)`` float64 table, one row per binding: score, outcome,
+then treatment and cutoff column when mapped, then covariates.  numpy's
+C parser and a row-by-row ``csv.reader`` parser build the same table bit
+for bit, and only the row parser raises the row-indexed errors; a file
+whose bytes were parsed before with the same bindings is read once, for
+its digest, and its table is loaded from an on-disk cache.  One function
+builds the sample from the table, whatever its source.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .defaults import PARSE_CACHE_BYTES
+from .defaults import PARSE_CACHE_BYTES, READ_BLOCK
 from .errors import (
     BadSpec,
     BadTreatmentCode,
@@ -42,9 +45,6 @@ from .errors import (
 
 # Tokens treated as "missing" when parsing CSV cells.
 NA_TOKENS = frozenset({"", "na", "nan", "n/a", "null", "none", "."})
-
-# Bytes per read of the digest pass, so the file is never held whole.
-_READ_BLOCK = 1 << 16
 
 # File-name suffixes numpy opens as archives.
 _ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -83,8 +83,9 @@ class RdSample:
         Per-unit cutoffs C_i of multi-cutoff data.  They only label the
         units for per-cutoff estimates; the score is centred on them.
 
-    The side split, :attr:`side_rows`, is computed on first use and kept;
-    every estimator gathers a side's columns with ``take`` on its rows.
+    The treatment mask, :attr:`treated`, and the side split,
+    :attr:`side_rows`, are computed on first use and kept; every
+    estimator gathers a side's columns with ``take`` on its rows.
     """
 
     score: np.ndarray
@@ -151,14 +152,22 @@ class RdSample:
         return self.score - self.cutoff
 
     @cached_property
+    def treated(self) -> np.ndarray:
+        """The package's one treatment rule, as a mask: a unit is treated
+        when score >= cutoff, so ties at the cutoff are treated."""
+        treated = self.score >= self.cutoff
+        treated.setflags(write=False)
+        return treated
+
+    @cached_property
     def side_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The package's one side split: the ascending row indices below
-        the cutoff (score < cutoff) and at or above it (ties are treated).
+        the cutoff and of the :attr:`treated` units at or above it.
 
-        Computed on first use and kept.  Threads that race on the first
-        use can only compute the same frozen arrays more than once."""
-        below = self.score < self.cutoff
-        rows = (np.flatnonzero(below), np.flatnonzero(~below))
+        Like :attr:`treated`, computed on first use and kept.  Threads
+        that race on the first use can only compute the same frozen
+        arrays more than once."""
+        rows = (np.flatnonzero(~self.treated), np.flatnonzero(self.treated))
         for arr in rows:
             arr.setflags(write=False)
         return rows
@@ -169,6 +178,7 @@ class RdSample:
         The new sample shares this one's frozen arrays and side split."""
         derived = replace(self, outcome=outcome)
         derived.__dict__["side_rows"] = self.side_rows
+        derived.__dict__["treated"] = self.treated
         return derived
 
     def subset(self, mask: np.ndarray) -> "RdSample":
@@ -207,25 +217,37 @@ def mass_points(sample: RdSample) -> MassPointSummary:
                             counts=counts, below_neighbor=neighbor)
 
 
+# The test a parsed cell of each role must pass, and the error a cell
+# that fails it raises.  A covariate cell may hold any value, NaN too.
+_CELL_CHECKS = {
+    "score": (math.isfinite, NonFiniteScore),
+    "outcome": (math.isfinite, NonFiniteOutcome),
+    "treatment": (lambda value: value in (0.0, 1.0), BadTreatmentCode),
+    "cutoff": (math.isfinite, NonFiniteScore),
+    "covariate": (lambda value: True, None),
+}
+
+
 def _bindings(column_map: dict[str, object], cutoff: float):
-    """Validated (score, outcome, treatment, cutoff, covariate) columns."""
+    """The validated (role, column) pairs in table order: score, outcome,
+    then treatment and cutoff column when mapped, then covariates."""
     if not np.isfinite(cutoff):
         raise BadSpec("cutoff must be finite")
-    score_col = column_map.get("score")
-    outcome_col = column_map.get("outcome")
-    if not score_col or not outcome_col:
+    if not column_map.get("score") or not column_map.get("outcome"):
         raise MissingColumn("column_map must bind 'score' and 'outcome'")
     cov_cols = list(column_map.get("covariates") or [])
     for name in cov_cols:
         if cov_cols.count(name) > 1:
             raise BadSpec(f"covariate {name!r} is mapped more than once")
-    return (score_col, outcome_col, column_map.get("treatment"),
-            column_map.get("cutoff"), cov_cols)
+    return (*((role, column_map[role])
+              for role in ("score", "outcome", "treatment", "cutoff")
+              if column_map.get(role)),
+            *(("covariate", name) for name in cov_cols))
 
 
-def _read_header(reader, names) -> tuple[dict[str, int], int]:
-    """Read the header row: the column index of each bound name, and the
-    header's width."""
+def _read_header(reader, bindings) -> tuple[list[int], int]:
+    """Read the header row: the column index of each binding, in table
+    order, and the header's width."""
     try:
         header = next(reader)
     except StopIteration:
@@ -233,14 +255,37 @@ def _read_header(reader, names) -> tuple[dict[str, int], int]:
     except csv.Error as err:
         raise BadSpec(f"unreadable header row: {err}") from None
     header = [h.strip() for h in header]
-    positions = {}
-    for name in names:
-        if name is None:
-            continue
+    for _, name in bindings:
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in header {header}")
-        positions[name] = header.index(name)
-    return positions, len(header)
+    return [header.index(name) for _, name in bindings], len(header)
+
+
+def _sample(table, bindings, cutoff) -> RdSample:
+    """The sample a table of the bound columns holds, whether it was
+    loaded from the cache or parsed by either tier.  A mapped cutoff
+    column centres the score on it and sets the cutoff to 0."""
+    rows = {role: row for (role, _), row in zip(bindings, table)}
+    unit_cutoffs = rows.get("cutoff")
+    centred = unit_cutoffs is not None
+    return RdSample(
+        score=rows["score"] - unit_cutoffs if centred else rows["score"],
+        outcome=rows["outcome"], cutoff=0.0 if centred else float(cutoff),
+        received=rows.get("treatment"), unit_cutoffs=unit_cutoffs,
+        covariates={name: row for (role, name), row in zip(bindings, table)
+                    if role == "covariate"})
+
+
+def _accepted(table, bindings, cutoff) -> RdSample | None:
+    """The sample a table holds; None for no table, or for one the sample
+    rejects, so that the next source is read: a damaged cache entry is a
+    miss, and a numpy table the sample rejects goes to the row parser."""
+    if table is None:
+        return None
+    try:
+        return _sample(table, bindings, cutoff)
+    except DataError:
+        return None
 
 
 def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
@@ -267,31 +312,33 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
     row with fewer cells than the header reads its missing trailing cells
     as empty, i.e. missing.
 
-    The data rows are parsed in one of two tiers.  A file with no quote
-    character whose mapped cells are all numbers, with finite scores,
-    outcomes and cutoffs and treatment codes in {0, 1}, is read by
-    numpy's C parser, which is given the path so that it reads the file
-    in chunks.  Any other file is read by the row parser, which alone
-    handles missing-value tokens, quoted cells, short rows and
-    unparseable covariate cells, and raises the row-indexed errors.  So
-    is a file whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
+    The bound columns are parsed into one ``(k, n)`` float64 table, a
+    row per binding in the order score, outcome, treatment, cutoff
+    column, covariates, by one of two tiers.  A file with no quote
+    character is read by numpy's C parser, which is given the path so
+    that it reads the file in chunks.  When numpy cannot parse it, or the
+    sample rejects the table numpy returns, the file is read by the row
+    parser, which alone handles missing-value tokens, quoted cells, short
+    rows and unparseable covariate cells, and raises the row-indexed
+    errors.  So is a file whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
     ``.lzma``, which numpy would open as an archive: it is read as text.
     Both tiers parse a number with the same routine, so on every file
-    the first tier accepts they return bit-identical arrays.
+    the first tier accepts they return bit-identical tables.
 
     The file is read once for its SHA-256 digest and the quote check.
-    A parse is stored as one ``(k, n)`` float64 ``.npy`` file under
+    A parsed table is stored as one ``.npy`` file under
     ``$XDG_CACHE_HOME/rd-toolkit`` (default ``~/.cache/rd-toolkit``),
     keyed by that digest, the delimiter, the bindings, the numpy version,
     the text encoding and csv field-size limit the parse reads with, and
     the bytes of this module.  A later call with the same key loads the
-    columns instead of parsing, and still builds the sample through its
-    full validation.  Errors are never stored.  Before a parse is stored
-    the file is hashed again, and a file whose bytes no longer have the
-    digest is not stored; so a call that parses reads the file three
-    times, and a call that hits reads it once.  The cache holds at most
-    ``defaults.PARSE_CACHE_BYTES``, least recently used entries going
-    first, and any failure to read or write it falls back to the parse.
+    table instead of parsing, and builds the sample from it through the
+    same validation as a parse.  Errors are never stored.  Before a
+    table is stored the file is hashed again, and a file whose bytes no
+    longer have the digest is not stored; so a call that parses reads the
+    file three times, and a call that hits reads it once.  The cache
+    holds at most ``defaults.PARSE_CACHE_BYTES``, least recently used
+    entries going first, and any failure to read or write it falls back
+    to the parse.
     """
     return ingest_with_digest(path, column_map, cutoff, delimiter)[0]
 
@@ -311,20 +358,21 @@ def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
     local = path if archive else os.path.join(os.curdir, path)
     digest, quoted = _scan(local)
     entry = _cache_entry(digest, delimiter, bindings)
-    table = None if entry is None else _cache_load(entry, bindings)
-    if table is not None:
-        try:
-            return _cached_sample(table, bindings, cutoff), digest
-        except DataError:
-            pass  # an entry that fails validation is a miss
+    stored = None if entry is None else _cache_load(entry, len(bindings))
+    sample = _accepted(stored, bindings, cutoff)
+    if sample is not None:
+        return sample, digest
     # A quoted cell may hold the delimiter, which only the csv module
     # splits correctly.
-    sample = None if archive or quoted else _ingest_numeric(
-        local, column_map, cutoff, delimiter)
+    table = None if archive or quoted else _ingest_numeric(
+        local, bindings, delimiter)
+    sample = _accepted(table, bindings, cutoff)
     if sample is None:
-        sample = _ingest_rows(path, column_map, cutoff, delimiter)
+        # The row parser names the row and value the sample rejects.
+        table = _ingest_rows(path, bindings, delimiter)
+        sample = _sample(table, bindings, cutoff)
     if entry is not None:
-        _cache_store(entry, sample, local, digest)
+        _cache_store(entry, table, local, digest)
     return sample, digest
 
 
@@ -334,7 +382,7 @@ def _scan(path) -> tuple[str, bool]:
     digest = hashlib.sha256()
     quoted = False
     with open(path, "rb") as raw:
-        for block in iter(lambda: raw.read(_READ_BLOCK), b""):
+        for block in iter(lambda: raw.read(READ_BLOCK), b""):
             digest.update(block)
             quoted = quoted or b'"' in block
     return digest.hexdigest(), quoted
@@ -361,11 +409,9 @@ def _cache_entry(digest, delimiter, bindings) -> str | None:
                         hashlib.sha256(key.encode()).hexdigest() + ".npy")
 
 
-def _cache_load(entry, bindings) -> np.ndarray | None:
+def _cache_load(entry, k) -> np.ndarray | None:
     """The stored ``(k, n)`` table, its entry marked as just used; None
     for a missing, unreadable or wrong-shape entry."""
-    _, _, treat_col, cutoff_col, cov_cols = bindings
-    k = 2 + bool(treat_col) + bool(cutoff_col) + len(cov_cols)
     try:
         with open(entry, "rb") as handle:
             table = np.load(handle, allow_pickle=False)
@@ -382,30 +428,13 @@ def _cache_load(entry, bindings) -> np.ndarray | None:
     return None
 
 
-def _cached_sample(table, bindings, cutoff) -> RdSample:
-    """The sample a stored table holds: the arrays of the sample that was
-    stored, in table order."""
-    _, _, treat_col, cutoff_col, cov_cols = bindings
-    rows = iter(table)
-    score, outcome = next(rows), next(rows)
-    received = next(rows) if treat_col else None
-    unit_cutoffs = next(rows) if cutoff_col else None
-    return RdSample(score=score, outcome=outcome,
-                    cutoff=0.0 if cutoff_col else float(cutoff),
-                    received=received, covariates=dict(zip(cov_cols, rows)),
-                    unit_cutoffs=unit_cutoffs)
-
-
-def _cache_store(entry, sample, path, digest) -> None:
-    """Store a sample's arrays, unless the file's bytes no longer have the
+def _cache_store(entry, table, path, digest) -> None:
+    """Store a parsed table, unless the file's bytes no longer have the
     digest the entry is keyed by, then evict least recently used entries
     down to the budget.  Written to a temporary file and renamed into
     place, so a reader never sees a partial entry."""
     import tempfile
 
-    table = np.stack([row for row in (
-        sample.score, sample.outcome, sample.received, sample.unit_cutoffs,
-        *sample.covariates.values()) if row is not None])
     if table.nbytes > PARSE_CACHE_BYTES:
         return
     try:
@@ -445,93 +474,52 @@ def _evict(directory) -> None:
         total -= size
 
 
-def _ingest_numeric(path, column_map, cutoff, delimiter) -> RdSample | None:
+def _ingest_numeric(path, bindings, delimiter) -> np.ndarray | None:
     """The C-parser tier of :func:`ingest_csv`, for a file with no quote
-    character and no archive suffix; None when the file needs the row
-    parser."""
-    score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
-        column_map, cutoff)
+    character and no archive suffix: the table of the bound columns, or
+    None when numpy cannot parse the file."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        positions, _ = _read_header(
-            reader, [score_col, outcome_col, treat_col, cutoff_col, *cov_cols])
+        positions, _ = _read_header(csv.reader(handle, delimiter=delimiter),
+                                    bindings)
         # numpy warns on a file without data rows; leave those to the
         # row parser, which raises BadSpec for them.
         if not any(line.strip("\r\n") for line in handle):
             return None
-    usecols = sorted(set(positions.values()))
+    usecols = sorted(set(positions))
     try:
         # Given a path, numpy reads the file in chunks rather than one
         # Python string per line.
-        table = np.loadtxt(path, delimiter=delimiter, comments=None,
-                           skiprows=1, usecols=usecols, ndmin=2, dtype=float)
+        parsed = np.loadtxt(path, delimiter=delimiter, comments=None,
+                            skiprows=1, usecols=usecols, ndmin=2, dtype=float)
     except (ValueError, TypeError):
         # Unparseable cell, missing column, or a delimiter numpy does
         # not accept.
         return None
-    column = {name: np.ascontiguousarray(table[:, usecols.index(pos)])
-              for name, pos in positions.items()}
-    finite = [score_col, outcome_col] + ([cutoff_col] if cutoff_col else [])
-    if not all(np.isfinite(column[name]).all() for name in finite):
-        return None
-    if treat_col and not np.isin(column[treat_col], (0.0, 1.0)).all():
-        return None
-    return _parsed_sample(
-        column[score_col], column[outcome_col], cutoff,
-        column[treat_col] if treat_col else None,
-        {name: column[name] for name in cov_cols},
-        column[cutoff_col] if cutoff_col else None)
+    return parsed.T[[usecols.index(pos) for pos in positions]]
 
 
-def _ingest_rows(path, column_map, cutoff, delimiter) -> RdSample:
-    """The row-parser tier of :func:`ingest_csv`: one ``csv.reader`` row
-    at a time, raising the row-indexed errors."""
-    score_col, outcome_col, treat_col, cutoff_col, cov_cols = _bindings(
-        column_map, cutoff)
+def _ingest_rows(path, bindings, delimiter) -> np.ndarray:
+    """The row-parser tier of :func:`ingest_csv`: the table of the bound
+    columns, read one ``csv.reader`` row at a time.  A cell that fails
+    its role's test raises the row-indexed error."""
+    checks = [_CELL_CHECKS[role] for role, _ in bindings]
     with open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        positions, width = _read_header(
-            reader, [score_col, outcome_col, treat_col, cutoff_col, *cov_cols])
-        score, outcome = [], []
-        treatment = [] if treat_col else None
-        unit_cutoffs = [] if cutoff_col else None
-        covariates = {name: [] for name in cov_cols}
+        positions, width = _read_header(reader, bindings)
+        columns = [[] for _ in bindings]
         for row_idx, row in _data_rows(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < width:
                 # A row shorter than the header has empty (NA) trailing cells.
                 row += [""] * (width - len(row))
-            raw_score = row[positions[score_col]]
-            x = _parse_cell(raw_score)
-            if not np.isfinite(x):
-                raise NonFiniteScore(row_idx, raw_score)
-            raw_outcome = row[positions[outcome_col]]
-            y = _parse_cell(raw_outcome)
-            if not np.isfinite(y):
-                raise NonFiniteOutcome(row_idx, raw_outcome)
-            score.append(x)
-            outcome.append(y)
-            if treat_col:
-                raw_t = row[positions[treat_col]]
-                t = _parse_cell(raw_t)
-                if t not in (0.0, 1.0):
-                    raise BadTreatmentCode(row_idx, raw_t)
-                treatment.append(t)
-            if cutoff_col:
-                raw_c = row[positions[cutoff_col]]
-                c_i = _parse_cell(raw_c)
-                if not np.isfinite(c_i):
-                    raise NonFiniteScore(row_idx, raw_c)
-                unit_cutoffs.append(c_i)
-            for name in cov_cols:
-                covariates[name].append(_parse_cell(row[positions[name]]))
-
-    return _parsed_sample(
-        np.asarray(score), np.asarray(outcome), cutoff,
-        None if treatment is None else np.asarray(treatment),
-        {k: np.asarray(v) for k, v in covariates.items()},
-        None if unit_cutoffs is None else np.asarray(unit_cutoffs))
+            for pos, (valid, error), values in zip(positions, checks,
+                                                   columns):
+                value = _parse_cell(row[pos])
+                if not valid(value):
+                    raise error(row_idx, row[pos])
+                values.append(value)
+    return np.array(columns, dtype=float)
 
 
 def _data_rows(reader):
@@ -543,15 +531,3 @@ def _data_rows(reader):
             yield next(index), row
     except csv.Error as err:
         raise MalformedRow(next(index), str(err)) from None
-
-
-def _parsed_sample(score, outcome, cutoff, received, covariates,
-                   unit_cutoffs) -> RdSample:
-    """The sample both ingest tiers return.  A mapped cutoff column
-    centres the score on it and sets the cutoff to 0."""
-    if unit_cutoffs is not None:
-        score = score - unit_cutoffs
-        cutoff = 0.0
-    return RdSample(score=score, outcome=outcome, cutoff=float(cutoff),
-                    received=received, covariates=covariates,
-                    unit_cutoffs=unit_cutoffs)

@@ -111,7 +111,7 @@ def _locrand_balance(sample, names, window, draws, seed):
     the same units share one ensemble (same draws and seed), built when
     the first of them is reached, so an error surfaces there."""
     inside = _inside(sample, window.lower, window.upper)
-    treated = sample.score >= sample.cutoff
+    treated = sample.treated
     masks = {name: inside & np.isfinite(sample.covariates[name])
              for name in names}
     records = {}
@@ -223,9 +223,9 @@ def density_test(sample: RdSample, h: float,
     if bins_per_side < 2:
         raise ValueError("need at least 2 bins per side")
     c = sample.cutoff
-    x = sample.score
-    below = x[(x >= c - h) & (x < c)]
-    above = x[(x >= c) & (x <= c + h)]
+    below, above = (sample.score.take(rows) for rows in sample.side_rows)
+    below = below[below >= c - h]
+    above = above[above <= c + h]
     if below.size == 0 or above.size == 0:
         raise EmptySide("no observations within the window on one side")
     if below.size + above.size < 2 * bins_per_side:

@@ -560,6 +560,17 @@ def test_draws_below_one_rejected(test, draws):
         test(s, make_window(s, 1.0), draws=draws)
 
 
+@pytest.mark.parametrize("test", [fisher_pvalue, fisher_ci])
+def test_unknown_statistic_rejected_before_the_ensemble(test, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ensemble drawn for an unknown statistic")
+
+    monkeypatch.setattr(locrand, "_build_ensemble", unreachable)
+    s = make_sample(np.linspace(-1, 1, 40), np.arange(40))
+    with pytest.raises(ValueError, match="unknown statistic 'rank_sum'"):
+        test(s, window_all(s), statistic="rank_sum")
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
 @pytest.mark.parametrize("interval", [neyman_ci, fisher_ci])
 def test_alpha_outside_unit_interval_rejected(interval, alpha):
@@ -624,6 +635,19 @@ class TestSelectWindow:
         assert sel.trace[0].feasible is False
         assert sel.trace[1].feasible is True
         assert sel.w_left == 1.0
+
+    def test_iterator_candidates_are_read_once(self):
+        s = balance_data()
+        listed = select_window(s, candidates=[0.25, 0.5], seed=3)
+        assert select_window(s, candidates=iter([0.25, 0.5]), seed=3) \
+            == listed
+
+    @pytest.mark.parametrize("candidates", [None, [], iter([])],
+                             ids=["none", "empty_list", "empty_iterator"])
+    def test_no_candidates_raises(self, candidates):
+        from rdtoolkit.errors import NoFeasibleWindow
+        with pytest.raises(NoFeasibleWindow, match="no candidate"):
+            select_window(balance_data(), candidates=candidates)
 
     def test_nothing_feasible_raises(self):
         from rdtoolkit.errors import NoFeasibleWindow

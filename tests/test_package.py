@@ -101,3 +101,25 @@ def test_shared_defaults_are_written_once():
                     and type(node.value) in (int, float) \
                     and node.value in (9999, 200000, 0.15):
                 assert path.name == "defaults.py", (path.name, node.lineno)
+
+
+def _reads(node, attribute):
+    """Whether an expression reads an attribute of that name."""
+    return any(isinstance(sub, ast.Attribute) and sub.attr == attribute
+               for sub in ast.walk(node))
+
+
+def test_treatment_rule_is_written_once():
+    # which side of the cutoff a unit is on is RdSample.treated and
+    # RdSample.side_rows; every other module reads them
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, ordering) and (
+                        _reads(a, "score") and _reads(b, "cutoff")
+                        or _reads(a, "cutoff") and _reads(b, "score")):
+                    assert path.name == "sample.py", (path.name, node.lineno)

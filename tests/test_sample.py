@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import sys
 import tempfile
 import threading
@@ -24,9 +25,18 @@ from rdtoolkit.errors import (
     NonFiniteScore,
 )
 from rdtoolkit.parallel import run_indexed
-from rdtoolkit.sample import RdSample, _ingest_rows, ingest_csv, mass_points
+from rdtoolkit.defaults import READ_BLOCK
+from rdtoolkit.sample import RdSample, ingest_csv, mass_points
 
 from conftest import make_sample, write_csv
+
+
+def _row_parser(path, column_map, cutoff, delimiter):
+    """The sample built from the row parser's table alone."""
+    bindings = sample_module._bindings(column_map, cutoff)
+    return sample_module._sample(
+        sample_module._ingest_rows(path, bindings, delimiter), bindings,
+        cutoff)
 
 
 class TestIngest:
@@ -144,7 +154,8 @@ class TestIngest:
         assert s.unit_cutoffs.tolist() == [0.0, 1.0]
         assert s.centered_score().tolist() == [0.5, 0.5]
 
-    @pytest.mark.parametrize("reader", [ingest_csv, _ingest_rows])
+    @pytest.mark.parametrize("reader", [ingest_csv, _row_parser],
+                             ids=["ingest_csv", "_ingest_rows"])
     def test_cutoff_column_centres_score(self, tmp_path, reader):
         # both parse tiers store X - C with cutoff 0, whatever the scalar
         # cutoff; the column stays as per-unit labels
@@ -269,7 +280,7 @@ class TestParseTiers:
             with _cache_home(tmp):
                 fast = _ingest_outcome(ingest_csv, str(path), column_map,
                                        delimiter)
-            rows = _ingest_outcome(_ingest_rows, str(path), column_map,
+            rows = _ingest_outcome(_row_parser, str(path), column_map,
                                    delimiter)
         if isinstance(rows, RdSample):
             assert isinstance(fast, RdSample) and _same_sample(fast, rows)
@@ -317,17 +328,18 @@ class TestParseTiers:
         # the quote check scans the file in blocks; a quote in any of
         # them, down to the last byte, must still reach the row parser
         calls = []
+        parse = sample_module._ingest_rows
 
         def spy(*args):
             calls.append(args)
-            return _ingest_rows(*args)
+            return parse(*args)
 
         monkeypatch.setattr(sample_module, "_ingest_rows", spy)
         # the quote sits in an unmapped column, which numpy would read
         # without complaint
         rows = [f"{-1 + i / 5000:.6f},{i % 7}.5,n\n" for i in range(10000)]
         head = "x,y,note\n" + "".join(rows)
-        assert len(head) > sample_module._READ_BLOCK
+        assert len(head) > READ_BLOCK
         if where == "past_first_block":
             text = head + '0.25,1.5,"late"\n' + "0.5,2.5,n\n" * 3
         else:
@@ -359,6 +371,21 @@ def _entries(directory):
 
 def _unparsed(*args):
     raise AssertionError("a cached file was parsed again")
+
+
+# Cells numpy parses but the sample rejects: the row parser must name
+# them.
+_REJECTED_BY_SAMPLE = [
+    ("x,y\n0.5,1\ninf,2\n", {}, NonFiniteScore, "row 1 (value 'inf')"),
+    ("x,y\n0.5,1\n0.25,nan\n", {}, NonFiniteOutcome,
+     "row 1 (value 'nan')"),
+    ("x,y,t\n0.5,1,1\n-0.5,2,0.5\n", {"treatment": "t"}, BadTreatmentCode,
+     "row 1 (value '0.5')"),
+    ("x,y,c\n0.5,1,0\n0.5,2,inf\n", {"cutoff": "c"}, NonFiniteScore,
+     "row 1 (value 'inf')"),
+]
+_REJECTED_IDS = ["inf_score", "nan_outcome", "half_treatment",
+                 "inf_cutoff_cell"]
 
 
 class TestParseCache:
@@ -402,21 +429,41 @@ class TestParseCache:
             # errors are never stored
             assert stored == [] and warm == cold
 
-    @pytest.mark.parametrize("text, error", [
-        ("x,y\n0.5,1\nNA,2\n", NonFiniteScore),
-        ("x,w\n0.5,1\n", MissingColumn),
-        ("x,y\n\n", BadSpec),
-    ], ids=["non_finite_score", "missing_column", "no_data_rows"])
-    def test_errors_are_not_stored(self, tmp_path, parse_cache, text, error):
+    @pytest.mark.parametrize("text, column_map, error, message", [
+        ("x,y\n0.5,1\nNA,2\n", {}, NonFiniteScore, "row 1 (value 'NA')"),
+        ("x,w\n0.5,1\n", {}, MissingColumn, "column 'y' not found"),
+        ("x,y\n\n", {}, BadSpec, "at least one unit"),
+        *_REJECTED_BY_SAMPLE,
+    ], ids=["non_finite_score", "missing_column", "no_data_rows",
+            *_REJECTED_IDS])
+    def test_errors_are_not_stored(self, tmp_path, parse_cache, text,
+                                   column_map, error, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         raised = []
         for _ in range(2):
-            with pytest.raises(error) as info:
-                ingest_csv(str(path), {"score": "x", "outcome": "y"})
+            with pytest.raises(error, match=re.escape(message)) as info:
+                ingest_csv(str(path), {"score": "x", "outcome": "y",
+                                       **column_map})
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
         assert _entries(parse_cache) == []
+
+    @pytest.mark.parametrize("text, column_map, error, message",
+                             _REJECTED_BY_SAMPLE, ids=_REJECTED_IDS)
+    def test_numpy_parses_what_the_sample_rejects(self, tmp_path, text,
+                                                  column_map, error,
+                                                  message):
+        # so the error above comes from the row parser reading a file
+        # whose numpy table the sample rejected
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        bindings = sample_module._bindings(
+            {"score": "x", "outcome": "y", **column_map}, 0.0)
+        table = sample_module._ingest_numeric(str(path), bindings, ",")
+        assert table is not None and table.shape == (len(bindings), 2)
+        with pytest.raises(error):
+            sample_module._sample(table, bindings, 0.0)
 
     def test_scalar_cutoff_is_applied_on_a_hit(self, tmp_path):
         path = self._write(tmp_path / "d.csv")
@@ -503,13 +550,13 @@ class TestParseCache:
         parse = sample_module._ingest_numeric
 
         def parse_then_rewrite(*args):
-            sample = parse(*args)
+            table = parse(*args)
             before = os.stat(path)
             with open(path, "r+b") as handle:
                 handle.seek(-4, os.SEEK_END)
                 handle.write(b"9.5\n")
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-            return sample
+            return table
 
         monkeypatch.setattr(sample_module, "_ingest_numeric",
                             parse_then_rewrite)

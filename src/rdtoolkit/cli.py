@@ -19,7 +19,8 @@ carries it), ``--threads`` and ``--fisher-ci``, then adds the values
 the run resolved, such as an "auto" bandwidth.
 
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
-error, 3 estimation error.  Failures are reported as one JSON object on
+error, a file that cannot be read or written included, 3 estimation
+error.  Failures are reported as one JSON object on
 stderr.
 """
 
@@ -320,7 +321,7 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _ingest(args, treatment=True):
+def _ingest(args):
     """The input's sample; its digest, from the same read, goes to
     ``args.input_digest``."""
     from .sample import ingest_with_digest
@@ -329,7 +330,7 @@ def _ingest(args, treatment=True):
         raise UsageError("--cutoff cannot be combined with --cutoff-col: "
                          "the cutoff column sets each unit's cutoff")
     column_map = {"score": args.score_col, "outcome": args.outcome_col}
-    if treatment and getattr(args, "treatment_col", None):
+    if getattr(args, "treatment_col", None):
         column_map["treatment"] = args.treatment_col
     if args.cutoff_col:
         column_map["cutoff"] = args.cutoff_col
@@ -382,7 +383,6 @@ def cmd_locrand(args):
         FixedMargins,
         _fisher_pvalue_and_ci,
         diff_in_means,
-        fisher_pvalue,
         fuzzy_locrand,
         make_window,
         neyman_ci,
@@ -411,16 +411,12 @@ def cmd_locrand(args):
                              framework=args.framework)
     estimate_fuzzy = None if sample.received is None else fuzzy_locrand(
         sample, window, model=model, framework=args.framework)
-    if args.fisher_ci:
-        # the p-value and the interval share one ensemble
-        fisher, ci = _fisher_pvalue_and_ci(
-            sample, window, model, args.statistic, None, args.alpha,
-            args.max_exhaustive, args.draws, args.seed)
-    else:
-        fisher, ci = fisher_pvalue(
-            sample, window, model=model, statistic=args.statistic,
-            max_exhaustive=args.max_exhaustive, draws=args.draws,
-            seed=args.seed), None
+    # the p-value and the interval share one ensemble; without
+    # --fisher-ci the grid is empty, so only the sharp null is tested
+    fisher, ci = _fisher_pvalue_and_ci(
+        sample, window, model, args.statistic,
+        None if args.fisher_ci else (), args.alpha, args.max_exhaustive,
+        args.draws, args.seed)
     neyman = neyman_ci(sample, window, framework=args.framework,
                        alpha=args.alpha, model=model)
 
@@ -431,17 +427,16 @@ def cmd_locrand(args):
         "fuzzy_estimate": estimate_fuzzy,
         "fisher": fisher,
         "neyman": neyman,
-        "fisher_ci": ci,
+        "fisher_ci": ci if args.fisher_ci else None,
         "window_selection": selection,
     }
     if args.table and selection is not None:
-        _write_csv(args.table, *_trace_table(selection))
+        _write_csv(args.table,
+                   *_trace_table(selection.trace, sorted(sample.covariates)))
     return config, result, args.seed
 
 
-def _trace_table(selection):
-    rows = selection.trace
-    covariates = sorted(name for name, _ in rows[0].p_values) if rows else []
+def _trace_table(rows, covariates):
     header = ["w_left", "w_right", "n_w", "n_plus", "n_minus", "feasible",
               "min_p", "passed"] + [f"p_{c}" for c in covariates]
     return header, ([row.w_left, row.w_right, row.n_w, row.n_plus,
@@ -494,7 +489,7 @@ def _battery_table(report):
 def cmd_plot(args):
     from .plotting import build_rdplot, render_svg
 
-    sample = _ingest(args, treatment=False)
+    sample = _ingest(args)
     plot = build_rdplot(sample, binning=args.binning,
                         bins_per_side=args.bins_per_side,
                         poly_order=args.poly_order,
@@ -547,13 +542,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        return _fail(1, "usage", exc)
-
-    try:
+        args = build_parser().parse_args(argv)
         config, result, seed = args.run(args)
         # exactly the subcommands that read a file set it
         report = make_report(args.command, result, config, seed=seed,
@@ -564,7 +554,7 @@ def main(argv=None) -> int:
             sys.stdout.write(canonical_json(report))
     except UsageError as exc:
         return _fail(1, "usage", exc)
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         return _fail(2, "data", exc)
     except EstimationError as exc:
         return _fail(3, "estimation", exc)

@@ -144,7 +144,7 @@ def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
         y = sample.outcome.take(rows)
         if kind == "fuzzy":
             y = np.column_stack([y, sample.received.take(rows).astype(float)])
-        return side_window(sample.score.take(rows) - sample.cutoff, y, 0.0,
+        return side_window(sample.score.take(rows) - sample.cutoff, y,
                            kernel, h)
 
     rows_b, rows_a = sample.side_rows

@@ -28,7 +28,7 @@ bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice, takewhile
 from math import comb
 from statistics import NormalDist
@@ -186,11 +186,7 @@ def fuzzy_locrand(sample: RdSample, window: Window,
         raise WeakFirstStage(
             f"receipt contrast {first_stage:.4g} is below the "
             f"{WEAK_FIRST_STAGE_THRESHOLD} threshold")
-    return LocRandEstimate(
-        tau_hat=(est.ybar_plus - est.ybar_minus) / first_stage,
-        ybar_plus=est.ybar_plus, ybar_minus=est.ybar_minus,
-        framework=framework, dbar_plus=est.dbar_plus,
-        dbar_minus=est.dbar_minus)
+    return replace(est, tau_hat=est.tau_hat / first_stage)
 
 
 # --------------------------------------------------------------------

@@ -4,12 +4,13 @@ The design is centered at the cutoff: regressors are powers of (x - c),
 so the intercept estimates the boundary level mu(c) and nu! * beta_nu
 estimates the nu-th derivative.  :func:`fit_window` is the one side-fit
 kernel behind every continuity-based method; :func:`side_window` selects
-the observations it fits, once per (side, bandwidth), and
-:func:`fit_values` chains the two.  The kernel factorises each
-(window, order) once, with a single SVD of the sqrt-weighted design; that
-SVD yields the coefficients, the rank test, the condition number and the
-bread V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich,
-which uses the kernel weights as regression weights.  The response may
+the observations it fits, once per (side, bandwidth), from scores the
+caller has already centred, and :func:`fit_values` centres the scores
+and chains the two.  The kernel factorises each (window, order) once,
+with a single SVD of the sqrt-weighted design; that SVD yields the
+coefficients, the rank test, the condition number and the bread
+V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich, which
+uses the kernel weights as regression weights.  The response may
 hold several columns fitted on the same weights; the covariance then
 includes the cross-response blocks, which the fuzzy design needs for
 the outcome-treatment intercept covariance.
@@ -131,18 +132,19 @@ class SideWindow:
     h: float
 
 
-def side_window(x: np.ndarray, y: np.ndarray, cutoff: float,
-                kernel: str = "triangular", h: float = np.nan) -> SideWindow:
-    """Kernel window of one side at bandwidth h; membership is w > 0 for
-    w = kernel_weight((x - cutoff) / h)."""
-    x = np.asarray(x, dtype=float)
+def side_window(xc: np.ndarray, y: np.ndarray, kernel: str = "triangular",
+                h: float = np.nan) -> SideWindow:
+    """Kernel window of one side at bandwidth h, from scores ``xc``
+    already centred at the cutoff; membership is w > 0 for
+    w = kernel_weight(xc / h)."""
+    xc = np.asarray(xc, dtype=float)
     y = np.asarray(y, dtype=float)
     h = float(h)
     if not np.isfinite(h) or h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    w = kernel_weight((x - cutoff) / h, kernel)
+    w = kernel_weight(xc / h, kernel)
     keep = np.flatnonzero(w > 0)
-    return SideWindow(xc=x.take(keep) - cutoff, y=y.take(keep, axis=0),
+    return SideWindow(xc=xc.take(keep), y=y.take(keep, axis=0),
                       w=w.take(keep), kernel=kernel, h=h)
 
 
@@ -153,7 +155,7 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
     The caller supplies the observations belonging to one side; points
     with zero kernel weight are dropped before solving.  ``y`` is a
     vector, or an (n, k) matrix of k responses sharing the weights.
-    Equal to ``fit_window(side_window(x, y, cutoff, kernel, h), p)``.
+    Equal to ``fit_window(side_window(x - cutoff, y, kernel, h), p)``.
 
     Raises
     ------
@@ -164,7 +166,8 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
         eps * n_eff of the largest, or below 1e-12 of it (e.g. all
         within-window scores identical).
     """
-    return fit_window(side_window(x, y, cutoff, kernel, h), p)
+    xc = np.asarray(x, dtype=float) - cutoff
+    return fit_window(side_window(xc, y, kernel, h), p)
 
 
 def fit_window(window: SideWindow, p: int = 1) -> LocalFit:

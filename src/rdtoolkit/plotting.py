@@ -100,31 +100,32 @@ def _bin_bounds(idx, j):
     return np.searchsorted(idx, np.arange(j + 1))
 
 
-def _evenly_spaced_bins(x, y, j):
-    """Equal-width bins over [x[0], x[-1]]; one bin when all x are equal.
-    A row belongs to the last bin whose lower edge it reaches, so on the
-    sorted side bin b starts at the first row at or above edges[b]."""
+def _bins(y, bounds, lower, upper):
+    """The records of bins b holding sorted rows bounds[b]:bounds[b + 1]
+    on [lower[b], upper[b]]; an empty bin has no mean."""
+    return [PlotBin(lower=float(lo), upper=float(hi),
+                    midpoint=float(0.5 * (lo + hi)),
+                    mean_outcome=float(y[s:e].mean()) if e > s else None,
+                    count=int(e - s))
+            for s, e, lo, hi in zip(bounds[:-1], bounds[1:], lower, upper)]
+
+
+def _evenly_spaced_bins(x, j):
+    """Row bounds and bin edges of equal-width bins over [x[0], x[-1]];
+    one bin when all x are equal.  A row belongs to the last bin whose
+    lower edge it reaches, so on the sorted side bin b starts at the
+    first row at or above edges[b]."""
     lo, hi = float(x[0]), float(x[-1])
-    if hi == lo:
-        # All scores identical: one interval holds everything.
-        edges = np.array([lo, hi])
-        j = 1
-    else:
-        edges = np.linspace(lo, hi, j + 1)
-    bounds = np.concatenate(([0], np.searchsorted(x, edges[1:j]),
+    # All scores identical: one interval holds everything.
+    edges = np.array([lo, hi]) if hi == lo else np.linspace(lo, hi, j + 1)
+    bounds = np.concatenate(([0], np.searchsorted(x, edges[1:-1]),
                              [x.shape[0]]))
-    bins = []
-    for b in range(j):
-        s, e = bounds[b], bounds[b + 1]
-        mean = float(y[s:e].mean()) if e > s else None
-        bins.append(PlotBin(lower=float(edges[b]), upper=float(edges[b + 1]),
-                            midpoint=float(0.5 * (edges[b] + edges[b + 1])),
-                            mean_outcome=mean, count=int(e - s)))
-    return bins
+    return bounds, edges[:-1], edges[1:]
 
 
-def _quantile_bins(x, y, j):
-    """Rank-based quantile bins; tied scores share the lower bin."""
+def _quantile_bins(x, j):
+    """Row bounds and score range of rank-based quantile bins; tied
+    scores share the lower bin."""
     n = x.shape[0]
     # x is sorted; the first index of each distinct value is that
     # value's minimum rank, shared by all its ties.
@@ -132,23 +133,12 @@ def _quantile_bins(x, y, j):
     new_val = np.flatnonzero(np.diff(x) != 0) + 1
     first_idx[new_val] = new_val
     np.maximum.accumulate(first_idx, out=first_idx)
-    idx = np.minimum(j - 1, first_idx * j // n)
-    bounds = _bin_bounds(idx, j)
-    bins = []
-    for b in range(j):
-        s, e = bounds[b], bounds[b + 1]
-        if e > s:
-            bins.append(PlotBin(lower=float(x[s]), upper=float(x[e - 1]),
-                                midpoint=float(0.5 * (x[s] + x[e - 1])),
-                                mean_outcome=float(y[s:e].mean()),
-                                count=int(e - s)))
-        else:
-            # Heavy ties can starve a rank bin; emit it empty to keep
-            # the bin count honest.
-            bins.append(PlotBin(lower=float("nan"), upper=float("nan"),
-                                midpoint=float("nan"), mean_outcome=None,
-                                count=0))
-    return bins
+    bounds = _bin_bounds(np.minimum(j - 1, first_idx * j // n), j)
+    s, e = bounds[:-1], bounds[1:]
+    # Heavy ties can starve a rank bin; it is kept, empty, with NaN
+    # bounds, to keep the bin count honest.
+    return (bounds, np.where(e > s, x.take(s, mode="clip"), np.nan),
+            np.where(e > s, x.take(e - 1, mode="clip"), np.nan))
 
 
 def _global_curve(x, y, cutoff, order, grid):
@@ -193,7 +183,7 @@ def build_rdplot(sample: RdSample, binning: str = "evenly_spaced",
              else _default_bins(rows.shape[0]))
         grid = (np.linspace(x[0], c, grid_points, endpoint=False)
                 if label == "below" else np.linspace(c, x[-1], grid_points))
-        sides.append((tuple(binned(x, y, j)),
+        sides.append((tuple(_bins(y, *binned(x, j))),
                       _global_curve(x, y, c, poly_order, grid)))
         del x, y
 

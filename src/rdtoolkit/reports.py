@@ -11,14 +11,12 @@ sufficient to reproduce the run exactly.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 
 import numpy as np
 
 from . import __version__
-from .defaults import READ_BLOCK
 
 SCHEMA = "rd-toolkit-report/1"
 
@@ -54,11 +52,11 @@ def canonical_json(document) -> str:
 
 
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(READ_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    """SHA-256 hex digest of the file's bytes: the digest ingest computes
+    and a report's ``input_digest`` carries."""
+    from .sample import _scan
+
+    return _scan(path)[0]
 
 
 def make_report(kind: str, result, config: dict, seed: int | None = None,

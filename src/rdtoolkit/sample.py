@@ -247,7 +247,7 @@ def _bindings(column_map: dict[str, object], cutoff: float):
 
 def _read_header(reader, bindings) -> tuple[list[int], int]:
     """Read the header row: the column index of each binding, in table
-    order, and the header's width."""
+    order, and the header's width.  A bound name must name one column."""
     try:
         header = next(reader)
     except StopIteration:
@@ -258,6 +258,9 @@ def _read_header(reader, bindings) -> tuple[list[int], int]:
     for _, name in bindings:
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in header {header}")
+        if header.count(name) > 1:
+            raise BadSpec(f"column {name!r} appears more than once in the "
+                          f"header {header}")
     return [header.index(name) for _, name in bindings], len(header)
 
 

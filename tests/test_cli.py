@@ -14,9 +14,15 @@ from rdtoolkit import continuity, dgps, lpoly
 from rdtoolkit import sample as sample_module
 from rdtoolkit.cli import _DGPS, build_parser, main
 from rdtoolkit.defaults import MIN_REPLICATIONS
-from rdtoolkit.locrand import fisher_pvalue, select_window
+from rdtoolkit.locrand import (
+    fisher_pvalue,
+    fuzzy_locrand,
+    make_window,
+    select_window,
+)
 from rdtoolkit.powersim import mde, simulate_coverage
-from rdtoolkit.reports import SCHEMA, sha256_file
+from rdtoolkit.reports import SCHEMA, jsonable, sha256_file
+from rdtoolkit.sample import ingest_csv
 from rdtoolkit.validation import run_battery
 
 from conftest import multi_cutoff_rows, write_csv
@@ -44,45 +50,61 @@ def locrand_csv(tmp_path):
 
 
 @pytest.fixture()
+def fuzzy_csv(tmp_path):
+    # one unit in five takes up the other arm, so the first stage is 0.6
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, 400)
+    d = (x >= 0) ^ (rng.uniform(size=400) < 0.2)
+    y = 1.0 + 0.5 * x + 0.8 * d + 0.3 * rng.standard_normal(400)
+    path = tmp_path / "fuzzy.csv"
+    write_csv(path, ["x", "y", "d"], zip(x, y, d.astype(int)))
+    return path
+
+
+@pytest.fixture()
 def multi_cutoff_csv(tmp_path):
     path = tmp_path / "multi.csv"
     write_csv(path, ["x", "y", "c"], zip(*multi_cutoff_rows()))
     return path
 
 
-def _data_error_in_subprocess(tmp_path, text):
-    """Run `estimate` on a CSV in a fresh interpreter; check the data-error
-    contract and return the error message."""
-    path = tmp_path / "in.csv"
-    path.write_text(text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rdtoolkit", "estimate", "--input",
-         str(path), "--score-col", "score", "--outcome-col", "outcome",
-         "--h", "0.5"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    doc = json.loads(proc.stderr)  # exactly one JSON document
-    assert doc["error"]["kind"] == "data"
-    return doc["error"]["message"]
-
-
-def _usage_error_in_subprocess(argv):
-    """Run the CLI in a fresh interpreter; check the usage-error contract
-    (exit 1, one JSON error, no traceback) and return the message."""
+def _error_in_subprocess(argv, code, kind):
+    """Run the CLI in a fresh interpreter; check the error contract (exit
+    ``code``, exactly one JSON error of ``kind`` on stderr, no traceback,
+    nothing on stdout) and return the error message."""
     proc = subprocess.run([sys.executable, "-m", "rdtoolkit", *argv],
                           capture_output=True, text=True)
-    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.returncode == code and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
-    assert doc["kind"] == "usage"
+    assert doc["kind"] == kind
     return doc["message"]
+
+
+def _estimate_argv(tmp_path, text):
+    """`estimate` on a new CSV holding ``text``."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return ["estimate", "--input", str(path), "--score-col", "score",
+            "--outcome-col", "outcome", "--h", "0.5"]
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _hex(value):
+    """A JSON value with every float as its ``float.hex``, so that ==
+    compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hex(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hex(item) for item in value]
+    return value
 
 
 class TestEstimate:
@@ -166,23 +188,70 @@ class TestEstimate:
         assert json.loads(err)["error"]["kind"] == "data"
 
     def test_short_row_exits_2(self, tmp_path):
-        message = _data_error_in_subprocess(
-            tmp_path, "score,outcome\n0.1,1\n-0.2\n")
+        message = _error_in_subprocess(_estimate_argv(
+            tmp_path, "score,outcome\n0.1,1\n-0.2\n"), 2, "data")
         assert "row 1" in message
 
     def test_oversized_cell_in_row_parser_exits_2(self, tmp_path):
         # the NA outcome sends the file to the row parser, whose csv
         # module refuses a cell over csv.field_size_limit()
         big = "a" * 200_000
-        message = _data_error_in_subprocess(
+        message = _error_in_subprocess(_estimate_argv(
             tmp_path, f"score,outcome,note\n0.1,1,x\n-0.2,2,{big}\n"
-                      "0.3,NA,x\n")
+                      "0.3,NA,x\n"), 2, "data")
         assert "row 1" in message and "field limit" in message
 
     def test_header_only_exits_2(self, tmp_path):
         # no warning text may precede the one JSON error on stderr
-        message = _data_error_in_subprocess(tmp_path, "score,outcome\n")
+        message = _error_in_subprocess(
+            _estimate_argv(tmp_path, "score,outcome\n"), 2, "data")
         assert "at least one unit" in message
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--h", "0.5", "--input", "{dir}"],
+        ["estimate", "--h", "0.5", "--output", "{dir}"],
+        ["locrand", "--covariate", "z", "--candidates", "0.25", "0.5",
+         "--draws", "99", "--table", "{dir}"],
+        ["plot", "--svg", "{dir}"]],
+        ids=["input", "output", "locrand-table", "plot-svg"])
+    def test_directory_path_exits_2(self, locrand_csv, tmp_path, argv):
+        # each used to print an IsADirectoryError traceback and exit 1
+        data = ["--input", str(locrand_csv), "--score-col", "x",
+                "--outcome-col", "y"]
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        message = _error_in_subprocess([argv[0], *data, *argv[1:]], 2,
+                                       "data")
+        assert "directory" in message
+
+    @pytest.mark.parametrize("first", ["0.1", '"0.1"'],
+                             ids=["numpy-tier", "row-parser"])
+    def test_bound_column_named_twice_exits_2(self, tmp_path, first,
+                                              capsys):
+        # the first `score` used to be bound without a word; a quoted
+        # cell sends the file to the row parser
+        rows = "".join(f"{x},{x + 1},{x}\n" for x in (-0.3, -0.2, 0.2, 0.3))
+        path = tmp_path / "twice.csv"
+        path.write_text(f"score,outcome,score\n{first},1,2\n{rows}")
+        code, out, err = run_cli(
+            ["estimate", "--input", str(path), "--score-col", "score",
+             "--outcome-col", "outcome", "--h", "0.5"], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "BadSpec" and "'score'" in doc["message"]
+
+    def test_unbound_column_named_twice_is_read(self, step_csv, tmp_path,
+                                                capsys):
+        with open(step_csv) as fh:
+            lines = fh.read().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join(f"{line},{i},{i}\n"
+                                 for i, line in enumerate(lines)))
+        argv = ["estimate", "--score-col", "x", "--outcome-col", "y",
+                "--h", "0.5"]
+        code, out, _ = run_cli([*argv, "--input", str(twice)], capsys)
+        assert code == 0
+        _, plain, _ = run_cli([*argv, "--input", str(step_csv)], capsys)
+        assert json.loads(out)["result"] == json.loads(plain)["result"]
 
     def test_bad_flag_exits_1(self, step_csv, capsys):
         code, out, err = run_cli(
@@ -200,9 +269,9 @@ class TestEstimate:
              "window-inf"])
     def test_non_finite_bandwidth_or_window_exits_1(self, step_csv, flags):
         # nan used to exit 2 or 3 from deep in the fit; inf exited 0
-        message = _usage_error_in_subprocess(
+        message = _error_in_subprocess(
             [flags[0], "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", *flags[1:]])
+             "--outcome-col", "y", *flags[1:]], 1, "usage")
         assert "finite" in message
 
     def test_starved_fit_exits_3(self, step_csv, capsys):
@@ -254,6 +323,45 @@ class TestEstimate:
         assert orders == {1: order_p_fits, 2: 2}
         per_cutoff = json.loads(out)["result"]["per_cutoff"]
         assert len(per_cutoff) == (3 if multi else 1)
+
+
+class TestDesigns:
+    """Reports of the designs that read a treatment column, or a kink,
+    equal the library's numbers on the ingested sample, bit for bit."""
+
+    COLUMNS = {"score": "x", "outcome": "y", "treatment": "d"}
+
+    @pytest.mark.parametrize("design, p", [("fuzzy", 1), ("kink", 2)])
+    def test_estimate_equals_rbc_inference(self, fuzzy_csv, design, p,
+                                           capsys):
+        code, out, _ = run_cli(
+            ["estimate", "--input", str(fuzzy_csv), "--score-col", "x",
+             "--outcome-col", "y", "--treatment-col", "d", "--design",
+             design, "--p", str(p), "--h", "0.6"], capsys)
+        assert code == 0
+        rbc = continuity.rbc_inference(
+            ingest_csv(fuzzy_csv, self.COLUMNS), kind=design, p=p,
+            kernel="triangular", h_below=0.6, h_above=0.6, level=0.95)
+        result = json.loads(out)["result"]
+        assert _hex(result["estimate"]) == _hex(jsonable(rbc.base))
+        assert _hex(result["rbc"]) == _hex(jsonable(
+            {name: getattr(rbc, name) for name in result["rbc"]}))
+
+    def test_locrand_with_treatment_column(self, fuzzy_csv, capsys):
+        code, out, _ = run_cli(
+            ["locrand", "--input", str(fuzzy_csv), "--score-col", "x",
+             "--outcome-col", "y", "--treatment-col", "d", "--window",
+             "0.3", "--draws", "199", "--seed", "5"], capsys)
+        assert code == 0
+        sample = ingest_csv(fuzzy_csv, self.COLUMNS)
+        window = make_window(sample, 0.3, 0.3)
+        result = json.loads(out)["result"]
+        assert _hex(result["fuzzy_estimate"]) \
+            == _hex(jsonable(fuzzy_locrand(sample, window)))
+        # without --fisher-ci only the sharp null is tested
+        assert _hex(result["fisher"]) == _hex(jsonable(
+            fisher_pvalue(sample, window, draws=199, seed=5)))
+        assert result["fisher_ci"] is None
 
 
 class TestMultiCutoff:
@@ -315,10 +423,10 @@ class TestLocrand:
     @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_1(self, step_csv, alpha):
         # 1.5 used to exit 0 with an inverted Neyman interval
-        message = _usage_error_in_subprocess(
+        message = _error_in_subprocess(
             ["locrand", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.5", "--fisher-ci",
-             "--alpha", alpha])
+             "--alpha", alpha], 1, "usage")
         assert "--alpha" in message
 
     @pytest.mark.parametrize("flag, argv", [
@@ -384,7 +492,8 @@ class TestLocrand:
         data = [] if argv[0] in ("power", "simulate") else [
             "--input", str(locrand_csv), "--score-col", "x",
             "--outcome-col", "y", "--covariate", "z"]
-        message = _usage_error_in_subprocess([argv[0], *data, *argv[1:]])
+        message = _error_in_subprocess([argv[0], *data, *argv[1:]], 1,
+                                       "usage")
         assert flag in message
 
     def test_nonzero_cutoff_window_holds_the_units_analysed(self, tmp_path):
@@ -413,10 +522,11 @@ class TestLocrand:
     def test_balance_alpha_outside_unit_interval_exits_1(self, locrand_csv,
                                                          alpha):
         # 1.5 used to exit 0, flagged no_balanced_window
-        message = _usage_error_in_subprocess(
+        message = _error_in_subprocess(
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--covariate", "z", "--candidates",
-             "0.25", "0.5", "--draws", "99", "--balance-alpha", alpha])
+             "0.25", "0.5", "--draws", "99", "--balance-alpha", alpha],
+            1, "usage")
         assert "--balance-alpha" in message
 
     def test_auto_window_selection_and_trace(self, locrand_csv, tmp_path,
@@ -437,6 +547,24 @@ class TestLocrand:
             rows = list(csv.DictReader(fh))
         assert [float(r["w_left"]) for r in rows] == [0.25, 0.5, 0.75, 1.0]
         assert "p_z" in rows[0]
+
+    def test_trace_table_keeps_columns_after_infeasible_candidate(
+            self, locrand_csv, tmp_path, capsys):
+        # the smallest candidate holds no 2 units per side; its trace row
+        # tests no covariate, and the table used to drop every p column
+        trace = tmp_path / "trace.csv"
+        code, out, _ = run_cli(
+            ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--covariate", "z", "--candidates",
+             "0.001", "0.25", "0.5", "--draws", "99", "--seed", "7",
+             "--table", str(trace)], capsys)
+        assert code == 0
+        report = json.loads(out)["result"]["window_selection"]["trace"]
+        with open(trace, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert report[0]["feasible"] is False
+        assert [row["p_z"] for row in rows] == [
+            "", *(repr(row["p_values"][0][1]) for row in report[1:])]
 
     def test_auto_without_covariates_exits_2(self, step_csv, capsys):
         code, _, err = run_cli(
@@ -537,9 +665,9 @@ class TestPlot:
     def test_out_of_range_flag_exits_1(self, step_csv, flag, value):
         # 0 used to exit 0 with no bins or empty curves, poly order -1
         # with all-zero curves; negative counts exited 2 from numpy
-        message = _usage_error_in_subprocess(
+        message = _error_in_subprocess(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, value])
+             "--outcome-col", "y", flag, value], 1, "usage")
         assert flag in message
 
     def test_rank_deficient_curve_exits_3(self, step_csv, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -123,3 +124,46 @@ def test_treatment_rule_is_written_once():
                         _reads(a, "score") and _reads(b, "cutoff")
                         or _reads(a, "cutoff") and _reads(b, "score")):
                     assert path.name == "sample.py", (path.name, node.lineno)
+
+
+def _calls(tree, name):
+    """The calls in a module of a function or class of that name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == name]
+
+
+def test_files_are_hashed_in_one_place():
+    # sample._scan streams the digest; reports.sha256_file reads it
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module}
+            else:
+                continue
+            if "hashlib" in modules:
+                assert path.name == "sample.py", (path.name, node.lineno)
+
+
+def test_plot_bins_are_built_in_one_place():
+    # each binning returns bounds and edges; one builder makes the records
+    path = pathlib.Path(rdtoolkit.__file__).parent / "plotting.py"
+    assert len(_calls(ast.parse(path.read_text()), "PlotBin")) == 1
+
+
+def test_side_window_takes_centred_scores():
+    # scores are centred once, by the caller; no call passes a cutoff
+    from rdtoolkit.lpoly import side_window
+
+    assert list(inspect.signature(side_window).parameters) \
+        == ["xc", "y", "kernel", "h"]
+    calls = 0
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        for call in _calls(ast.parse(path.read_text()), "side_window"):
+            calls += 1
+            assert len(call.args) + len(call.keywords) <= 4 and not any(
+                isinstance(arg, ast.Constant) for arg in call.args), \
+                (path.name, call.lineno)
+    assert calls >= 2

@@ -13,6 +13,7 @@ from rdtoolkit.reports import canonical_json
 from rdtoolkit.plotting import (
     PlotBin,
     _bin_bounds,
+    _bins,
     _evenly_spaced_bins,
     _quantile_bins,
     _sorted_side,
@@ -100,7 +101,7 @@ class TestBins:
         # repr is exact for floats and, unlike ==, equates NaN with NaN
         for built, mask_built in ((_evenly_spaced_bins, _mask_even_bins),
                                   (_quantile_bins, _mask_quantile_bins)):
-            assert (list(map(repr, built(x, y, j)))
+            assert (list(map(repr, _bins(y, *built(x, j))))
                     == list(map(repr, mask_built(x, y, j))))
 
     @settings(max_examples=200, deadline=None)
@@ -118,7 +119,7 @@ class TestBins:
         if decimals is not None:
             x = np.round(x, decimals)
         x, y = _sorted_side(x, rng.normal(size=n))
-        bins = _evenly_spaced_bins(x, y, j)
+        bins = _bins(y, *_evenly_spaced_bins(x, j))
         lo, hi = float(x[0]), float(x[-1])
         if hi == lo:
             edges, j = np.array([lo, hi]), 1

@@ -8,7 +8,10 @@ from its own output.  Reports go to --output or stdout.
 
 Each subcommand imports its analysis modules inside its own body, so a
 call loads only the modules it runs; the parser reads its shared
-defaults from ``rdtoolkit.defaults``, which imports nothing else.
+defaults from ``rdtoolkit.defaults``, which imports nothing else.  The
+parser shell (this module, ``reports``, ``errors``, ``defaults``) and
+``power`` import no numpy, so ``--help``, ``--version``, a usage error
+and ``power`` load only the standard library.
 
 Each flag is declared once, in :func:`build_parser`.  Its type carries
 its range, so an out-of-range value is a usage error raised while the
@@ -17,6 +20,13 @@ the flag.  The report's config is built from the parsed arguments: it
 echoes every flag except output paths, the seed (the report envelope
 carries it), ``--threads`` and ``--fisher-ci``, then adds the values
 the run resolved, such as an "auto" bandwidth.
+
+Output paths (--output, --table, --svg) are checked once the arguments
+are parsed, before the input is read: a path that is a directory, or
+lies in a missing directory, fails before any work or side file.  So
+such a path outranks a usage error that a subcommand raises in its
+own body (say ``--design kink --p 0``), which then exits 2, not 1;
+usage errors the parser raises still come first.
 
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
 error, a file that cannot be read or written included, 3 estimation
@@ -29,7 +39,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import math
+import os
 import sys
 from importlib import import_module
 
@@ -541,9 +553,32 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
+def _check_output_paths(args):
+    """Raise, before any work, the error ``open`` would raise on an output
+    path the run writes that is a directory or lies in a missing one.
+    Other failures, such as a denied permission, are left to the write."""
+    dests = ["output", "table", "svg"]
+    if args.command == "locrand" and args.window is not None:
+        dests.remove("table")  # only a selected window has a trace
+    for dest in dests:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        try:
+            os.stat(os.path.dirname(path.rstrip(os.sep)) or os.curdir)
+        except OSError as exc:
+            if exc.errno == errno.ENOENT:
+                raise FileNotFoundError(
+                    errno.ENOENT, os.strerror(errno.ENOENT), path) from None
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output_paths(args)
         config, result, seed = args.run(args)
         # exactly the subcommands that read a file set it
         report = make_report(args.command, result, config, seed=seed,

@@ -18,10 +18,8 @@ bandwidth, so se shrinks like n^(-1/2); MSE-bandwidth scaling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, fsum, isnan, nan
+from math import ceil, fsum, inf, isnan, nan
 from statistics import NormalDist
-
-import numpy as np
 
 from .defaults import MIN_REPLICATIONS
 from .errors import (
@@ -96,10 +94,25 @@ def power_curve(se: float, alpha: float = 0.05, tau_grid=None,
     """
     effect = mde(se, alpha, target_power)
     if tau_grid is None:
-        tau_grid = np.linspace(0.0, 1.5 * effect, 25)
+        tau_grid = _linspace(0.0, 1.5 * effect, 25)
     curve = tuple((float(t), power_at(float(t), se, alpha)) for t in tau_grid)
     return PowerResult(se_used=float(se), alpha=float(alpha),
                        power_curve=curve, mde=effect)
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.linspace(start, stop, n).tolist()`` for n >= 2, by numpy's
+    own float arithmetic, so the grid keeps its bits without numpy."""
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        # numpy's rule for a step that underflows (subnormal stops)
+        points = [(i / div) * delta + start for i in range(n)]
+    else:
+        points = [i * step + start for i in range(n)]
+    points[-1] = stop
+    return points
 
 
 def required_n(pilot_se: float, n_pilot: int, target_mde: float,
@@ -109,7 +122,9 @@ def required_n(pilot_se: float, n_pilot: int, target_mde: float,
 
     fixed_h scaling: se(n) = pilot_se * sqrt(n_pilot / n).
     mse_h scaling:   se(n) = pilot_se * (n_pilot / n)^((p+1)/(2p+3)),
-    the rate when the bandwidth is re-selected at each n.
+    the rate when the bandwidth is re-selected at each n.  A target
+    whose n is 2**53 or more, past what a float counts exactly, raises
+    UnreachableTarget.
     """
     if target_mde <= 0:
         raise ValueError("target mde must be positive")
@@ -125,11 +140,15 @@ def required_n(pilot_se: float, n_pilot: int, target_mde: float,
     if mde0 <= target_mde:
         return n_pilot
     # mde(n) = mde0 * (n_pilot/n)^rate <= target  =>  n >= n_pilot*(mde0/target)^(1/rate)
-    ratio = (mde0 / target_mde) ** (1.0 / rate)
-    if not np.isfinite(ratio):
+    try:
+        bound = n_pilot * (mde0 / target_mde) ** (1.0 / rate)
+    except OverflowError:
+        bound = inf
+    # from 2**53 on, a float cannot count n exactly
+    if not bound < 2.0 ** 53:
         raise UnreachableTarget(
             f"target mde {target_mde} unreachable under {scaling} scaling")
-    n = ceil(n_pilot * ratio)
+    n = ceil(bound)
     # ceil on the analytic bound can overshoot by one grid step; walk back.
     while n > n_pilot and _implied_mde(pilot_se, n_pilot, n - 1, rate,
                                        alpha, target_power) <= target_mde:
@@ -251,6 +270,8 @@ def oracle_mse_bandwidth(dgp: DgpSpec, p: int, kernel: str,
     reduced in replication order with exact summation, so the curve is
     invariant to the thread count.
     """
+    import numpy as np
+
     from .continuity import sharp_estimate
     from .parallel import run_indexed
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-
-import numpy as np
+import sys
 
 from . import __version__
 
@@ -26,15 +25,13 @@ def jsonable(obj):
 
     Non-finite floats become null: they signal "not available" in every
     place they can legally appear (empty bins, degenerate ratios).
+    numpy values are converted last, without importing numpy: if it is
+    not loaded, no numpy value can exist.
     """
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return jsonable(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -42,6 +39,12 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            return jsonable(obj.item())
+        if isinstance(obj, np.ndarray):
+            return [jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import inspect
 import json
 import subprocess
@@ -679,6 +680,82 @@ class TestPlot:
         assert json.loads(err)["error"]["type"] == "RankDeficient"
 
 
+class TestOutputPaths:
+    """An output path that cannot exist fails before the input is read,
+    with the error ``open`` raises on it."""
+
+    def test_missing_report_directory_fails_before_the_work(
+            self, locrand_csv, tmp_path, monkeypatch, capsys):
+        # the window selection used to run and write t.csv first
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--covariate", "z", "--candidates",
+             "0.25", "0.5", "--draws", "99", "--table", "t.csv",
+             "--output", "missing_dir/r.json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            '{\n  "error": {\n    "kind": "data",\n    "message": '
+            '"[Errno 2] No such file or directory: \'missing_dir/r.json\'",'
+            '\n    "type": "FileNotFoundError"\n  }\n}\n')
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_missing_svg_directory_writes_no_report(self, step_csv, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            ["plot", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", "--svg", "missing_dir/p.svg",
+             "--output", "r.json"], capsys)
+        assert code == 2
+        assert "'missing_dir/p.svg'" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_fixed_window_table_is_not_checked(self, locrand_csv, tmp_path,
+                                               monkeypatch, capsys):
+        # locrand writes its trace table only when it selects the window
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--window", "0.5", "--draws", "99",
+             "--table", "missing/t.csv"], capsys)
+        assert code == 0
+
+    def test_outranks_a_usage_error_raised_in_the_body(self, step_csv,
+                                                       capsys):
+        # the parser accepts --p 0; cmd_estimate rejects it for a kink
+        argv = ["estimate", "--input", str(step_csv), "--score-col", "x",
+                "--outcome-col", "y", "--design", "kink", "--p", "0"]
+        assert run_cli(argv, capsys)[0] == 1
+        code, _, err = run_cli([*argv, "--output", "missing/r.json"],
+                               capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("flag", ["--output", "--table", "--svg"])
+    @pytest.mark.parametrize("path", [
+        ".", "missing/p.out", "missing/", "absent/missing/p.out",
+        "file.txt/p.out"])
+    def test_error_is_the_one_open_raises(self, step_csv, tmp_path,
+                                          monkeypatch, capsys, flag, path):
+        # a path under a regular file is left to the write; it fails the
+        # same way, only after the plot is built
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "file.txt").write_text("not a directory\n")
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        code, out, err = run_cli(
+            ["plot", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", flag, path], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": type(opened.value).__name__, "kind": "data",
+            "message": str(opened.value)}
+        assert [p.name for p in work.iterdir()] == ["file.txt"]
+
+
 class TestParseCache:
     """A call whose input was parsed before loads the stored columns and
     writes the bytes a parse writes."""
@@ -756,6 +833,67 @@ class TestPower:
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "usage"
 
+    # sha256 of each report, recorded while the default grid was still
+    # np.linspace and required_n still walked back from its bound
+    @pytest.mark.parametrize("argv, digest", [
+        ([], "731aeadc08f4dced0d12090faa3f7eeb"
+             "9017134a7850900aa2d396ff2674ce8a"),
+        (["--tau", "0", "0.05", "0.1", "-0.2", "0.3"],
+         "b89730102b19abfc9aaf0d12d8e15e5a"
+         "be45d3c27cf200854b69abd4bf32095f"),
+        (["--target-mde", "0.05", "--n-pilot", "500"],
+         "54acba9ba7b395cdb5dbbc911a6be0d9"
+         "5dce7e7630f5cb545988f7710fdf1c32"),
+        (["--target-mde", "0.05", "--n-pilot", "500", "--p", "4"],
+         "354d9bb364542d29f3aad1d5fb78c07b"
+         "3f62703cb65cf3a984dd2587d4fb49ff"),
+        (["--target-mde", "0.05", "--n-pilot", "500", "--scaling", "mse_h"],
+         "ab73245861e9d89e0ae170257711644d"
+         "c4c214f98033e557125025e1d27f2658"),
+        (["--target-mde", "0.05", "--n-pilot", "500", "--scaling", "mse_h",
+          "--p", "4"],
+         "28f7163b99694960e0e778e4e2fd0f8b"
+         "0945b89801288b38aa6582c37dad59be"),
+        (["--target-power", "0.04"],
+         "e8ae1b04690a06c5be595df4ee25117e"
+         "9ba12d9b7c50eccdefe2e19344a532b8"),
+    ], ids=["default-grid", "tau", "fixed-p1", "fixed-p4", "mse-p1",
+            "mse-p4", "zero-effect-grid"])
+    def test_report_bytes_pinned(self, argv, digest, capsys):
+        code, out, _ = run_cli(["power", "--se", "0.1", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("se, digest", [
+        ("5e-324", "cd213494b4770748954d5e2c6d5b1a44"
+                   "3c4eed9aed969077053eb481f0be27aa"),
+        ("1e308", "e423498eb9a48c22e123205782cbe1ee"
+                  "8ebef851ba877725f76261a21425769f"),
+    ], ids=["subnormal", "huge"])
+    def test_extreme_se_exits_0_quietly(self, se, digest):
+        # the MDE of 1e308 overflows: numpy's grid warned "invalid value
+        # encountered in multiply" on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdtoolkit", "power", "--se", se],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["--se", "1e150", "--target-mde", "1e-150", "--n-pilot", "10"],
+        ["--se", "1e62", "--target-mde", "1e-62", "--n-pilot", "10",
+         "--scaling", "mse_h"],
+        ["--se", "1", "--target-mde", "1e-150", "--n-pilot", "1000000000"],
+        ["--se", "1e20", "--target-mde", "1e-20", "--n-pilot", "10",
+         "--scaling", "mse_h"],
+    ], ids=["power-overflows", "mse-power-overflows", "ceil-of-inf",
+            "n-past-2-53"])
+    def test_unrepresentable_n_exits_3(self, argv):
+        # the first three used to print an OverflowError traceback and
+        # exit 1; the last never ended, stepping down from an n of ~1e102
+        message = _error_in_subprocess(["power", *argv], 3, "estimation")
+        assert "unreachable" in message
+
 
 class TestSimulate:
     def test_linear_fixed_h(self, capsys):
@@ -810,10 +948,12 @@ _ANALYSIS_MODULES = ("bandwidth", "continuity", "locrand", "validation",
 
 
 def _loaded_in_fresh_interpreter(statements):
-    """Names of the modules a new interpreter holds after `statements`."""
+    """Names of the modules a new interpreter holds after `statements`;
+    what they print to stdout is discarded."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys; {statements}; print(*sorted(sys.modules))"],
+         f"import io, sys\nsys.stdout = io.StringIO()\n{statements}\n"
+         "print(*sorted(sys.modules), file=sys.__stdout__)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -836,6 +976,25 @@ class TestEntryPoint:
         assert not any(m.startswith("scipy") for m in loaded)
         # the parser shell only: each subcommand imports its own modules
         assert not loaded & {f"rdtoolkit.{m}" for m in _ANALYSIS_MODULES}
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["estimate", "--help"], 0),
+        (["estimate", "--input", "in.csv", "--score-col", "x",
+          "--outcome-col", "y", "--level", "2"], 1),
+        (["power", "--se", "0.1"], 0),
+    ], ids=["version", "help", "usage-error", "power"])
+    def test_shell_calls_load_no_numpy(self, argv, code):
+        # none of these touches an array, so none pays numpy's import
+        loaded = _loaded_in_fresh_interpreter(
+            "from rdtoolkit.cli import main\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as stop:\n"
+            "    code = stop.code\n"
+            f"assert code == {code}, code")
+        assert "rdtoolkit.cli" in loaded and "numpy" not in loaded
 
     @pytest.mark.parametrize("argv, runs, absent", [
         (["locrand", "--window", "0.5", "--draws", "99"], "locrand",
@@ -848,7 +1007,7 @@ class TestEntryPoint:
          {"bandwidth", "continuity", "locrand", "validation", "powersim"}),
         (["power", "--se", "0.1"], "powersim",
          {"bandwidth", "continuity", "dgps", "parallel", "rng", "sample",
-          "lpoly", "locrand", "validation", "plotting"}),
+          "lpoly", "locrand", "validation", "plotting", "numpy"}),
     ], ids=["locrand", "estimate", "plot", "power"])
     def test_subcommand_loads_only_its_modules(self, locrand_csv, tmp_path,
                                                argv, runs, absent):
@@ -859,7 +1018,9 @@ class TestEntryPoint:
         loaded = _loaded_in_fresh_interpreter(
             f"from rdtoolkit.cli import main; assert main({argv!r}) == 0")
         assert f"rdtoolkit.{runs}" in loaded
-        assert not loaded & {f"rdtoolkit.{m}" for m in absent}
+        # numpy is a package of its own; the rest are rdtoolkit modules
+        assert not loaded & {m if m == "numpy" else f"rdtoolkit.{m}"
+                             for m in absent}
 
     def test_version_flag(self):
         proc = subprocess.run(

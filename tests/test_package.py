@@ -94,6 +94,30 @@ def test_powersim_loads_no_monte_carlo_stack_at_import():
     assert relative == {"defaults", "errors"}
 
 
+def _module_level_imports(tree):
+    """Top-level names of the modules a module imports when it loads,
+    leaving out imports inside function bodies."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli", "reports", "errors",
+                                    "defaults", "powersim"])
+def test_parser_shell_and_power_load_no_numpy(module):
+    # --help, --version, usage errors and `power` touch no array
+    path = pathlib.Path(rdtoolkit.__file__).parent / f"{module}.py"
+    assert "numpy" not in set(_module_level_imports(ast.parse(
+        path.read_text())))
+
+
 def test_shared_defaults_are_written_once():
     # the CLI parser and the analysis modules read these from one module
     for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):

@@ -4,7 +4,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit.dgps import (
@@ -20,8 +20,9 @@ from rdtoolkit.dgps import (
     step_dgp,
 )
 from rdtoolkit.continuity import sharp_estimate
-from rdtoolkit.errors import TooManyFailures
+from rdtoolkit.errors import TooManyFailures, UnreachableTarget
 from rdtoolkit.powersim import (
+    _linspace,
     mde,
     oracle_mse_bandwidth,
     power_at,
@@ -114,6 +115,22 @@ class TestPowerCurve:
         res = power_curve(0.5, tau_grid=[0.0, 1.0, 2.0])
         assert [t for t, _ in res.power_curve] == [0.0, 1.0, 2.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(2, 60))
+    @example(0.0, 0.0, 25)
+    @example(0.0, 5e-324, 25)
+    @example(0.0, 1e-310, 25)
+    @example(0.0, 1.7976931348623157e308, 25)
+    @example(0.0, -2.5, 25)
+    @example(-1e308, 1e308, 25)
+    def test_default_grid_is_numpys_linspace(self, start, stop, n):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, n).tolist()
+        assert list(map(float.hex, _linspace(start, stop, n))) \
+            == list(map(float.hex, expected))
+
 
 class TestRequiredN:
     def test_pilot_already_sufficient(self):
@@ -141,6 +158,15 @@ class TestRequiredN:
 
     def test_known_pilot_case(self):
         assert required_n(1.0, 200, target_mde=0.5) == 6280
+
+    def test_n_a_float_cannot_count_is_unreachable(self):
+        # n_pilot * (mde0 / target)^2 is 2**52 and 2**53 exactly
+        target = mde(1.0) / 2.0 ** 26
+        assert required_n(1.0, 1, target_mde=target) <= 2 ** 52
+        with pytest.raises(UnreachableTarget):
+            required_n(1.0, 2, target_mde=target)
+        with pytest.raises(UnreachableTarget):
+            required_n(1.0, 1, target_mde=1e-100)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,23 @@ class TestCanonicalJson:
         doc = {"z": [1.0, 2.0], "a": {"k": np.float64(0.1)}}
         assert canonical_json(doc) == canonical_json(doc)
 
+    # sha256 of canonical_json, recorded while reports imported numpy at
+    # module level and converted numpy values before containers
+    @pytest.mark.parametrize("doc, digest", [
+        ({"a": np.float32(0.1), "b": [np.float32(np.nan), np.float32(3.5)]},
+         "1b7098de2637e4024e0c7abcc3fa66bfaf532511bcc870b573ba6e7158495944"),
+        ({"n": np.int64(7), "m": [np.int64(-2 ** 40)]},
+         "13d49e3826d755f9711795fb63088ad741bc071f861adcc875d32a71deb4c69c"),
+        ({"t": np.bool_(True), "f": [np.bool_(False)]},
+         "c4f2cb90ee285c284b05b612bd194718a43cab565014f44ffee889118581cc8f"),
+        ({"v": np.array([1.5, np.nan, -np.inf, 2.0]), "i": np.arange(3),
+          "m": np.array([[1.0, np.nan], [0.25, 3.0]])},
+         "cc09fdd186183da97b9127b496f433788f0c8ff1af984fd0a8af4c6702fe14e5"),
+    ], ids=["float32", "int64", "bool_", "ndarray"])
+    def test_numpy_values_keep_their_bytes(self, doc, digest):
+        text = canonical_json(doc)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_round_trips_through_json(self):
         doc = {"a": [1, 2.5, None, "s", True], "b": {"c": -0.0}}
         assert json.loads(canonical_json(doc)) == doc

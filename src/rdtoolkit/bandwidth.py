@@ -110,23 +110,30 @@ class BandwidthSelection:
 
 def _silverman(x: np.ndarray) -> float:
     sd = float(np.std(x))
-    # numpy's linear-interpolation quartiles, read from one sort.  They
-    # can differ from np.percentile only in the sign of a zero, which
-    # neither iqr > 0 nor iqr / 1.349 can see.
-    n = x.shape[0]
-    ordered = np.sort(x)
-    q75, q25 = (_lerp(ordered[int(v)], ordered[min(int(v) + 1, n - 1)],
-                      v - int(v))
-                for v in ((n - 1) * 0.75, (n - 1) * 0.25))
+    # a quartile's zero sign, the only bit that can differ from
+    # np.percentile's, is seen by neither iqr > 0 nor iqr / 1.349
+    q25, q75 = _quantiles(x, (0.25, 0.75))
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.349) if iqr > 0 else sd
-    return 1.06 * spread * n ** (-0.2)
+    return 1.06 * spread * x.shape[0] ** (-0.2)
 
 
-def _lerp(a, b, g):
-    """numpy's quantile interpolation between neighbours a <= b."""
-    d = b - a
-    return b - d * (1 - g) if g >= 0.5 else a + d * g
+def _quantiles(x, levels):
+    """numpy's linear-interpolation quantiles of x at each level, read
+    from one sort.  Each equals np.quantile's by ==; only the sign of a
+    zero can differ, since np.quantile leaves which of -0.0 and 0.0 it
+    reads to its partition.  Unlike np.quantile, no masked-array module
+    is imported."""
+    n = x.shape[0]
+    ordered = np.sort(x)
+    out = []
+    for q in levels:
+        v = (n - 1) * q
+        a, b = ordered[int(v)], ordered[min(int(v) + 1, n - 1)]
+        # numpy's interpolation between neighbours a <= b
+        d, g = b - a, v - int(v)
+        out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+    return out
 
 
 def _pilot_fit(xc: np.ndarray, y: np.ndarray, order: int):

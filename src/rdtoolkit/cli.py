@@ -26,7 +26,9 @@ are parsed, before the input is read: a path that is a directory, or
 lies in a missing directory, fails before any work or side file.  So
 such a path outranks a usage error that a subcommand raises in its
 own body (say ``--design kink --p 0``), which then exits 2, not 1;
-usage errors the parser raises still come first.
+usage errors the parser raises still come first, and so does
+``locrand --window W --table PATH``: a fixed window has no selection
+trace to write.
 
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
 error, a file that cannot be read or written included, 3 estimation
@@ -557,10 +559,7 @@ def _check_output_paths(args):
     """Raise, before any work, the error ``open`` would raise on an output
     path the run writes that is a directory or lies in a missing one.
     Other failures, such as a denied permission, are left to the write."""
-    dests = ["output", "table", "svg"]
-    if args.command == "locrand" and args.window is not None:
-        dests.remove("table")  # only a selected window has a trace
-    for dest in dests:
+    for dest in ("output", "table", "svg"):
         path = getattr(args, dest, None)
         if not path:
             continue
@@ -578,6 +577,11 @@ def _check_output_paths(args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "locrand" and args.window is not None \
+                and args.table:
+            # only a selected window has a trace to write
+            raise UsageError("argument --table: writes the window-"
+                             "selection trace, so it needs --window auto")
         _check_output_paths(args)
         config, result, seed = args.run(args)
         # exactly the subcommands that read a file set it

@@ -23,7 +23,12 @@ one block.  The observed assignment is reduced first, by the same
 expression at the same row width as its enumerated copy, so it ties with
 itself and always counts as extreme.  Distinct assignments that tie only
 in exact arithmetic, such as complements, may still differ in the last
-bits.
+bits.  Under fixed margins every assignment treats n_plus units, so the
+treated count is filled in, not summed.  A Monte Carlo fixed-margins
+draw treats the n_plus units with the smallest of n uniforms: one
+partition finds each row's n_plus-th smallest value, and the units at or
+below it, in ascending order, are the treated set; a tie at that value
+goes to the lower index.
 """
 
 from __future__ import annotations
@@ -228,16 +233,38 @@ def _padded(mask):
     return np.where(mask, np.arange(n), n)
 
 
-def _reduce(blocks, cols, size):
-    """Sums of each treated set: row r of ``cols`` summed over every
-    index row of every block, one column per treated set."""
-    agg = np.empty((cols.shape[0], size))
+def _smallest(u, k):
+    """Ascending index rows of the k smallest values in each row of u.
+
+    One partition finds each row's k-th smallest value; the units at or
+    below it are read in order by one flat pass over the mask, less each
+    row's offset.  A tie at the k-th value goes to the lower index;
+    whenever each row's k-th value is unique, each row is just the
+    sorted indices of its k smallest values.
+    """
+    rows, n = u.shape
+    kth = np.partition(u, k - 1, axis=1)[:, k - 1:k]
+    flat = np.flatnonzero(u <= kth)
+    if flat.size != rows * k:  # some row ties across its k-th value
+        below = u < kth
+        tied = u == kth
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        first_ties = tied & (np.cumsum(tied, axis=1) <= room)
+        flat = np.flatnonzero(below | first_ties)
+    idx = flat.reshape(rows, k)
+    idx -= n * np.arange(rows)[:, None]
+    return idx
+
+
+def _reduce(blocks, cols, out):
+    """Sums of each treated set into ``out``: row r of ``cols`` summed
+    over every index row of every block, one column per treated set."""
     at = 0
     for idx in blocks:
-        for values, out in zip(cols, agg[:, at:at + idx.shape[0]]):
-            values[idx].sum(axis=1, out=out)
+        for values, sums in zip(cols, out[:, at:at + idx.shape[0]]):
+            values[idx].sum(axis=1, out=sums)
         at += idx.shape[0]
-    return agg
+    return out
 
 
 def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
@@ -274,7 +301,8 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
     # rows; the observed assignment's row has the same width.
     if isinstance(model, FixedMargins):
         # width n_plus, sorted: lexicographic subsets, or the n_plus
-        # smallest of n uniforms
+        # smallest of n uniforms, those at or below the row's n_plus-th
+        # smallest value (a tie there goes to the lower index)
         observed = np.flatnonzero(t)[None, :]
         total = comb(n, n_plus)
         exact = total <= max_exhaustive
@@ -283,9 +311,7 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
         def block(a, b):
             if exact:
                 return np.array(list(islice(subsets, b - a)), dtype=np.intp)
-            u = rng.random((b - a, n))
-            idx = np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus]
-            return np.sort(idx, axis=1)
+            return _smallest(rng.random((b - a, n)), n_plus)
     elif isinstance(model, Bernoulli):
         # width n, padded: the binary codes 1..2^n - 2, or coin flips
         observed = _padded(t[None, :] == 1)
@@ -301,8 +327,13 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
         raise ValueError(f"unknown assignment model {model!r}")
     if not exact:
         total = draws
-    agg = _reduce(chain([observed], _blocks(block, total, n)), cols,
-                  total + 1)
+    agg = np.empty((cols.shape[0], total + 1))
+    # every fixed-margins assignment treats n_plus units, so its n1 row
+    # is filled, not summed
+    first = 1 if isinstance(model, FixedMargins) else 0
+    agg[:first] = n_plus
+    _reduce(chain([observed], _blocks(block, total, n)), cols[first:],
+            agg[first:])
 
     weights = None
     if isinstance(model, Bernoulli):
@@ -315,7 +346,7 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
         while not exact and np.any(bad := (n1 == 0) | (n1 == n)):
             rows = 1 + np.flatnonzero(bad)
             agg[:, rows] = _reduce(_blocks(block, rows.size, n), cols,
-                                   rows.size)
+                                   np.empty((cols.shape[0], rows.size)))
 
     return agg, weights, exact, total
 

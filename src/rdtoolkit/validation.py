@@ -15,7 +15,7 @@ from math import erfc, sqrt
 
 import numpy as np
 
-from .bandwidth import select_mse_bandwidth
+from .bandwidth import _quantiles, select_mse_bandwidth
 from .continuity import RbcResult, rbc_inference
 from .defaults import (
     BINS_PER_SIDE,
@@ -273,7 +273,7 @@ def default_placebo_grid(sample: RdSample, h: float) -> list[float]:
     levels = (0.25, 0.45, 0.55, 0.75)
     for rows in sample.side_rows:
         if rows.size:
-            grid.extend(np.quantile(sample.score.take(rows), levels))
+            grid.extend(_quantiles(sample.score.take(rows), levels))
     return [float(g) for g in grid if abs(g - c) > h]
 
 

@@ -711,15 +711,22 @@ class TestOutputPaths:
         assert "'missing_dir/p.svg'" in json.loads(err)["error"]["message"]
         assert not (tmp_path / "r.json").exists()
 
-    def test_fixed_window_table_is_not_checked(self, locrand_csv, tmp_path,
-                                               monkeypatch, capsys):
-        # locrand writes its trace table only when it selects the window
+    def test_fixed_window_table_is_a_usage_error(self, locrand_csv,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        # locrand has a trace table only when it selects the window; a
+        # fixed window's --table used to exit 0 and write nothing.  The
+        # usage error comes before the output paths are checked.
         monkeypatch.chdir(tmp_path)
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.5", "--draws", "99",
-             "--table", "missing/t.csv"], capsys)
-        assert code == 0
+             "--table", "missing/t.csv", "--output", "missing/r.json"],
+            capsys)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "usage" and "--window auto" in doc["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["loc.csv"]
 
     def test_outranks_a_usage_error_raised_in_the_body(self, step_csv,
                                                        capsys):
@@ -984,7 +991,9 @@ class TestEntryPoint:
         (["estimate", "--input", "in.csv", "--score-col", "x",
           "--outcome-col", "y", "--level", "2"], 1),
         (["power", "--se", "0.1"], 0),
-    ], ids=["version", "help", "usage-error", "power"])
+        (["locrand", "--input", "in.csv", "--score-col", "x",
+          "--outcome-col", "y", "--window", "0.5", "--table", "t.csv"], 1),
+    ], ids=["version", "help", "usage-error", "power", "fixed-window-table"])
     def test_shell_calls_load_no_numpy(self, argv, code):
         # none of these touches an array, so none pays numpy's import
         loaded = _loaded_in_fresh_interpreter(
@@ -1021,6 +1030,28 @@ class TestEntryPoint:
         # numpy is a package of its own; the rest are rdtoolkit modules
         assert not loaded & {m if m == "numpy" else f"rdtoolkit.{m}"
                              for m in absent}
+
+    def test_session_loads_no_masked_arrays(self, locrand_csv, fuzzy_csv,
+                                            tmp_path):
+        # np.quantile in the placebo grid used to import numpy.ma, about
+        # 23 ms of every validate call
+        data = ["--score-col", "x", "--outcome-col", "y"]
+        calls = [
+            ["locrand", "--input", str(locrand_csv), *data, "--covariate",
+             "z", "--candidates", "0.25", "0.5", "--draws", "99",
+             "--fisher-ci"],
+            ["validate", "--input", str(locrand_csv), *data, "--covariate",
+             "z", "--draws", "99"],
+            ["estimate", "--input", str(fuzzy_csv), *data,
+             "--treatment-col", "d", "--design", "fuzzy"]]
+        output = ["--output", str(tmp_path / "r.json")]
+        loaded = _loaded_in_fresh_interpreter(
+            "from rdtoolkit.cli import main\n" + "".join(
+                f"assert main({[*argv, *output]!r}) == 0\n"
+                for argv in calls))
+        assert {"rdtoolkit.locrand", "rdtoolkit.validation",
+                "rdtoolkit.continuity"} <= loaded
+        assert "numpy.ma" not in loaded
 
     def test_version_flag(self):
         proc = subprocess.run(
@@ -1115,7 +1146,7 @@ class TestFlagDeclarations:
           "covariates", "cutoff", "delimiter", "design", "p", "kernel",
           "level", "h_requested", "h_below", "h_above", "ce"}),
         (["locrand", "--window", "0.5", "--draws", "99", "--fisher-ci",
-          "--seed", "3", "--table", "TABLE"],
+          "--seed", "3"],
          {"input", "score_col", "outcome_col", "treatment_col", "cutoff_col",
           "covariates", "cutoff", "delimiter", "window_requested", "w_left",
           "w_right", "model", "prob", "statistic", "framework", "alpha",

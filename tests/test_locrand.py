@@ -246,14 +246,20 @@ class TestEnsemble:
         y9, y30 = rng.normal(0, 1, 9), rng.normal(0, 1, 30)
         t9 = np.r_[np.zeros(4), np.ones(5)]
         t30 = (rng.uniform(size=30) < 0.4).astype(float)
+        y300 = rng.normal(0, 1, 300)
+        t300 = (rng.uniform(size=300) < 0.45).astype(float)
         # (y, t, model, max_exhaustive, draws, seed)
         return {"fixed_exact": (y9, t9, FixedMargins(), 10 ** 6, 0, 0),
                 "fixed_draws": (y30, t30, FixedMargins(), 10, 101, 3),
+                # many rows per whole block, and two whole blocks
+                "fixed_draws_rows": (y300, t300, FixedMargins(), 10, 1001,
+                                     5),
                 "bernoulli_exact": (y9, t9, Bernoulli(0.4), 10 ** 6, 0, 0),
                 "bernoulli_draws": (y9[:5], t9[:5], Bernoulli(0.5), 10, 300,
                                     4)}
 
     @pytest.mark.parametrize("source", ["fixed_exact", "fixed_draws",
+                                        "fixed_draws_rows",
                                         "bernoulli_exact",
                                         "bernoulli_draws"])
     @pytest.mark.parametrize("cells", [1, 7, 64])
@@ -267,6 +273,38 @@ class TestEnsemble:
         assert (whole_w is None) == (blocks_w is None)
         if whole_w is not None:
             assert blocks_w.tobytes() == whole_w.tobytes()
+
+    @pytest.mark.parametrize("source", ["fixed_exact", "fixed_draws",
+                                        "fixed_draws_rows"])
+    def test_fixed_margins_treated_count_is_n_plus(self, source):
+        # every fixed-margins assignment, enumerated or drawn, treats
+        # n_plus units; the row holds exactly the float a sum would give
+        y, t, *args = self._sources()[source]
+        agg, _, exact, total = locrand._build_ensemble([y], t, *args)
+        assert exact == (source == "fixed_exact")
+        assert agg[0].tobytes() == np.full(total + 1, t.sum()).tobytes()
+
+    def test_fixed_margins_draws_are_the_smallest_uniforms(self,
+                                                           monkeypatch):
+        # reference: the n_plus smallest of each row of one draw of all
+        # the uniforms, sorted, each block's rows read by _smallest
+        y, t, model, _, draws, seed = self._sources()["fixed_draws_rows"]
+        n, n_plus = t.size, int(t.sum())
+        u = substream(seed).random((draws, n))
+        idx = np.sort(np.argpartition(u, n_plus - 1, axis=1)[:, :n_plus],
+                      axis=1)
+        rows = []
+        smallest = locrand._smallest
+
+        def counted(u, k):
+            rows.append(u.shape[0])
+            return smallest(u, k)
+
+        monkeypatch.setattr(locrand, "_smallest", counted)
+        agg, *_ = locrand._build_ensemble([y], t, model, 10, draws, seed)
+        assert len(rows) > 1 and sum(rows) == draws
+        assert agg[1, 1:].tobytes() == t[idx].sum(axis=1).tobytes()
+        assert agg[2, 1:].tobytes() == y[idx].sum(axis=1).tobytes()
 
     def test_bernoulli_draws_redraw_degenerate_rows_in_order(self):
         # reference: all draws at once, then the degenerate rows redrawn
@@ -355,6 +393,32 @@ class TestEnsemble:
             tracemalloc.stop()
         assert agg.shape[0] == 2 + 3 and not exact
         assert peak < 16 * 2 ** 20
+
+
+class TestSmallest:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(1, 12),
+           levels=st.integers(1, 4))
+    def test_rows_of_the_k_smallest(self, data, rows, n, levels):
+        # few distinct values, so rows that tie across their k-th value
+        # are common
+        k = data.draw(st.integers(1, n))
+        u = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(0, levels), min_size=n, max_size=n),
+            min_size=rows, max_size=rows)), dtype=float) / levels
+        idx = locrand._smallest(u, k)
+        assert idx.shape == (rows, k)
+        kth = np.sort(u, axis=1)[:, k - 1:k]
+        for row, values, cut in zip(idx, u, kth[:, 0]):
+            assert np.all(np.diff(row) > 0)  # ascending, distinct
+            below = np.flatnonzero(values < cut)
+            tied = np.flatnonzero(values == cut)
+            # all units below the k-th value, then the lowest-index ties
+            expect = np.sort(np.r_[below, tied[:k - below.size]])
+            assert np.array_equal(row, expect)
+            if tied.size == 1:  # a unique k-th value
+                assert np.array_equal(row, np.sort(np.argpartition(
+                    values, k - 1)[:k]))
 
 
 class TestFisherMonteCarlo:

@@ -2,8 +2,9 @@
 construction, a tie-heavy plot side's row order, the side-fit kernel,
 robust bias-corrected inference, the `estimate` path (bandwidth, then
 inference, on a fresh sample) and the binomial count test at 1e5 rows;
-permutation ensembles (fixed-margins Monte Carlo, exhaustive enumeration
-and Bernoulli draws), window selection by covariate balance, Fisher test
+permutation ensembles (fixed-margins Monte Carlo, alone and in the
+covariate session's heaviest shape, exhaustive enumeration and Bernoulli
+draws), window selection by covariate balance, Fisher test
 inversion alone and with its p-value, and the battery's permutation
 balance checks; one coverage replication and its draw and bandwidth
 stages at n = 1,000.
@@ -26,6 +27,7 @@ from rdtoolkit.locrand import (
     MAX_EXHAUSTIVE,
     Bernoulli,
     FixedMargins,
+    _build_ensemble,
     _fisher_pvalue_and_ci,
     fisher_ci,
     fisher_pvalue,
@@ -148,6 +150,17 @@ def test_fisher_pvalue_monte_carlo(benchmark):
     res = benchmark(fisher_pvalue, sample, window, draws=999, seed=1)
     assert window.n_w == 2_000 and not res.exact and res.draws == 999
     assert res.p_value == 1 / 1000  # the 0.3 jump is never matched
+
+
+def test_fixed_margins_ensemble(benchmark):
+    # the heaviest ensemble of the covariate session: two responses of
+    # 796 units share one stream of 9,999 fixed-margins draws
+    rng = np.random.default_rng(0)
+    t = (rng.uniform(size=796) < 0.5).astype(np.int8)
+    ys = [rng.normal(40, 3, 796), rng.normal(0, 1, 796)]
+    agg, _, exact, total = benchmark(_build_ensemble, ys, t, FixedMargins(),
+                                     MAX_EXHAUSTIVE, 9_999, 1)
+    assert not exact and total == 9_999 and agg.shape == (4, 10_000)
 
 
 def test_fisher_pvalue_exhaustive(benchmark):

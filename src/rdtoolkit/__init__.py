@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bandwidth": ("BandwidthSelection", "kernel_constants", "mse_constant",
                   "select_mse_bandwidth"),
-    "continuity": ("CutoffEstimate", "DiscreteEstimate", "PooledEstimate",
-                   "RbcResult", "RdEstimate", "discrete_estimate",
-                   "fuzzy_estimate", "kink_estimate", "normalize_and_pool",
-                   "rbc_inference", "sharp_estimate"),
+    "continuity": ("CutoffEstimate", "PooledEstimate", "RbcResult",
+                   "RdEstimate", "fuzzy_estimate", "kink_estimate",
+                   "normalize_and_pool", "rbc_inference", "sharp_estimate"),
     "dgps": ("DgpSpec", "curved_benchmark", "linear_dgp",
              "piecewise_balance_dgp", "simulate_sample", "step_dgp"),
     "locrand": ("Bernoulli", "FisherCi", "FisherResult", "FixedMargins",
@@ -37,7 +36,7 @@ _EXPORTS = {
     "reports": ("canonical_json", "make_report", "sha256_file",
                 "write_report"),
     "rng": ("substream",),
-    "sample": ("MassPointSummary", "RdSample", "ingest_csv", "mass_points"),
+    "sample": ("RdSample", "ingest_csv"),
     "validation": ("BalanceRecord", "BinomialRecord", "DensityRecord",
                    "DonutRecord", "PlaceboRecord", "SensitivityRecord",
                    "ValidationReport", "bandwidth_sensitivity",

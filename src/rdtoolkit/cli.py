@@ -14,21 +14,21 @@ parser shell (this module, ``reports``, ``errors``, ``defaults``) and
 and ``power`` load only the standard library.
 
 Each flag is declared once, in :func:`build_parser`.  Its type carries
-its range, so an out-of-range value is a usage error raised while the
-arguments are parsed, before the input is read, and the message names
-the flag.  The report's config is built from the parsed arguments: it
-echoes every flag except output paths, the seed (the report envelope
-carries it), ``--threads`` and ``--fisher-ci``, then adds the values
-the run resolved, such as an "auto" bandwidth.
+its range, and each rule that ties it to another flag is declared once
+too: ``--cutoff`` and ``--cutoff-col`` form a mutually exclusive group,
+and the other rules are the rows of ``_RULES``.  The report's config is
+built from the parsed arguments: it echoes every flag except
+``--output``, ``--table``, the seed (the report envelope carries it),
+``--threads`` and ``--fisher-ci``, then adds the values the run
+resolved, such as an "auto" bandwidth.  ``--svg`` is still echoed,
+until the next report schema.
 
-Output paths (--output, --table, --svg) are checked once the arguments
-are parsed, before the input is read: a path that is a directory, or
-lies in a missing directory, fails before any work or side file.  So
-such a path outranks a usage error that a subcommand raises in its
-own body (say ``--design kink --p 0``), which then exits 2, not 1;
-usage errors the parser raises still come first, and so does
-``locrand --window W --table PATH``: a fixed window has no selection
-trace to write.
+A call fails at the first of these checks: the parser's own (an
+unknown flag, a value out of range), then the cross-flag rules, both
+usage errors whose message names the flag; then the output paths
+(--output, --table, --svg), where a path that is a directory, or lies
+in a missing directory, fails before any work or side file; then the
+input.  So no usage error waits for numpy or for a read.
 
 Exit codes: 0 success, 1 usage error (bad flags), 2 data or config
 error, a file that cannot be read or written included, 3 estimation
@@ -58,7 +58,7 @@ from .defaults import (
     MIN_REPLICATIONS,
     SENSITIVITY_FACTORS,
 )
-from .errors import DataError, EstimationError, NoCovariates
+from .errors import DataError, EstimationError
 from .reports import canonical_json, make_report, write_report
 
 class UsageError(Exception):
@@ -120,13 +120,16 @@ def _add_data_flags(parser, treatment=True):
     if treatment:
         g.add_argument("--treatment-col", default=None,
                        help="received-treatment column (0/1), fuzzy designs")
-    g.add_argument("--cutoff-col", default=None,
-                   help="per-unit cutoff column for multi-cutoff data")
     g.add_argument("--covariate", action="append", default=[],
                    dest="covariates", metavar="NAME",
                    help="covariate column; repeatable")
-    g.add_argument("--cutoff", type=_FINITE, default=0.0,
-                   help="cutoff value (default 0; not with --cutoff-col)")
+    # the cutoff column sets each unit's cutoff
+    cutoff = g.add_mutually_exclusive_group()
+    cutoff.add_argument("--cutoff-col", default=None,
+                        help="per-unit cutoff column for multi-cutoff data")
+    cutoff.add_argument("--cutoff", type=_FINITE, default=0.0,
+                        help="cutoff value (default 0; not with "
+                             "--cutoff-col)")
     g.add_argument("--delimiter", type=_CHAR, default=",",
                    help="CSV delimiter, one character")
 
@@ -300,6 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The rules that tie one flag to another, besides the --cutoff group, as
+# (command, broken, message) rows; main checks them once the arguments
+# are parsed, before the output paths and the input.
+_RULES = (
+    ("estimate", lambda args: args.design == "kink" and args.p < 1,
+     "argument --p: --design kink needs --p of at least 1"),
+    ("locrand", lambda args: args.window is None and not args.covariates,
+     "argument --covariate: --window auto selects the window by "
+     "covariate balance, so it needs at least one --covariate"),
+    # only a selected window has a trace to write
+    ("locrand", lambda args: args.window is not None and args.table,
+     "argument --table: writes the window-selection trace, so it needs "
+     "--window auto"),
+    ("power",
+     lambda args: args.target_mde is not None and args.n_pilot is None,
+     "argument --target-mde: needs --n-pilot"),
+)
+
+
 # --------------------------------------------------------------------
 # Subcommand bodies.  Each returns (config, result, seed) and the
 # caller wraps them into the report envelope.
@@ -339,10 +361,6 @@ def _ingest(args):
     """The input's sample; its digest, from the same read, goes to
     ``args.input_digest``."""
     from .sample import ingest_with_digest
-
-    if args.cutoff_col and args.cutoff != 0.0:
-        raise UsageError("--cutoff cannot be combined with --cutoff-col: "
-                         "the cutoff column sets each unit's cutoff")
     column_map = {"score": args.score_col, "outcome": args.outcome_col}
     if getattr(args, "treatment_col", None):
         column_map["treatment"] = args.treatment_col
@@ -358,9 +376,6 @@ def _ingest(args):
 def cmd_estimate(args):
     from .bandwidth import select_mse_bandwidth
     from .continuity import per_cutoff_estimates, rbc_inference
-
-    if args.design == "kink" and args.p < 1:
-        raise UsageError("--design kink needs --p of at least 1")
     sample = _ingest(args)
     selection = None
     h_below = args.h
@@ -409,9 +424,6 @@ def cmd_locrand(args):
 
     selection = None
     if args.window is None:
-        if not sample.covariates:
-            raise NoCovariates(
-                "window 'auto' needs at least one --covariate to balance")
         selection = select_window(
             sample, candidates=args.candidates, alpha=args.balance_alpha,
             model=model, statistic=args.statistic, seed=args.seed)
@@ -522,9 +534,6 @@ def cmd_plot(args):
 
 def cmd_power(args):
     from .powersim import power_curve, required_n
-
-    if args.target_mde is not None and args.n_pilot is None:
-        raise UsageError("--target-mde needs --n-pilot")
     result = power_curve(args.se, alpha=args.alpha, tau_grid=args.tau,
                          target_power=args.target_power)
     if args.target_mde is not None:
@@ -577,11 +586,9 @@ def _check_output_paths(args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "locrand" and args.window is not None \
-                and args.table:
-            # only a selected window has a trace to write
-            raise UsageError("argument --table: writes the window-"
-                             "selection trace, so it needs --window auto")
+        for command, broken, message in _RULES:
+            if command == args.command and broken(args):
+                raise UsageError(message)
         _check_output_paths(args)
         config, result, seed = args.run(args)
         # exactly the subcommands that read a file set it

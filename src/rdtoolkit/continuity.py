@@ -1,9 +1,8 @@
 """Continuity-based RD estimation.
 
 Sharp, fuzzy, and kink point estimators from side-wise local polynomial
-fits, conventional and robust bias-corrected confidence intervals, the
-discrete-score estimand for mass-point designs, and normalize-and-pool
-for multi-cutoff samples.
+fits, conventional and robust bias-corrected confidence intervals, and
+normalize-and-pool for multi-cutoff samples.
 
 Every estimator here reaches the one side-fit kernel,
 :func:`rdtoolkit.lpoly.fit_window`, through ``_side_fit``: one SVD per
@@ -37,13 +36,11 @@ from .errors import (
     EmptySide,
     InsufficientSideData,
     MissingTreatmentColumn,
-    NoBelowNeighbor,
-    NoMassAtCutoff,
     RankDeficient,
     WeakFirstStage,
 )
 from .lpoly import LocalFit, fit_window, side_window
-from .sample import RdSample, mass_points
+from .sample import RdSample
 
 
 @dataclass(frozen=True)
@@ -77,18 +74,6 @@ class RbcResult:
     @property
     def tau_bc(self) -> float:
         return self.base.tau_hat - self.bias_estimate
-
-
-@dataclass(frozen=True)
-class DiscreteEstimate:
-    """Jump between the cutoff mass point and its nearest below neighbor."""
-
-    tau_sds: float
-    mean_at_c: float
-    mean_at_below_neighbor: float
-    below_neighbor: float
-    n_at_c: int
-    n_at_below_neighbor: int
 
 
 @dataclass(frozen=True)
@@ -251,26 +236,6 @@ def rbc_inference(sample: RdSample, p: int = 1, kernel: str = "triangular",
                      se_robust=se_robust,
                      ci_rbc=(center - z * se_robust, center + z * se_robust),
                      inference_order=p + 1)
-
-
-def discrete_estimate(sample: RdSample) -> DiscreteEstimate:
-    """Mass-point estimand: mean at the cutoff minus mean at its below
-    neighbor (the largest distinct score strictly below the cutoff)."""
-    summary = mass_points(sample)
-    at_c = sample.score == sample.cutoff
-    if not at_c.any():
-        raise NoMassAtCutoff(
-            f"no observations with score exactly {sample.cutoff:g}")
-    if summary.below_neighbor is None:
-        raise NoBelowNeighbor("no score value strictly below the cutoff")
-    neighbor = summary.below_neighbor
-    at_neighbor = sample.score == neighbor
-    mean_c = float(sample.outcome[at_c].mean())
-    mean_n = float(sample.outcome[at_neighbor].mean())
-    return DiscreteEstimate(
-        tau_sds=mean_c - mean_n, mean_at_c=mean_c,
-        mean_at_below_neighbor=mean_n, below_neighbor=float(neighbor),
-        n_at_c=int(at_c.sum()), n_at_below_neighbor=int(at_neighbor.sum()))
 
 
 def normalize_and_pool(sample: RdSample, p: int = 1,

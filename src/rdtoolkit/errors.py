@@ -91,14 +91,6 @@ class WeakFirstStage(EstimationError):
     pass
 
 
-class NoMassAtCutoff(EstimationError):
-    pass
-
-
-class NoBelowNeighbor(EstimationError):
-    pass
-
-
 class TooFewObservations(EstimationError):
     pass
 

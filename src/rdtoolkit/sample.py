@@ -194,29 +194,6 @@ class RdSample:
         )
 
 
-@dataclass(frozen=True)
-class MassPointSummary:
-    """Census of distinct score values.
-
-    ``below_neighbor`` is the largest distinct value strictly below the
-    cutoff, or None when every value is at or above it.
-    """
-
-    distinct_values: np.ndarray
-    m: int
-    counts: np.ndarray
-    below_neighbor: float | None
-
-
-def mass_points(sample: RdSample) -> MassPointSummary:
-    """Exact distinct-value census of the score."""
-    values, counts = np.unique(sample.score, return_counts=True)
-    below = values[values < sample.cutoff]
-    neighbor = float(below[-1]) if below.size else None
-    return MassPointSummary(distinct_values=values, m=int(values.size),
-                            counts=counts, below_neighbor=neighbor)
-
-
 # The test a parsed cell of each role must pass, and the error a cell
 # that fails it raises.  A covariate cell may hold any value, NaN too.
 _CELL_CHECKS = {
@@ -269,10 +246,21 @@ def _sample(table, bindings, cutoff) -> RdSample:
     loaded from the cache or parsed by either tier.  A mapped cutoff
     column centres the score on it and sets the cutoff to 0."""
     rows = {role: row for (role, _), row in zip(bindings, table)}
+    score = rows["score"]
     unit_cutoffs = rows.get("cutoff")
     centred = unit_cutoffs is not None
+    if centred:
+        # a non-finite cell is the sample's to reject; X - C of two finite
+        # cells can still pass the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = score - unit_cutoffs
+        overflow = (~np.isfinite(score) & np.isfinite(rows["score"])
+                    & np.isfinite(unit_cutoffs))
+        if overflow.any():
+            raise DataError("centred score X - C overflows at row "
+                            f"{int(np.flatnonzero(overflow)[0])}")
     return RdSample(
-        score=rows["score"] - unit_cutoffs if centred else rows["score"],
+        score=score,
         outcome=rows["outcome"], cutoff=0.0 if centred else float(cutoff),
         received=rows.get("treatment"), unit_cutoffs=unit_cutoffs,
         covariates={name: row for (role, name), row in zip(bindings, table)

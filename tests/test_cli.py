@@ -395,6 +395,23 @@ class TestMultiCutoff:
         doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
         assert doc["kind"] == "usage" and "--cutoff-col" in doc["message"]
 
+    @pytest.mark.parametrize("score, cutoff, words", [
+        (1.7e308, -1.7e308, "centred score X - C overflows at row 7"),
+        ("inf", "inf", "non-finite or missing score at row 7")],
+        ids=["overflow", "infinite"])
+    def test_centring_error_exits_2_quietly(self, tmp_path, score, cutoff,
+                                            words):
+        # X - C of two finite cells can pass the float range, and inf - inf
+        # is NaN; numpy used to print its warning ahead of the JSON error,
+        # and an overflow read as a "non-finite or missing score"
+        rows = [[0.05 * i - 1, i % 3, 0.0] for i in range(40)]
+        rows[7] = [score, 1.0, cutoff]
+        path = write_csv(tmp_path / "far.csv", ["x", "y", "c"], rows)
+        message = _error_in_subprocess(
+            ["estimate", "--input", path, "--score-col", "x",
+             "--outcome-col", "y", "--cutoff-col", "c"], 2, "data")
+        assert words in message
+
 
 class TestLocrand:
     def test_fixed_window_exact_enumeration(self, tmp_path, capsys):
@@ -567,13 +584,6 @@ class TestLocrand:
         assert [row["p_z"] for row in rows] == [
             "", *(repr(row["p_values"][0][1]) for row in report[1:])]
 
-    def test_auto_without_covariates_exits_2(self, step_csv, capsys):
-        code, _, err = run_cli(
-            ["locrand", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y"], capsys)
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "NoCovariates"
-
     def test_seeded_runs_byte_identical(self, locrand_csv, tmp_path, capsys):
         argv = ["locrand", "--input", str(locrand_csv), "--score-col", "x",
                 "--outcome-col", "y", "--window", "0.6", "--draws", "999",
@@ -728,17 +738,6 @@ class TestOutputPaths:
         assert doc["kind"] == "usage" and "--window auto" in doc["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["loc.csv"]
 
-    def test_outranks_a_usage_error_raised_in_the_body(self, step_csv,
-                                                       capsys):
-        # the parser accepts --p 0; cmd_estimate rejects it for a kink
-        argv = ["estimate", "--input", str(step_csv), "--score-col", "x",
-                "--outcome-col", "y", "--design", "kink", "--p", "0"]
-        assert run_cli(argv, capsys)[0] == 1
-        code, _, err = run_cli([*argv, "--output", "missing/r.json"],
-                               capsys)
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
-
     @pytest.mark.parametrize("flag", ["--output", "--table", "--svg"])
     @pytest.mark.parametrize("path", [
         ".", "missing/p.out", "missing/", "absent/missing/p.out",
@@ -761,6 +760,58 @@ class TestOutputPaths:
             "type": type(opened.value).__name__, "kind": "data",
             "message": str(opened.value)}
         assert [p.name for p in work.iterdir()] == ["file.txt"]
+
+
+class TestUsageRules:
+    """Each rule that ties one flag to another is checked right after the
+    arguments are parsed: before numpy loads, before the output paths are
+    checked and before the input is read."""
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--p", ["estimate", "--design", "kink", "--p", "0"]),
+        ("--cutoff-col", ["estimate", "--cutoff", "5"]),
+        ("--cutoff-col", ["locrand", "--window", "0.1", "--cutoff", "5"]),
+        ("--cutoff-col", ["validate", "--cutoff", "5"]),
+        ("--cutoff-col", ["plot", "--cutoff", "5"]),
+        ("--covariate", ["locrand"]),
+        ("--table", ["locrand", "--window", "0.5", "--table", "t.csv"]),
+        ("--n-pilot", ["power", "--se", "1.0", "--target-mde", "0.5"])],
+        ids=["kink-p-0", "estimate-cutoff", "locrand-cutoff",
+             "validate-cutoff", "plot-cutoff", "auto-window-no-covariate",
+             "fixed-window-table", "target-mde-no-pilot"])
+    def test_rule_exits_1_before_any_work(self, multi_cutoff_csv, tmp_path,
+                                          flag, argv):
+        # all but the fixed-window table rule used to be checked in
+        # `_ingest` or a subcommand body, after numpy loaded and after the
+        # output paths; the auto window without a covariate exited 2
+        if argv[0] != "power":  # power reads no file
+            argv = [argv[0], "--input", str(multi_cutoff_csv),
+                    "--score-col", "x", "--outcome-col", "y",
+                    *(["--cutoff-col", "c"] if "--cutoff" in argv else []),
+                    *argv[1:]]
+        calls = [argv, [*argv, "--output", "missing/r.json"]]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import io, json, os, sys\n"
+             "from rdtoolkit.cli import main\n"
+             f"os.chdir({str(tmp_path)!r})\n"
+             "runs = []\n"
+             f"for argv in {calls!r}:\n"
+             "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+             "    code = main(argv)\n"
+             "    runs.append([code, sys.stdout.getvalue(),\n"
+             "                 sys.stderr.getvalue()])\n"
+             "print(json.dumps([runs, 'numpy' in sys.modules]),\n"
+             "      file=sys.__stdout__)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs, numpy_loaded = json.loads(proc.stdout)
+        assert not numpy_loaded
+        for code, out, err in runs:
+            assert (code, out) == (1, "")
+            doc = json.loads(err)["error"]  # exactly one JSON document
+            assert doc["kind"] == "usage" and flag in doc["message"]
+        assert runs[0] == runs[1]
 
 
 class TestParseCache:

@@ -12,20 +12,13 @@ from hypothesis import strategies as st
 from rdtoolkit.continuity import (
     PooledEstimate,
     _zvalue,
-    discrete_estimate,
     fuzzy_estimate,
     kink_estimate,
     normalize_and_pool,
     rbc_inference,
     sharp_estimate,
 )
-from rdtoolkit.errors import (
-    MissingTreatmentColumn,
-    NoBelowNeighbor,
-    NoMassAtCutoff,
-    RdError,
-    WeakFirstStage,
-)
+from rdtoolkit.errors import MissingTreatmentColumn, RdError, WeakFirstStage
 from rdtoolkit import locrand
 from rdtoolkit.locrand import diff_in_means, fisher_pvalue, make_window
 from rdtoolkit.lpoly import fit_values
@@ -274,32 +267,6 @@ class TestRbc:
         with mp.workdps(50):
             z = mp.sqrt(2) * mp.erfinv(level)
             assert abs(_zvalue(level) - z) <= 1e-15 * z
-
-
-class TestDiscrete:
-    def test_mass_point_means_and_se(self):
-        # score takes values {-2,-1,0,1}; compare mean at cutoff 0 with
-        # mean at below-neighbor -1
-        x = np.repeat([-2.0, -1.0, 0.0, 1.0], 5)
-        rng = np.random.default_rng(17)
-        y = np.where(x == 0, 3.0, 1.0) + rng.normal(0, 0.1, x.size)
-        s = make_sample(x, y)
-        res = discrete_estimate(s)
-        assert res.below_neighbor == -1.0
-        assert res.n_at_c == 5 and res.n_at_below_neighbor == 5
-        assert res.mean_at_c == pytest.approx(y[x == 0].mean(), abs=1e-12)
-        assert res.tau_sds == pytest.approx(
-            y[x == 0].mean() - y[x == -1].mean(), abs=1e-12)
-
-    def test_no_mass_at_cutoff(self):
-        s = make_sample([-1.0, -0.5, 0.5, 1.0], [0, 0, 1, 1], cutoff=0.1)
-        with pytest.raises(NoMassAtCutoff):
-            discrete_estimate(s)
-
-    def test_no_below_neighbor(self):
-        s = make_sample([0.0, 0.0, 1.0], [1, 1, 2], cutoff=0.0)
-        with pytest.raises(NoBelowNeighbor):
-            discrete_estimate(s)
 
 
 class TestPooled:

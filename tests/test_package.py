@@ -14,31 +14,30 @@ import rdtoolkit
 PUBLIC = [
     "BalanceRecord", "BandwidthSelection", "Bernoulli", "BinomialRecord",
     "CoverageResult", "CutoffEstimate", "DensityRecord", "DgpSpec",
-    "DiscreteEstimate", "DonutRecord", "FisherCi", "FisherResult",
-    "FixedMargins", "LocRandEstimate", "LocalFit", "MassPointSummary",
-    "NeymanResult", "OracleBandwidth", "PlaceboRecord", "PlotBin",
-    "PooledEstimate", "PowerResult", "RbcResult", "RdEstimate", "RdPlotData",
-    "RdSample", "SensitivityRecord", "ValidationReport", "Window",
-    "WindowSelection", "__version__", "bandwidth_sensitivity",
-    "binomial_test", "build_rdplot", "canonical_json", "covariate_balance",
-    "curved_benchmark", "density_test", "diff_in_means", "discrete_estimate",
-    "donut_hole", "fisher_ci", "fisher_pvalue", "fit_values",
+    "DonutRecord", "FisherCi", "FisherResult", "FixedMargins",
+    "LocRandEstimate", "LocalFit", "NeymanResult", "OracleBandwidth",
+    "PlaceboRecord", "PlotBin", "PooledEstimate", "PowerResult", "RbcResult",
+    "RdEstimate", "RdPlotData", "RdSample", "SensitivityRecord",
+    "ValidationReport", "Window", "WindowSelection", "__version__",
+    "bandwidth_sensitivity", "binomial_test", "build_rdplot",
+    "canonical_json", "covariate_balance", "curved_benchmark", "density_test",
+    "diff_in_means", "donut_hole", "fisher_ci", "fisher_pvalue", "fit_values",
     "fuzzy_estimate", "fuzzy_locrand", "ingest_csv", "kernel_constants",
     "kernel_weight", "kink_estimate", "linear_dgp", "make_report",
-    "make_window", "mass_points", "mde", "mse_constant", "neyman_ci",
-    "normalize_and_pool", "oracle_mse_bandwidth", "piecewise_balance_dgp",
-    "placebo_cutoffs", "power_at", "power_curve", "rbc_inference",
-    "render_svg", "required_n", "run_battery", "select_mse_bandwidth",
-    "select_window", "sha256_file", "sharp_estimate", "simulate_coverage",
-    "simulate_sample", "step_dgp", "substream", "write_report",
+    "make_window", "mde", "mse_constant", "neyman_ci", "normalize_and_pool",
+    "oracle_mse_bandwidth", "piecewise_balance_dgp", "placebo_cutoffs",
+    "power_at", "power_curve", "rbc_inference", "render_svg", "required_n",
+    "run_battery", "select_mse_bandwidth", "select_window", "sha256_file",
+    "sharp_estimate", "simulate_coverage", "simulate_sample", "step_dgp",
+    "substream", "write_report",
 ]
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 76
+    assert len(PUBLIC) == 72
     assert sorted(rdtoolkit.__all__) == PUBLIC
     listed = [name for names in rdtoolkit._EXPORTS.values() for name in names]
-    assert len(listed) == len(set(listed)) == 75
+    assert len(listed) == len(set(listed)) == 71
 
 
 @pytest.mark.parametrize("module", sorted(rdtoolkit._EXPORTS))

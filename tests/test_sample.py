@@ -26,7 +26,7 @@ from rdtoolkit.errors import (
 )
 from rdtoolkit.parallel import run_indexed
 from rdtoolkit.defaults import READ_BLOCK
-from rdtoolkit.sample import RdSample, ingest_csv, mass_points
+from rdtoolkit.sample import RdSample, ingest_csv
 
 from conftest import make_sample, write_csv
 
@@ -623,18 +623,6 @@ class TestSampleModel:
     def test_arrays_are_frozen(self, step_sample):
         with pytest.raises(ValueError):
             step_sample.score[0] = 9.0
-
-    def test_mass_points_census(self):
-        s = make_sample([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], range(6), cutoff=2.0)
-        mp = mass_points(s)
-        assert mp.distinct_values.tolist() == [1.0, 2.0, 3.0]
-        assert mp.m == 3
-        assert mp.counts.tolist() == [2, 1, 3]
-        assert mp.below_neighbor == 1.0
-
-    def test_below_neighbor_is_largest_below(self):
-        s = make_sample([-3.0, -1.0, 0.0, 2.0], [0, 0, 0, 0])
-        assert mass_points(s).below_neighbor == -1.0
 
     def test_subset_preserves_covariates(self, noisy_sample):
         sub = noisy_sample.subset(noisy_sample.score > 0)

@@ -21,9 +21,12 @@ import numpy as np
 
 from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import sharp_estimate
-from rdtoolkit.dgps import curved_benchmark
+from rdtoolkit.dgps import (
+    curved_benchmark,
+    oracle_mse_bandwidth,
+    replication_sample,
+)
 from rdtoolkit.parallel import run_indexed
-from rdtoolkit.powersim import oracle_mse_bandwidth, replication_sample
 from rdtoolkit.reports import make_report, write_report
 
 

@@ -14,8 +14,7 @@ Usage:
 import argparse
 from dataclasses import asdict, dataclass
 
-from rdtoolkit.dgps import curved_benchmark
-from rdtoolkit.powersim import simulate_coverage
+from rdtoolkit.dgps import curved_benchmark, simulate_coverage
 from rdtoolkit.reports import make_report, write_report
 
 

@@ -21,8 +21,10 @@ _EXPORTS = {
     "continuity": ("CutoffEstimate", "PooledEstimate", "RbcResult",
                    "RdEstimate", "fuzzy_estimate", "kink_estimate",
                    "normalize_and_pool", "rbc_inference", "sharp_estimate"),
-    "dgps": ("DgpSpec", "curved_benchmark", "linear_dgp",
-             "piecewise_balance_dgp", "simulate_sample", "step_dgp"),
+    "dgps": ("CoverageResult", "DgpSpec", "OracleBandwidth",
+             "curved_benchmark", "linear_dgp", "oracle_mse_bandwidth",
+             "piecewise_balance_dgp", "simulate_coverage", "simulate_sample",
+             "step_dgp"),
     "locrand": ("Bernoulli", "FisherCi", "FisherResult", "FixedMargins",
                 "LocRandEstimate", "NeymanResult", "Window",
                 "WindowSelection", "diff_in_means", "fisher_ci",
@@ -30,13 +32,11 @@ _EXPORTS = {
                 "select_window"),
     "lpoly": ("LocalFit", "fit_values", "kernel_weight"),
     "plotting": ("PlotBin", "RdPlotData", "build_rdplot", "render_svg"),
-    "powersim": ("CoverageResult", "OracleBandwidth", "PowerResult", "mde",
-                 "oracle_mse_bandwidth", "power_at", "power_curve",
-                 "required_n", "simulate_coverage"),
-    "reports": ("canonical_json", "make_report", "sha256_file",
-                "write_report"),
+    "powersim": ("PowerResult", "mde", "power_at", "power_curve",
+                 "required_n"),
+    "reports": ("canonical_json", "make_report", "write_report"),
     "rng": ("substream",),
-    "sample": ("RdSample", "ingest_csv"),
+    "sample": ("RdSample", "ingest_csv", "sha256_file"),
     "validation": ("BalanceRecord", "BinomialRecord", "DensityRecord",
                    "DonutRecord", "PlaceboRecord", "SensitivityRecord",
                    "ValidationReport", "bandwidth_sensitivity",

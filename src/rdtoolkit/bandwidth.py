@@ -16,7 +16,7 @@ can be audited.
 
 The CE-optimal bandwidth shrinks h_mse by the standard rule-of-thumb
 factor n^(-p/((3+p)(3+2p))).  The Monte Carlo oracle that audits the
-selector is :func:`rdtoolkit.powersim.oracle_mse_bandwidth`.
+selector is :func:`rdtoolkit.dgps.oracle_mse_bandwidth`.
 """
 
 from __future__ import annotations

@@ -309,6 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 _RULES = (
     ("estimate", lambda args: args.design == "kink" and args.p < 1,
      "argument --p: --design kink needs --p of at least 1"),
+    ("estimate",
+     lambda args: args.design == "fuzzy" and not args.treatment_col,
+     "argument --treatment-col: --design fuzzy needs a received-treatment "
+     "column"),
+    # only a selected bandwidth has a coverage-error value to shrink to
+    ("estimate", lambda args: args.h is not None and args.ce,
+     "argument --ce: shrinks the auto bandwidth, so it needs --h auto"),
     ("locrand", lambda args: args.window is None and not args.covariates,
      "argument --covariate: --window auto selects the window by "
      "covariate balance, so it needs at least one --covariate"),
@@ -456,7 +463,7 @@ def cmd_locrand(args):
         "fisher_ci": ci if args.fisher_ci else None,
         "window_selection": selection,
     }
-    if args.table and selection is not None:
+    if args.table:
         _write_csv(args.table,
                    *_trace_table(selection.trace, sorted(sample.covariates)))
     return config, result, args.seed
@@ -546,10 +553,9 @@ def cmd_power(args):
 
 
 def cmd_simulate(args):
-    from .powersim import simulate_coverage
-
-    dgp = getattr(import_module(".dgps", __package__), _DGPS[args.dgp])()
-    result = simulate_coverage(
+    dgps = import_module(".dgps", __package__)
+    dgp = getattr(dgps, _DGPS[args.dgp])()
+    result = dgps.simulate_coverage(
         dgp, estimator=args.estimator, n=args.n,
         replications=args.replications, seed=args.seed, p=args.p,
         kernel=args.kernel, level=args.level, h=args.h,

@@ -34,7 +34,6 @@ import numpy as np
 from .defaults import WEAK_FIRST_STAGE_THRESHOLD
 from .errors import (
     EmptySide,
-    InsufficientSideData,
     MissingTreatmentColumn,
     RankDeficient,
     WeakFirstStage,
@@ -276,7 +275,7 @@ def per_cutoff_estimates(sample: RdSample, pooled: RdEstimate,
                 level=pooled.level)
             per_cutoff.append(CutoffEstimate(cutoff=float(c), n=n,
                                              estimate=est))
-        except (EmptySide, RankDeficient, InsufficientSideData) as err:
+        except (EmptySide, RankDeficient) as err:
             per_cutoff.append(CutoffEstimate(
                 cutoff=float(c), n=n, estimate=None,
                 message=f"insufficient support: {err}"))

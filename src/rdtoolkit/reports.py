@@ -5,7 +5,8 @@ trailing newline, and no timestamps or machine identifiers, so a seeded
 run writes byte-identical output every time.  Every report embeds the
 toolkit version, a schema id, the resolved configuration, the seed, and
 a content digest of the input file (when one exists); that envelope is
-sufficient to reproduce the run exactly.
+sufficient to reproduce the run exactly.  The digest is taken where the
+input is read, in :mod:`rdtoolkit.sample`, so this module reads no file.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ def canonical_json(document) -> str:
     """Deterministic JSON text: sorted keys, fixed layout, newline end."""
     return json.dumps(jsonable(document), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-
-
-def sha256_file(path) -> str:
-    """SHA-256 hex digest of the file's bytes: the digest ingest computes
-    and a report's ``input_digest`` carries."""
-    from .sample import _scan
-
-    return _scan(path)[0]
 
 
 def make_report(kind: str, result, config: dict, seed: int | None = None,

@@ -379,6 +379,12 @@ def _scan(path) -> tuple[str, bool]:
     return digest.hexdigest(), quoted
 
 
+def sha256_file(path) -> str:
+    """SHA-256 hex digest of the file's bytes: the digest ingest computes
+    and a report's ``input_digest`` carries."""
+    return _scan(path)[0]
+
+
 def _cache_entry(digest, delimiter, bindings) -> str | None:
     """Path of the cache entry for a file's parse; None when there is no
     absolute cache directory or this module cannot be read."""

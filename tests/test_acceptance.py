@@ -22,16 +22,17 @@ from rdtoolkit.continuity import (
     normalize_and_pool,
     sharp_estimate,
 )
-from rdtoolkit.dgps import curved_benchmark, piecewise_balance_dgp, simulate_sample
-from rdtoolkit.locrand import fisher_pvalue, make_window, select_window
-from rdtoolkit.parallel import run_indexed
-from rdtoolkit.powersim import (
-    mde,
+from rdtoolkit.dgps import (
+    curved_benchmark,
     oracle_mse_bandwidth,
-    power_at,
+    piecewise_balance_dgp,
     replication_sample,
     simulate_coverage,
+    simulate_sample,
 )
+from rdtoolkit.locrand import fisher_pvalue, make_window, select_window
+from rdtoolkit.parallel import run_indexed
+from rdtoolkit.powersim import mde, power_at
 from rdtoolkit.rng import substream
 from rdtoolkit.sample import RdSample
 from rdtoolkit.validation import (

@@ -16,9 +16,13 @@ from rdtoolkit.bandwidth import (
     mse_constant,
     select_mse_bandwidth,
 )
-from rdtoolkit.dgps import curved_benchmark, linear_dgp, simulate_sample
+from rdtoolkit.dgps import (
+    curved_benchmark,
+    linear_dgp,
+    oracle_mse_bandwidth,
+    simulate_sample,
+)
 from rdtoolkit.errors import EmptySide, TooFewObservations
-from rdtoolkit.powersim import oracle_mse_bandwidth
 from rdtoolkit.sample import RdSample, ingest_csv
 
 from conftest import make_sample, multi_cutoff_rows, write_csv
@@ -256,7 +260,7 @@ def test_multi_cutoff_pilot_reads_centred_score(tmp_path):
 
 def test_selector_imports_no_monte_carlo_layer():
     # the selector stands on the fit kernel alone; the Monte Carlo
-    # oracle that audits it lives in powersim
+    # oracle that audits it lives in dgps
     tree = ast.parse(pathlib.Path(bandwidth_module.__file__).read_text())
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0}

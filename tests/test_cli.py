@@ -15,15 +15,16 @@ from rdtoolkit import continuity, dgps, lpoly
 from rdtoolkit import sample as sample_module
 from rdtoolkit.cli import _DGPS, build_parser, main
 from rdtoolkit.defaults import MIN_REPLICATIONS
+from rdtoolkit.dgps import simulate_coverage
 from rdtoolkit.locrand import (
     fisher_pvalue,
     fuzzy_locrand,
     make_window,
     select_window,
 )
-from rdtoolkit.powersim import mde, simulate_coverage
-from rdtoolkit.reports import SCHEMA, jsonable, sha256_file
-from rdtoolkit.sample import ingest_csv
+from rdtoolkit.powersim import mde
+from rdtoolkit.reports import SCHEMA, jsonable
+from rdtoolkit.sample import ingest_csv, sha256_file
 from rdtoolkit.validation import run_battery
 
 from conftest import multi_cutoff_rows, write_csv
@@ -142,6 +143,17 @@ class TestEstimate:
         sel = report["result"]["bandwidth_selection"]
         assert report["config"]["h_below"] == sel["h_mse"]
         assert sel["h_mse"] > 0
+
+    def test_ce_shrinks_the_auto_bandwidth(self, locrand_csv, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--ce"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        sel = report["result"]["bandwidth_selection"]
+        assert report["config"]["ce"] is True
+        assert report["config"]["h_below"] == report["config"]["h_above"] \
+            == sel["h_ce"] < sel["h_mse"]
 
     def test_output_file_and_byte_determinism(self, step_csv, tmp_path,
                                               capsys):
@@ -775,10 +787,13 @@ class TestUsageRules:
         ("--cutoff-col", ["plot", "--cutoff", "5"]),
         ("--covariate", ["locrand"]),
         ("--table", ["locrand", "--window", "0.5", "--table", "t.csv"]),
-        ("--n-pilot", ["power", "--se", "1.0", "--target-mde", "0.5"])],
+        ("--n-pilot", ["power", "--se", "1.0", "--target-mde", "0.5"]),
+        ("--treatment-col", ["estimate", "--design", "fuzzy"]),
+        ("--ce", ["estimate", "--h", "0.5", "--ce"])],
         ids=["kink-p-0", "estimate-cutoff", "locrand-cutoff",
              "validate-cutoff", "plot-cutoff", "auto-window-no-covariate",
-             "fixed-window-table", "target-mde-no-pilot"])
+             "fixed-window-table", "target-mde-no-pilot",
+             "fuzzy-no-treatment-column", "fixed-bandwidth-ce"])
     def test_rule_exits_1_before_any_work(self, multi_cutoff_csv, tmp_path,
                                           flag, argv):
         # all but the fixed-window table rule used to be checked in

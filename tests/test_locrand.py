@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from rdtoolkit import locrand
 from rdtoolkit.cli import build_parser, cmd_locrand
-from rdtoolkit.errors import EmptyGroup, TooFewObservations
+from rdtoolkit.errors import (
+    EmptyGroup,
+    MissingTreatmentColumn,
+    TooFewObservations,
+    WeakFirstStage,
+)
 from rdtoolkit.locrand import (
     Bernoulli,
     FixedMargins,
@@ -532,6 +537,18 @@ class TestDiffInMeans:
         assert est.tau_hat == pytest.approx(5.0)
         assert est.dbar_plus == 0.5 and est.dbar_minus == 0.0
 
+    def test_fuzzy_needs_a_treatment_column(self):
+        s = make_sample([-0.5, -0.2, 0.1, 0.4], [1.0, 2.0, 3.0, 5.0])
+        with pytest.raises(MissingTreatmentColumn):
+            fuzzy_locrand(s, window_all(s))
+
+    def test_fuzzy_rejects_a_weak_first_stage(self):
+        # every unit is treated, so receipt does not move at the cutoff
+        s = make_sample([-0.5, -0.2, 0.1, 0.4], [1.0, 2.0, 3.0, 5.0],
+                        received=[1, 1, 1, 1])
+        with pytest.raises(WeakFirstStage, match="receipt contrast 0 "):
+            fuzzy_locrand(s, window_all(s))
+
 
 class TestNeyman:
     def test_hand_se(self):
@@ -699,6 +716,15 @@ class TestSelectWindow:
         assert sel.trace[0].feasible is False
         assert sel.trace[1].feasible is True
         assert sel.w_left == 1.0
+
+    def test_pair_candidates_select_asymmetric_windows(self):
+        s = balance_data()
+        pairs = [(0.2, 0.3), (0.3, 0.45)]
+        sel = select_window(s, candidates=pairs, seed=3)
+        assert [(row.w_left, row.w_right) for row in sel.trace] == pairs
+        assert not sel.no_balanced_window
+        assert (sel.w_left, sel.w_right) == (0.3, 0.45)
+        assert sel.window == make_window(s, 0.3, 0.45)
 
     def test_iterator_candidates_are_read_once(self):
         s = balance_data()

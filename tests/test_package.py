@@ -6,6 +6,7 @@ import inspect
 import pathlib
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -86,11 +87,44 @@ def test_no_module_imports_from_the_package_root():
 
 def test_powersim_loads_no_monte_carlo_stack_at_import():
     # power math needs none of the sampling, fitting or threading
-    # modules; the Monte Carlo functions import them when they run
+    # modules; the Monte Carlo engine lives in dgps
     path = pathlib.Path(rdtoolkit.__file__).parent / "powersim.py"
     relative = {node.module for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
-    assert relative == {"defaults", "errors"}
+    assert relative == {"errors"}
+
+
+def test_no_function_outside_the_cli_imports_numpy_or_the_package():
+    # a module loads what it runs when it loads; only the CLI's
+    # subcommands defer their imports, so that a call loads what it runs
+    for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    modules = {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    modules = {"rdtoolkit" if node.level else node.module}
+                else:
+                    continue
+                assert not {m.split(".")[0] for m in modules} \
+                    & {"numpy", "rdtoolkit"}, (path.name, node.lineno)
+
+
+def test_public_annotations_resolve():
+    # every name an annotation uses is bound in its module
+    failed = []
+    for name in rdtoolkit.__all__:
+        value = getattr(rdtoolkit, name)
+        if callable(value):
+            try:
+                typing.get_type_hints(value)
+            except NameError as exc:
+                failed.append((name, str(exc)))
+    assert failed == []
 
 
 def _module_level_imports(tree):
@@ -157,7 +191,7 @@ def _calls(tree, name):
 
 
 def test_files_are_hashed_in_one_place():
-    # sample._scan streams the digest; reports.sha256_file reads it
+    # sample._scan streams the digest; sample.sha256_file reads it
     for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

@@ -16,6 +16,9 @@ from rdtoolkit.dgps import (
     _poly,
     curved_benchmark,
     linear_dgp,
+    oracle_mse_bandwidth,
+    replication_sample,
+    simulate_coverage,
     simulate_sample,
     step_dgp,
 )
@@ -24,12 +27,9 @@ from rdtoolkit.errors import TooManyFailures, UnreachableTarget
 from rdtoolkit.powersim import (
     _linspace,
     mde,
-    oracle_mse_bandwidth,
     power_at,
     power_curve,
-    replication_sample,
     required_n,
-    simulate_coverage,
 )
 from rdtoolkit.rng import substream
 

@@ -13,9 +13,9 @@ from rdtoolkit.reports import (
     canonical_json,
     jsonable,
     make_report,
-    sha256_file,
     write_report,
 )
+from rdtoolkit.sample import sha256_file
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,7 +16,9 @@ and ``power`` load only the standard library.
 Each flag is declared once, in :func:`build_parser`.  Its type carries
 its range, and each rule that ties it to another flag is declared once
 too: ``--cutoff`` and ``--cutoff-col`` form a mutually exclusive group,
-and the other rules are the rows of ``_RULES``.  The report's config is
+and the other rules are the rows of ``_RULES``.  A row may read values
+too: ``--window auto`` needs ascending ``--candidates``, and no
+``--placebo`` cutoff may be the true one.  The report's config is
 built from the parsed arguments: it echoes every flag except
 ``--output``, ``--table``, the seed (the report envelope carries it),
 ``--threads`` and ``--fisher-ci``, then adds the values the run
@@ -323,6 +325,14 @@ _RULES = (
     ("locrand", lambda args: args.window is not None and args.table,
      "argument --table: writes the window-selection trace, so it needs "
      "--window auto"),
+    ("locrand", lambda args: args.window is None and args.candidates
+     and args.candidates != sorted(args.candidates),
+     "argument --candidates: --window auto needs them in ascending order"),
+    # --cutoff keeps its default 0, the centred cutoff, with --cutoff-col
+    ("validate",
+     lambda args: args.placebo is not None and args.cutoff in args.placebo,
+     "argument --placebo: a placebo cutoff must differ from the true "
+     "cutoff (--cutoff, or 0 with --cutoff-col)"),
     ("power",
      lambda args: args.target_mde is not None and args.n_pilot is None,
      "argument --target-mde: needs --n-pilot"),

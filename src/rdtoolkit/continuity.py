@@ -127,7 +127,7 @@ def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
     def window(rows, h):
         y = sample.outcome.take(rows)
         if kind == "fuzzy":
-            y = np.column_stack([y, sample.received.take(rows).astype(float)])
+            y = np.column_stack([y, sample.received.take(rows)])
         return side_window(sample.score.take(rows) - sample.cutoff, y,
                            kernel, h)
 

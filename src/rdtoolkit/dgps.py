@@ -51,7 +51,7 @@ class Uniform:
 
 
 # --------------------------------------------------------------------
-# Compliance models: map assigned T to received D
+# Compliance models: map the assignment mask T to the receipt mask D
 # --------------------------------------------------------------------
 
 
@@ -73,8 +73,7 @@ class OneSided:
             raise BadSpec("refusal probability q must be in [0, 1)")
 
     def draw(self, rng, assigned):
-        refuse = rng.random(assigned.shape[0]) < self.q
-        return np.where(assigned == 1, (~refuse).astype(np.int8), 0).astype(np.int8)
+        return assigned & (rng.random(assigned.shape[0]) >= self.q)
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,7 @@ class TwoSided:
 
     def draw(self, rng, assigned):
         u = rng.random(assigned.shape[0])
-        above = assigned == 1
-        d = np.where(above, u >= self.q_above, u < self.q_below)
-        return d.astype(np.int8)
+        return np.where(assigned, u >= self.q_above, u < self.q_below)
 
 
 # --------------------------------------------------------------------
@@ -114,8 +111,8 @@ class DgpSpec:
         must accept numpy arrays and act elementwise, returning one value
         per score: :func:`simulate_sample` evaluates ``mu1`` only on the
         treated units and ``mu0`` only on the rest.
-    noise_sd : float or callable
-        Homoskedastic sd, or a function of the score.
+    noise_sd : float
+        Homoskedastic sd.
     score_dist : Uniform
     compliance : Perfect, OneSided, or TwoSided
     cutoff : float
@@ -126,7 +123,7 @@ class DgpSpec:
 
     mu0: Callable[[np.ndarray], np.ndarray]
     mu1: Callable[[np.ndarray], np.ndarray]
-    noise_sd: float | Callable[[np.ndarray], np.ndarray]
+    noise_sd: float
     score_dist: Uniform
     compliance: Perfect | OneSided | TwoSided = Perfect()
     cutoff: float = 0.0
@@ -148,15 +145,12 @@ def simulate_sample(dgp: DgpSpec, n: int, seed: int) -> RdSample:
         raise BadSpec("sample size must be at least 1")
     rng = substream(seed)
     x = dgp.score_dist.sample(rng, n)
-    assigned = (x >= dgp.cutoff).astype(np.int8)
-    d = dgp.compliance.draw(rng, assigned)
+    d = dgp.compliance.draw(rng, x >= dgp.cutoff)
     # Each mean function runs only on the units whose outcome it sets.
-    treated = d == 1
     mu = np.empty(n)
-    mu[treated] = dgp.mu1(x[treated])
-    mu[~treated] = dgp.mu0(x[~treated])
-    sd = dgp.noise_sd(x) if callable(dgp.noise_sd) else float(dgp.noise_sd)
-    y = mu + sd * rng.standard_normal(n)
+    mu[d] = dgp.mu1(x[d])
+    mu[~d] = dgp.mu0(x[~d])
+    y = mu + dgp.noise_sd * rng.standard_normal(n)
     covariates = {name: gen(x, rng) for name, gen in dgp.covariates.items()}
     return RdSample(score=x, outcome=y, cutoff=dgp.cutoff, received=d,
                     covariates=covariates)

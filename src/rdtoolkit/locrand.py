@@ -117,11 +117,11 @@ def make_window(sample: RdSample, w_left: float,
 
 
 def _window_arrays(sample: RdSample, window: Window):
-    """Outcome, treatment (int8) and receipt of the units in the window."""
+    """Outcome, assignment (boolean) and receipt (float64, or None) of
+    the units in the window: slices of the sample's own arrays."""
     mask = _inside(sample, window.lower, window.upper)
-    t = sample.treated[mask].astype(np.int8)
-    d = None if sample.received is None else sample.received[mask].astype(float)
-    return sample.outcome[mask], t, d
+    d = None if sample.received is None else sample.received[mask]
+    return sample.outcome[mask], sample.treated[mask], d
 
 
 # --------------------------------------------------------------------
@@ -149,8 +149,7 @@ def _framework_means(values, t, model, framework):
     Horvitz-Thompson form with the known probability.
     """
     n = values.shape[0]
-    plus = t == 1
-    n_plus = int(plus.sum())
+    n_plus = int(t.sum())
     n_minus = n - n_plus
     if n_plus == 0 or n_minus == 0:
         raise EmptyGroup(
@@ -159,9 +158,9 @@ def _framework_means(values, t, model, framework):
         raise ValueError(f"unknown framework {framework!r}")
     if isinstance(model, Bernoulli) and framework in ("fisher", "neyman"):
         p = model.prob
-        return (float(values[plus].sum() / (n * p)),
-                float(values[~plus].sum() / (n * (1.0 - p))))
-    return float(values[plus].mean()), float(values[~plus].mean())
+        return (float(values[t].sum() / (n * p)),
+                float(values[~t].sum() / (n * (1.0 - p))))
+    return float(values[t].mean()), float(values[~t].mean())
 
 
 def diff_in_means(sample: RdSample, window: Window, model=FixedMargins(),
@@ -498,14 +497,13 @@ def _check_alpha(alpha: float) -> None:
 def _neyman_se(y, t):
     """Conservative standard error sqrt(s2+/N+ + s2-/N-) and the two
     group variances s2+, s2- (ddof 1)."""
-    plus = t == 1
-    n_plus = int(plus.sum())
+    n_plus = int(t.sum())
     n_minus = y.shape[0] - n_plus
     if n_plus < 2 or n_minus < 2:
         raise TooFewObservations(
             f"need at least 2 units per group, got {n_plus} and {n_minus}")
-    var_p = float(np.var(y[plus], ddof=1))
-    var_m = float(np.var(y[~plus], ddof=1))
+    var_p = float(np.var(y[t], ddof=1))
+    var_m = float(np.var(y[~t], ddof=1))
     return float(np.sqrt(var_p / n_plus + var_m / n_minus)), var_p, var_m
 
 
@@ -611,7 +609,6 @@ def select_window(sample: RdSample, candidates=None,
     if any(b < a for a, b in zip(widths, widths[1:])):
         raise ValueError("candidate windows must be ascending")
 
-    treated = sample.treated
     trace = []
     for idx, (w_left, w_right) in enumerate(pairs):
         win = make_window(sample, w_left, w_right)
@@ -620,7 +617,7 @@ def select_window(sample: RdSample, candidates=None,
         for j, name in enumerate(names):
             z = sample.covariates[name]
             ok = inside & np.isfinite(z)
-            t = treated[ok].astype(np.int8)
+            t = sample.treated[ok]
             if not 2 <= t.sum() <= t.size - 2:
                 break
             res = _fisher_tests([z[ok]], t, model, statistic,

@@ -141,7 +141,11 @@ def required_n(pilot_se: float, n_pilot: int, target_mde: float,
         raise UnreachableTarget(
             f"target mde {target_mde} unreachable under {scaling} scaling")
     n = ceil(bound)
-    # ceil on the analytic bound can overshoot by one grid step; walk back.
+    # the analytic bound is rounded, so its ceil can land on either side
+    # of the smallest n that meets the target: step up, then walk back.
+    while _implied_mde(pilot_se, n_pilot, n, rate, alpha,
+                       target_power) > target_mde:
+        n += 1
     while n > n_pilot and _implied_mde(pilot_se, n_pilot, n - 1, rate,
                                        alpha, target_power) <= target_mde:
         n -= 1

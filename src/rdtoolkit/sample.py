@@ -73,7 +73,8 @@ class RdSample:
     outcome : ndarray
         Outcome Y_i, finite, length n.
     received : ndarray or None
-        Treatment received D_i in {0, 1}, length n.
+        Treatment received D_i, float64 0/1, length n: the row every fit
+        reads.  An ingested sample's receipt is its parse table's row.
     covariates : dict of str -> ndarray
         Pre-intervention covariates; NaN entries allowed (handled by
         listwise deletion inside balance tests).
@@ -83,9 +84,9 @@ class RdSample:
         Per-unit cutoffs C_i of multi-cutoff data.  They only label the
         units for per-cutoff estimates; the score is centred on them.
 
-    The treatment mask, :attr:`treated`, and the side split,
-    :attr:`side_rows`, are computed on first use and kept; every
-    estimator gathers a side's columns with ``take`` on its rows.
+    The assignment T_i is the boolean mask :attr:`treated`.  It and the
+    side split, :attr:`side_rows`, are computed on first use and kept;
+    every estimator gathers a side's columns with ``take`` on its rows.
     """
 
     score: np.ndarray
@@ -112,14 +113,13 @@ class RdSample:
         if not np.isfinite(self.cutoff):
             raise BadSpec("cutoff must be finite")
         if self.received is not None:
-            received = np.asarray(self.received)
+            received = np.asarray(self.received, dtype=float)
             if received.shape != (n,):
                 raise BadSpec("received must have the same length as score")
             bad = (received != 0) & (received != 1)
             if bad.any():
                 raise BadTreatmentCode(int(np.flatnonzero(bad)[0]))
-            object.__setattr__(self, "received",
-                               received.astype(np.int8, copy=False))
+            object.__setattr__(self, "received", received)
         covs = {}
         for name, values in self.covariates.items():
             values = np.asarray(values, dtype=float)

@@ -111,7 +111,6 @@ def _locrand_balance(sample, names, window, draws, seed):
     the same units share one ensemble (same draws and seed), built when
     the first of them is reached, so an error surfaces there."""
     inside = _inside(sample, window.lower, window.upper)
-    treated = sample.treated
     masks = {name: inside & np.isfinite(sample.covariates[name])
              for name in names}
     records = {}
@@ -122,7 +121,7 @@ def _locrand_balance(sample, names, window, draws, seed):
                      if np.array_equal(masks[other], mask)]
             tests = _fisher_tests(
                 [sample.covariates[other][mask] for other in group],
-                treated[mask].astype(np.int8), FixedMargins(), "diff_means",
+                sample.treated[mask], FixedMargins(), "diff_means",
                 MAX_EXHAUSTIVE, draws, seed)
             for other, (res,) in zip(group, tests):
                 records[other] = BalanceRecord(

@@ -606,6 +606,18 @@ class TestLocrand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fixed_window_leaves_candidates_unused(self, locrand_csv,
+                                                   capsys):
+        # candidates only order an auto selection, so a fixed window
+        # accepts them in any order and reports what it reports without
+        argv = ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+                "--outcome-col", "y", "--window", "0.6", "--draws", "99"]
+        code, out, _ = run_cli(argv, capsys)
+        code_c, out_c, _ = run_cli([*argv, "--candidates", "0.5", "0.2"],
+                                   capsys)
+        assert code == code_c == 0
+        assert json.loads(out)["result"] == json.loads(out_c)["result"]
+
 
 class TestValidate:
     def test_battery_report_sections(self, locrand_csv, capsys):
@@ -644,14 +656,16 @@ class TestValidate:
         assert float(by_test["binomial"]["p_value"]) == \
             report["result"]["binomial"]["p_value"]
 
-    def test_placebo_grid_containing_cutoff_exits_2(self, locrand_csv,
+    def test_placebo_grid_containing_cutoff_exits_1(self, locrand_csv,
                                                     capsys):
+        # the true cutoff is a flag, so this is a usage rule
         code, _, err = run_cli(
             ["validate", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--h", "0.5", "--placebo", "0.5", "0.0"],
             capsys)
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "GridContainsTrueCutoff"
+        assert code == 1
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "usage" and "--placebo" in doc["message"]
 
 
 class TestPlot:
@@ -789,16 +803,25 @@ class TestUsageRules:
         ("--table", ["locrand", "--window", "0.5", "--table", "t.csv"]),
         ("--n-pilot", ["power", "--se", "1.0", "--target-mde", "0.5"]),
         ("--treatment-col", ["estimate", "--design", "fuzzy"]),
-        ("--ce", ["estimate", "--h", "0.5", "--ce"])],
+        ("--ce", ["estimate", "--h", "0.5", "--ce"]),
+        ("--candidates", ["locrand", "--covariate", "y", "--candidates",
+                          "0.5", "0.2"]),
+        ("--placebo", ["validate", "--placebo", "0"]),
+        ("--placebo", ["validate", "--cutoff-col", "c", "--placebo", "0.5",
+                       "-0"]),
+        ("--placebo", ["validate", "--cutoff=5", "--placebo", "0.5", "5"])],
         ids=["kink-p-0", "estimate-cutoff", "locrand-cutoff",
              "validate-cutoff", "plot-cutoff", "auto-window-no-covariate",
              "fixed-window-table", "target-mde-no-pilot",
-             "fuzzy-no-treatment-column", "fixed-bandwidth-ce"])
+             "fuzzy-no-treatment-column", "fixed-bandwidth-ce",
+             "descending-candidates", "placebo-at-default-cutoff",
+             "placebo-at-cutoff-col-zero", "placebo-at-cutoff"])
     def test_rule_exits_1_before_any_work(self, multi_cutoff_csv, tmp_path,
                                           flag, argv):
         # all but the fixed-window table rule used to be checked in
         # `_ingest` or a subcommand body, after numpy loaded and after the
-        # output paths; the auto window without a covariate exited 2
+        # output paths; the auto window without a covariate, descending
+        # candidates and a placebo at the true cutoff exited 2
         if argv[0] != "power":  # power reads no file
             argv = [argv[0], "--input", str(multi_cutoff_csv),
                     "--score-col", "x", "--outcome-col", "y",

@@ -25,6 +25,7 @@ from rdtoolkit.dgps import (
 from rdtoolkit.continuity import sharp_estimate
 from rdtoolkit.errors import TooManyFailures, UnreachableTarget
 from rdtoolkit.powersim import (
+    _implied_mde,
     _linspace,
     mde,
     power_at,
@@ -156,6 +157,26 @@ class TestRequiredN:
             assert mde(1.0 * (100 / n) ** 0.5) <= target
             assert mde(1.0 * (100 / (n - 1)) ** 0.5) > target
 
+    @pytest.mark.parametrize("scaling, p", [("fixed_h", 1), ("mse_h", 1),
+                                            ("mse_h", 3)])
+    def test_rounded_bound_steps_to_the_minimal_n(self, scaling, p):
+        # a target of mde(se) * (n_pilot / k)^rate puts the analytic bound
+        # on the integer k, where rounding sets its ceil on either side of
+        # the smallest n that meets the target: both the step up and the
+        # walk-back run on these inputs
+        rate = 0.5 if scaling == "fixed_h" else (p + 1.0) / (2.0 * p + 3.0)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            se = float(rng.uniform(0.01, 10.0))
+            n_pilot = int(rng.integers(1, 500))
+            k = int(rng.integers(n_pilot + 1, 100 * n_pilot + 2))
+            target = mde(se) * (n_pilot / k) ** rate
+            n = required_n(se, n_pilot, target, scaling=scaling, p=p)
+            assert _implied_mde(se, n_pilot, n, rate, 0.05, 0.80) <= target
+            if n > n_pilot:
+                assert _implied_mde(se, n_pilot, n - 1, rate, 0.05,
+                                    0.80) > target
+
     def test_known_pilot_case(self):
         assert required_n(1.0, 200, target_mde=0.5) == 6280
 
@@ -262,9 +283,9 @@ class TestPinnedBits:
                       compliance=TwoSided(0.15, 0.25))
         s = simulate_sample(dgp, 1000, seed=5)
         digest = hashlib.sha256()
-        for column in (s.score, s.outcome, s.received):
+        for column in (s.score, s.outcome, s.received.astype(np.int8)):
             digest.update(np.ascontiguousarray(column).tobytes())
-        assert s.received.dtype == np.int8
+        assert s.received.dtype == np.float64
         assert digest.hexdigest() == (
             "64ea9901965aa0bd5596a04a60c9c8577ddf654c41f8194abbca181f6700a36d")
 

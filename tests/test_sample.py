@@ -465,6 +465,32 @@ class TestParseCache:
         with pytest.raises(error):
             sample_module._sample(table, bindings, 0.0)
 
+    def test_receipt_is_the_table_row_on_every_source(self, tmp_path,
+                                                      monkeypatch):
+        # the float64 receipt every fit reads is the parsed table's own
+        # row, beside the outcome, whichever source built the table; no
+        # module keeps a narrower copy of a treatment column
+        rows = [(-0.5, 1.0, "-0"), (0.5, 2.0, 1), (0.25, 3.0, "-0.0")]
+        plain = write_csv(tmp_path / "d.csv", ["x", "y", "t"], rows)
+        quoted = tmp_path / "q.csv"
+        quoted.write_text('"x","y","t"\n' + "".join(
+            f"{x},{y},{t}\n" for x, y, t in rows))
+        column_map = {"score": "x", "outcome": "y", "treatment": "t"}
+        with mock.patch.object(sample_module, "_ingest_rows", _unparsed):
+            samples = [ingest_csv(plain, column_map)]
+        with mock.patch.object(sample_module, "_ingest_numeric", _unparsed):
+            samples.append(ingest_csv(quoted, column_map))
+        monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
+        monkeypatch.setattr(sample_module, "_ingest_numeric", _unparsed)
+        samples.append(ingest_csv(plain, column_map))  # a cache hit
+        for s in samples:
+            assert s.received.dtype == np.float64
+            assert s.received.tolist() == [0.0, 1.0, 0.0]
+            assert s.received.base is not None
+            assert s.received.base is s.outcome.base
+        for path in pathlib.Path(sample_module.__file__).parent.glob("*.py"):
+            assert "int8" not in path.read_text(), path.name
+
     def test_scalar_cutoff_is_applied_on_a_hit(self, tmp_path):
         path = self._write(tmp_path / "d.csv")
         ingest_csv(path, self.COLUMNS, cutoff=0.0)

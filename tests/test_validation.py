@@ -2,7 +2,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rdtoolkit.bandwidth import select_mse_bandwidth
 from rdtoolkit.continuity import rbc_inference, sharp_estimate
+from rdtoolkit.dgps import simulate_sample, step_dgp
 from rdtoolkit.errors import (
     EmptyGroup,
     GridContainsTrueCutoff,
@@ -10,6 +12,7 @@ from rdtoolkit.errors import (
     NoVariation,
 )
 from rdtoolkit.locrand import fisher_pvalue, make_window
+from rdtoolkit.sample import RdSample
 from rdtoolkit.validation import (
     bandwidth_sensitivity,
     binomial_test,
@@ -166,7 +169,39 @@ class TestDensity:
         assert rec.f_above == pytest.approx(0.5, rel=0.05)
 
 
+def noise_free_step():
+    """A unit step at 0 with no noise: every side fits exactly."""
+    return simulate_sample(step_dgp(tau=1.0, noise_sd=0.0), 400, seed=3)
+
+
+def placebo_subsample(s, g):
+    """The side-restricted subsample a placebo at cutoff g fits."""
+    rows = s.side_rows[g > s.cutoff]
+    return RdSample(score=s.score.take(rows), outcome=s.outcome.take(rows),
+                    cutoff=g)
+
+
 class TestPlacebo:
+    def test_zero_se_placebo_reads_p_one(self):
+        # the below side is all zeros: the fit is exact, its robust se
+        # exactly 0, and a zero estimate over a zero se is no evidence
+        s = noise_free_step()
+        res = rbc_inference(placebo_subsample(s, -0.5), h_below=0.3,
+                            h_above=0.3)
+        assert res.se_robust == 0.0 and res.tau_bc == 0.0
+        rec, = placebo_cutoffs(s, [-0.5], h=0.3)
+        assert rec.p_value == 1.0
+
+    def test_default_bandwidth_is_each_subsample_h_mse(self):
+        s = noise_free_step()
+        grid = [-0.5, 0.5]
+        for g, rec in zip(grid, placebo_cutoffs(s, grid)):
+            sub = placebo_subsample(s, g)
+            h = select_mse_bandwidth(sub).h_mse
+            res = rbc_inference(sub, h_below=h, h_above=h)
+            assert rec.tau_hat == res.base.tau_hat and rec.n_used == sub.n
+            assert rec == placebo_cutoffs(s, [g], h=h)[0]
+
     def test_grid_containing_cutoff_rejected(self, noisy_sample):
         with pytest.raises(GridContainsTrueCutoff):
             placebo_cutoffs(noisy_sample, [0.5, 0.0], h=0.3)
@@ -200,6 +235,12 @@ class TestPlacebo:
 
 
 class TestDonut:
+    def test_default_bandwidth_is_the_sample_h_mse(self):
+        s = noise_free_step()
+        radii = [0.0, 0.05, 0.1]
+        assert donut_hole(s, radii) == donut_hole(
+            s, radii, h=select_mse_bandwidth(s).h_mse)
+
     def test_zero_radius_equals_baseline(self, noisy_sample):
         recs = donut_hole(noisy_sample, [0.0, 0.1], h=0.4)
         baseline = sharp_estimate(noisy_sample, h_below=0.4)

@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bandwidth": ("BandwidthSelection", "kernel_constants", "mse_constant",
                   "select_mse_bandwidth"),
-    "continuity": ("CutoffEstimate", "PooledEstimate", "RbcResult",
-                   "RdEstimate", "fuzzy_estimate", "kink_estimate",
-                   "normalize_and_pool", "rbc_inference", "sharp_estimate"),
+    "continuity": ("CutoffEstimate", "RbcResult", "RdEstimate",
+                   "fuzzy_estimate", "kink_estimate", "rbc_inference",
+                   "sharp_estimate"),
     "dgps": ("CoverageResult", "DgpSpec", "OracleBandwidth",
              "curved_benchmark", "linear_dgp", "oracle_mse_bandwidth",
              "piecewise_balance_dgp", "simulate_coverage", "simulate_sample",
@@ -30,7 +30,7 @@ _EXPORTS = {
                 "WindowSelection", "diff_in_means", "fisher_ci",
                 "fisher_pvalue", "fuzzy_locrand", "make_window", "neyman_ci",
                 "select_window"),
-    "lpoly": ("LocalFit", "fit_values", "kernel_weight"),
+    "lpoly": ("LocalFit", "kernel_weight"),
     "plotting": ("PlotBin", "RdPlotData", "build_rdplot", "render_svg"),
     "powersim": ("PowerResult", "mde", "power_at", "power_curve",
                  "required_n"),

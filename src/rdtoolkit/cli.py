@@ -59,6 +59,8 @@ from .defaults import (
     MAX_EXHAUSTIVE,
     MIN_REPLICATIONS,
     SENSITIVITY_FACTORS,
+    SIMULATE_N,
+    SIMULATE_REPLICATIONS,
 )
 from .errors import DataError, EstimationError
 from .reports import canonical_json, make_report, write_report
@@ -286,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Monte Carlo coverage of a known design")
     sim.add_argument("--dgp", default="curved_benchmark",
                      choices=tuple(_DGPS))
-    sim.add_argument("--n", type=_COUNT, default=1000)
+    sim.add_argument("--n", type=_COUNT, default=SIMULATE_N)
     sim.add_argument("--replications", type=_at_least(MIN_REPLICATIONS),
-                     default=2000)
+                     default=SIMULATE_REPLICATIONS)
     sim.add_argument("--estimator", default="conventional",
                      choices=("conventional", "rbc"))
     sim.add_argument("--h", type=_auto_or_float, default=None, metavar="H",

@@ -2,7 +2,8 @@
 
 Sharp, fuzzy, and kink point estimators from side-wise local polynomial
 fits, conventional and robust bias-corrected confidence intervals, and
-normalize-and-pool for multi-cutoff samples.
+per-cutoff estimates for multi-cutoff samples, whose pooled estimate is
+the sharp estimate on the centred score.
 
 Every estimator here reaches the one side-fit kernel,
 :func:`rdtoolkit.lpoly.fit_window`, through ``_side_fit``: one SVD per
@@ -83,14 +84,6 @@ class CutoffEstimate:
     n: int
     estimate: RdEstimate | None
     message: str | None = None
-
-
-@dataclass(frozen=True)
-class PooledEstimate:
-    """Normalize-and-pool output: pooled estimate plus per-cutoff detail."""
-
-    pooled: RdEstimate
-    per_cutoff: tuple[CutoffEstimate, ...]
 
 
 def _zvalue(level: float) -> float:
@@ -237,30 +230,15 @@ def rbc_inference(sample: RdSample, p: int = 1, kernel: str = "triangular",
                      inference_order=p + 1)
 
 
-def normalize_and_pool(sample: RdSample, p: int = 1,
-                       kernel: str = "triangular", h_below: float = None,
-                       h_above: float = None, level: float = 0.95,
-                       ) -> PooledEstimate:
-    """Multi-cutoff analysis on the normalized score X - C with cutoff 0.
-
-    A multi-cutoff sample already holds that score, so the pooled
-    estimate is the sharp estimator on the sample as given, and
-    ``unit_cutoffs`` only groups the units for
-    :func:`per_cutoff_estimates`.
-    """
-    pooled = sharp_estimate(sample, p=p, kernel=kernel,
-                            h_below=h_below, h_above=h_above, level=level)
-    return PooledEstimate(pooled, per_cutoff_estimates(sample, pooled))
-
-
 def per_cutoff_estimates(sample: RdSample, pooled: RdEstimate,
                          ) -> tuple[CutoffEstimate, ...]:
     """Sharp estimates per cutoff group, with the pooled estimate's order,
     kernel, bandwidths and level.
 
-    A group holding every unit is the pooled sample and reuses ``pooled``.
-    A group that cannot support a fit is flagged (estimate = None with a
-    message).
+    ``pooled`` is the sharp estimate on the sample, whose score a cutoff
+    column has centred (X - C, cutoff 0).  A group holding every unit is
+    the pooled sample and reuses ``pooled``.  A group that cannot support
+    a fit is flagged (estimate = None with a message).
     """
     labels = (sample.unit_cutoffs if sample.unit_cutoffs is not None
               else np.full(sample.n, sample.cutoff))

@@ -23,8 +23,11 @@ DONUT_RADII = (0.0, 0.05, 0.1)
 SENSITIVITY_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
 BINS_PER_SIDE = 20
 
-# Coverage simulations: the fewest replications a coverage rate rests on.
+# Coverage simulations: the fewest replications a coverage rate rests
+# on, and the sample size and replication count of a default run.
 MIN_REPLICATIONS = 500
+SIMULATE_N = 1000
+SIMULATE_REPLICATIONS = 2000
 
 # Bytes per read when a file is hashed, so it is never held whole.
 READ_BLOCK = 1 << 16

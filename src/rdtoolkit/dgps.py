@@ -24,7 +24,7 @@ import numpy as np
 
 from .bandwidth import select_mse_bandwidth
 from .continuity import rbc_inference, sharp_estimate
-from .defaults import MIN_REPLICATIONS
+from .defaults import MIN_REPLICATIONS, SIMULATE_N, SIMULATE_REPLICATIONS
 from .errors import (
     BadSpec,
     EmptySide,
@@ -179,7 +179,8 @@ class CoverageResult:
 
 
 def simulate_coverage(dgp: DgpSpec, estimator: str = "conventional",
-                      n: int = 1000, replications: int = 2000,
+                      n: int = SIMULATE_N,
+                      replications: int = SIMULATE_REPLICATIONS,
                       seed: int = 0, p: int = 1,
                       kernel: str = "triangular", level: float = 0.95,
                       h: float | None = None,

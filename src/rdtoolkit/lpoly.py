@@ -5,12 +5,11 @@ so the intercept estimates the boundary level mu(c) and nu! * beta_nu
 estimates the nu-th derivative.  :func:`fit_window` is the one side-fit
 kernel behind every continuity-based method; :func:`side_window` selects
 the observations it fits, once per (side, bandwidth), from scores the
-caller has already centred, and :func:`fit_values` centres the scores
-and chains the two.  The kernel factorises each (window, order) once,
-with a single SVD of the sqrt-weighted design; that SVD yields the
-coefficients, the rank test, the condition number and the bread
-V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich, which
-uses the kernel weights as regression weights.  The response may
+caller has already centred.  The kernel factorises each (window,
+order) once, with a single SVD of the sqrt-weighted design; that SVD
+yields the coefficients, the rank test, the condition number and the
+bread V diag(1/s^2) V' of the heteroskedasticity-robust (HC1) sandwich,
+which uses the kernel weights as regression weights.  The response may
 hold several columns fitted on the same weights; the covariance then
 includes the cross-response blocks, which the fuzzy design needs for
 the outcome-treatment intercept covariance.
@@ -148,14 +147,8 @@ def side_window(xc: np.ndarray, y: np.ndarray, kernel: str = "triangular",
                       w=w.take(keep), kernel=kernel, h=h)
 
 
-def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
-               kernel: str = "triangular", h: float = np.nan) -> LocalFit:
-    """Weighted polynomial fit of y on centered powers of x.
-
-    The caller supplies the observations belonging to one side; points
-    with zero kernel weight are dropped before solving.  ``y`` is a
-    vector, or an (n, k) matrix of k responses sharing the weights.
-    Equal to ``fit_window(side_window(x - cutoff, y, kernel, h), p)``.
+def fit_window(window: SideWindow, p: int = 1) -> LocalFit:
+    """Order-p weighted fit on a window from :func:`side_window`.
 
     Raises
     ------
@@ -166,13 +159,6 @@ def fit_values(x: np.ndarray, y: np.ndarray, cutoff: float, p: int = 1,
         eps * n_eff of the largest, or below 1e-12 of it (e.g. all
         within-window scores identical).
     """
-    xc = np.asarray(x, dtype=float) - cutoff
-    return fit_window(side_window(xc, y, kernel, h), p)
-
-
-def fit_window(window: SideWindow, p: int = 1) -> LocalFit:
-    """Order-p weighted fit on a window from :func:`side_window`; raises
-    as :func:`fit_values` does."""
     wk = window.w
     n_eff = wk.shape[0]
     if n_eff < p + 1:

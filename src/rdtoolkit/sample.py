@@ -173,7 +173,7 @@ class RdSample:
         return rows
 
     def replace_outcome(self, outcome: np.ndarray) -> "RdSample":
-        """Same design, different outcome (used by balance and placebo tests).
+        """Same design, different outcome (used by the balance test).
 
         The new sample shares this one's frozen arrays and side split."""
         derived = replace(self, outcome=outcome)
@@ -182,16 +182,17 @@ class RdSample:
         return derived
 
     def subset(self, mask: np.ndarray) -> "RdSample":
-        """Row subset preserving cutoff metadata."""
+        """The rows ``mask`` keeps, to refit: score, outcome and receipt
+        at the same cutoff, without the covariates and ``unit_cutoffs`` no
+        fit reads.  A mask that keeps every row returns this sample, so
+        the refit shares its arrays and its side split."""
         mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            return self
         return RdSample(
-            score=self.score[mask],
-            outcome=self.outcome[mask],
+            score=self.score[mask], outcome=self.outcome[mask],
             cutoff=self.cutoff,
-            received=None if self.received is None else self.received[mask],
-            covariates={k: v[mask] for k, v in self.covariates.items()},
-            unit_cutoffs=None if self.unit_cutoffs is None else self.unit_cutoffs[mask],
-        )
+            received=None if self.received is None else self.received[mask])
 
 
 # The test a parsed cell of each role must pass, and the error a cell

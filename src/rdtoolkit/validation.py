@@ -331,11 +331,12 @@ class DonutRecord:
 
 
 def donut_hole(sample: RdSample, radii, p: int = 1,
-               kernel: str = "triangular", h: float = None,
+               kernel: str = "triangular", h: float | None = None,
                level: float = 0.95) -> list[DonutRecord]:
     """Drop observations with |score - cutoff| < r and re-estimate.
 
-    Radius 0 reproduces the baseline exactly (nothing is dropped).
+    Radius 0 drops nothing, so it estimates on the sample itself and
+    reproduces the baseline exactly.
     The baseline bandwidth is reused at every radius so the records
     isolate the effect of the exclusion, not of reselection.
     """
@@ -347,21 +348,14 @@ def donut_hole(sample: RdSample, radii, p: int = 1,
     dist = np.abs(sample.centered_score())
     records = []
     for r in radii:
-        if r == 0:
-            # Nothing is dropped: estimate on the sample itself, so the
-            # record reuses its arrays and its side split.
-            sub, n_dropped = sample, 0
-        else:
-            keep = dist >= r
-            n_dropped = int(sample.n - keep.sum())
-            sub = sample.subset(keep)
+        sub = sample.subset(dist >= r)
         try:
             res = rbc_inference(sub, p=p, kernel=kernel, h_below=h,
                                 h_above=h, level=level)
         except (EmptySide, RankDeficient, TooFewObservations) as err:
             raise InsufficientData(f"donut radius {r:g}: {err}") from None
         records.append(DonutRecord(radius=r, tau_hat=res.base.tau_hat,
-                                   ci=res.ci_rbc, n_dropped=n_dropped))
+                                   ci=res.ci_rbc, n_dropped=sample.n - sub.n))
     return records
 
 

@@ -19,7 +19,7 @@ from rdtoolkit.cli import main
 from rdtoolkit.continuity import (
     fuzzy_estimate,
     kink_estimate,
-    normalize_and_pool,
+    per_cutoff_estimates,
     sharp_estimate,
 )
 from rdtoolkit.dgps import (
@@ -226,8 +226,9 @@ def test_07_identity_suite(capsys):
     affine_ok = (sharp_estimate(scaled, **kw).tau_hat
                  == pytest.approx(2.5 * sharp.tau_hat, rel=1e-9))
 
-    pooled = normalize_and_pool(s, **kw)
-    pool_ok = pooled.pooled.tau_hat == sharp.tau_hat
+    # the pooled design's one cutoff group is the sharp estimate
+    (pooled,) = per_cutoff_estimates(s, sharp)
+    pool_ok = pooled.estimate == sharp
 
     ok = fuzzy_ok and shift_ok and affine_ok and pool_ok
     scoreboard(capsys, 7, "identity suite", ok,

@@ -10,23 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtoolkit.continuity import (
-    PooledEstimate,
+    RdEstimate,
     _zvalue,
     fuzzy_estimate,
     kink_estimate,
-    normalize_and_pool,
+    per_cutoff_estimates,
     rbc_inference,
     sharp_estimate,
 )
 from rdtoolkit.errors import MissingTreatmentColumn, RdError, WeakFirstStage
 from rdtoolkit import locrand
 from rdtoolkit.locrand import diff_in_means, fisher_pvalue, make_window
-from rdtoolkit.lpoly import fit_values
 from rdtoolkit.plotting import build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 
 from conftest import make_sample, write_csv
-from test_lpoly import oracle_wls
+from test_lpoly import fit_side, oracle_wls
 
 KERNELS = ["triangular", "uniform", "epanechnikov"]
 
@@ -68,10 +67,10 @@ class TestSharp:
     def test_tau_is_intercept_difference(self, noisy_sample):
         est = sharp_estimate(noisy_sample, h_below=0.4, h_above=0.4)
         xc = noisy_sample.centered_score()
-        below = fit_values(xc[xc < 0], noisy_sample.outcome[xc < 0], 0.0,
-                           p=1, kernel="triangular", h=0.4)
-        above = fit_values(xc[xc >= 0], noisy_sample.outcome[xc >= 0], 0.0,
-                           p=1, kernel="triangular", h=0.4)
+        below = fit_side(xc[xc < 0], noisy_sample.outcome[xc < 0], 0.0,
+                         p=1, kernel="triangular", h=0.4)
+        above = fit_side(xc[xc >= 0], noisy_sample.outcome[xc >= 0], 0.0,
+                         p=1, kernel="triangular", h=0.4)
         assert est.tau_hat == pytest.approx(above.beta[0] - below.beta[0],
                                             abs=1e-12)
         expected_se = np.sqrt(above.cov[0, 0] + below.cov[0, 0])
@@ -270,13 +269,14 @@ class TestRbc:
 
 
 class TestPooled:
+    # the pooled design: the sharp estimate on the centred sample, and
+    # per_cutoff_estimates for its cutoff groups
     def test_single_cutoff_equals_sharp(self, noisy_sample):
-        pooled = normalize_and_pool(noisy_sample, h_below=0.4)
         sharp = sharp_estimate(noisy_sample, h_below=0.4)
-        assert pooled.pooled.tau_hat == sharp.tau_hat
-        assert pooled.pooled.se_conventional == sharp.se_conventional
-        assert len(pooled.per_cutoff) == 1
-        assert pooled.per_cutoff[0].estimate.tau_hat == sharp.tau_hat
+        (only,) = per_cutoff_estimates(noisy_sample, sharp)
+        assert only.cutoff == noisy_sample.cutoff
+        assert only.n == noisy_sample.n
+        assert only.estimate == sharp
 
     def test_two_cutoffs_pool_and_detail(self):
         rng = np.random.default_rng(4)
@@ -285,10 +285,11 @@ class TestPooled:
         y = (x >= c) * 0.8 + 0.3 * (x - c) + rng.normal(0, 0.1, 600)
         # a multi-cutoff sample holds the centred score
         s = RdSample(score=x - c, outcome=y, cutoff=0.0, unit_cutoffs=c)
-        pooled = normalize_and_pool(s, h_below=0.5)
-        assert len(pooled.per_cutoff) == 2
-        assert {pc.cutoff for pc in pooled.per_cutoff} == {0.0, 1.0}
-        for pc in pooled.per_cutoff:
+        pooled = sharp_estimate(s, h_below=0.5)
+        per_cutoff = per_cutoff_estimates(s, pooled)
+        assert len(per_cutoff) == 2
+        assert {pc.cutoff for pc in per_cutoff} == {0.0, 1.0}
+        for pc in per_cutoff:
             assert pc.estimate is not None
             assert pc.estimate.tau_hat == pytest.approx(0.8, abs=0.1)
             # each cutoff's estimate is the sharp fit of its own units
@@ -297,8 +298,7 @@ class TestPooled:
             own = sharp_estimate(RdSample(score=x[mine], outcome=y[mine],
                                           cutoff=pc.cutoff), h_below=0.5)
             assert pc.estimate == own
-        assert pooled.pooled.tau_hat == pytest.approx(0.8, abs=0.05)
-        assert pooled.pooled == sharp_estimate(s, h_below=0.5)
+        assert pooled.tau_hat == pytest.approx(0.8, abs=0.05)
 
     def test_unsupported_cutoff_flagged_not_fatal(self):
         # second cutoff has a single unit: per-cutoff fit impossible
@@ -306,8 +306,8 @@ class TestPooled:
         x = np.concatenate([np.linspace(-1, 1, 80), [5.2]])
         y = (x >= c) * 1.0
         s = RdSample(score=x - c, outcome=y, cutoff=0.0, unit_cutoffs=c)
-        pooled = normalize_and_pool(s, h_below=0.5)
-        flagged = [pc for pc in pooled.per_cutoff if pc.estimate is None]
+        per_cutoff = per_cutoff_estimates(s, sharp_estimate(s, h_below=0.5))
+        flagged = [pc for pc in per_cutoff if pc.estimate is None]
         assert len(flagged) == 1
         assert flagged[0].cutoff == 5.0
         assert "insufficient support" in flagged[0].message
@@ -368,12 +368,11 @@ class TestCutoffConvention:
                                          "cutoff": "c"})
             scalar = ingest_csv(path, {"score": "x", "outcome": "y"},
                                 cutoff=c)
-        for fn in (sharp_estimate, normalize_and_pool):
-            assert _outcome(fn, labelled, h_below=h) == \
-                _outcome(fn, scalar, h_below=h)
-        pooled = _outcome(normalize_and_pool, scalar, h_below=h)
-        if isinstance(pooled, PooledEstimate):
+        pooled = _outcome(sharp_estimate, labelled, h_below=h)
+        assert pooled == _outcome(sharp_estimate, scalar, h_below=h)
+        if isinstance(pooled, RdEstimate):
             # one cutoff: its per-cutoff estimate is the pooled one
-            (only,) = pooled.per_cutoff
-            assert only.cutoff == c and only.n == n
-            assert only.estimate == pooled.pooled
+            for sample in (labelled, scalar):
+                (only,) = per_cutoff_estimates(sample, pooled)
+                assert only.cutoff == c and only.n == n
+                assert only.estimate == pooled

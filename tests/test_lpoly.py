@@ -8,7 +8,20 @@ from rdtoolkit.errors import (
     EmptySide,
     RankDeficient,
 )
-from rdtoolkit.lpoly import fit_values, kernel_weight, polyfit_lstsq, vander
+from rdtoolkit.lpoly import (
+    fit_window,
+    kernel_weight,
+    polyfit_lstsq,
+    side_window,
+    vander,
+)
+
+
+def fit_side(x, y, cutoff, p=1, kernel="triangular", h=np.nan):
+    """Order-p fit of one side's observations: the kernel window of the
+    scores centred at ``cutoff``, then the fit of that window."""
+    xc = np.asarray(x, dtype=float) - cutoff
+    return fit_window(side_window(xc, y, kernel, h), p)
 
 
 def oracle_wls(x, y, cutoff, p, kernel, h):
@@ -98,14 +111,14 @@ class TestFitAgainstOracle:
         rng = np.random.default_rng(31 + p)
         x = rng.uniform(0, 1, 40)
         y = rng.normal(0, 1, 40)
-        fit = fit_values(x, y, 0.0, p=p, kernel=kernel, h=0.9)
+        fit = fit_side(x, y, 0.0, p=p, kernel=kernel, h=0.9)
         beta, cov, n_eff = oracle_wls(x, y, 0.0, p, kernel, 0.9)
         np.testing.assert_allclose(fit.beta, beta, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(fit.cov, cov, rtol=1e-8, atol=1e-12)
         assert fit.n_eff == n_eff
         # two responses on shared weights: the same fits plus cross blocks
         ys = np.column_stack([y, np.cos(3 * x) + y])
-        fit2 = fit_values(x, ys, 0.0, p=p, kernel=kernel, h=0.9)
+        fit2 = fit_side(x, ys, 0.0, p=p, kernel=kernel, h=0.9)
         beta2, cov2, _ = oracle_wls(x, ys, 0.0, p, kernel, 0.9)
         np.testing.assert_allclose(fit2.beta, beta2, rtol=1e-9, atol=1e-12)
         stacked = fit2.cov.transpose(1, 0, 3, 2).reshape(cov2.shape)
@@ -117,14 +130,14 @@ class TestFitAgainstOracle:
         x = np.linspace(0.01, 1, 25)
         coefs = [0.3, -1.2, 2.5]
         y = coefs[0] + coefs[1] * x + coefs[2] * x ** 2
-        fit = fit_values(x, y, 0.0, p=2, kernel="triangular", h=2.0)
+        fit = fit_side(x, y, 0.0, p=2, kernel="triangular", h=2.0)
         np.testing.assert_allclose(fit.beta, coefs, atol=1e-10)
 
     def test_uniform_kernel_equals_unweighted_ols(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 0.5, 30)
         y = rng.normal(0, 1, 30)
-        fit = fit_values(x, y, 0.0, p=1, kernel="uniform", h=1.0)
+        fit = fit_side(x, y, 0.0, p=1, kernel="uniform", h=1.0)
         coef = np.polynomial.polynomial.polyfit(x, y, 1)
         np.testing.assert_allclose(fit.beta, coef, atol=1e-10)
 
@@ -133,18 +146,18 @@ class TestFitContract:
     def test_empty_side_when_too_few_in_bandwidth(self):
         x = np.array([0.5, 0.6, 0.7])
         with pytest.raises(EmptySide):
-            fit_values(x, x, 0.0, p=1, kernel="triangular", h=0.1)
+            fit_side(x, x, 0.0, p=1, kernel="triangular", h=0.1)
 
     def test_needs_p_plus_one_points(self):
         x = np.array([0.1, 0.2])
         with pytest.raises(EmptySide):
-            fit_values(x, x, 0.0, p=2, kernel="triangular", h=1.0)
+            fit_side(x, x, 0.0, p=2, kernel="triangular", h=1.0)
 
     def test_rank_deficient_on_duplicate_x(self):
         x = np.full(10, 0.3)
         y = np.arange(10.0)
         with pytest.raises(RankDeficient):
-            fit_values(x, y, 0.0, p=1, kernel="triangular", h=1.0)
+            fit_side(x, y, 0.0, p=1, kernel="triangular", h=1.0)
 
     def test_global_fit_rank_rule(self):
         # three distinct scores support order 2, not order 3
@@ -159,21 +172,21 @@ class TestFitContract:
 
     def test_condition_at_least_one(self):
         x = np.linspace(0.01, 1, 20)
-        fit = fit_values(x, x, 0.0, p=1, kernel="triangular", h=1.5)
+        fit = fit_side(x, x, 0.0, p=1, kernel="triangular", h=1.5)
         assert fit.condition >= 1.0
 
     def test_derivative_scaling(self):
         # y = 2 + 3x + 4x^2: derivative(1) = 3, derivative(2) = 8
         x = np.linspace(0.01, 1, 30)
         y = 2 + 3 * x + 4 * x ** 2
-        fit = fit_values(x, y, 0.0, p=2, kernel="uniform", h=2.0)
+        fit = fit_side(x, y, 0.0, p=2, kernel="uniform", h=2.0)
         assert fit.derivative(0) == pytest.approx(2.0, abs=1e-9)
         assert fit.derivative(1) == pytest.approx(3.0, abs=1e-9)
         assert fit.derivative(2) == pytest.approx(8.0, abs=1e-9)
 
     def test_derivative_order_guard(self):
         x = np.linspace(0.01, 1, 10)
-        fit = fit_values(x, x, 0.0, p=1, kernel="uniform", h=2.0)
+        fit = fit_side(x, x, 0.0, p=1, kernel="uniform", h=2.0)
         with pytest.raises(DerivativeOrderTooHigh):
             fit.derivative(2)
         with pytest.raises(DerivativeOrderTooHigh):
@@ -192,9 +205,9 @@ class TestProperties:
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, 30)
         y = rng.normal(0, 1, 30)
-        base = fit_values(x, y, 0.0, p=1, kernel="triangular", h=1.0)
-        shifted = fit_values(x, a + b * y, 0.0, p=1, kernel="triangular",
-                             h=1.0)
+        base = fit_side(x, y, 0.0, p=1, kernel="triangular", h=1.0)
+        shifted = fit_side(x, a + b * y, 0.0, p=1, kernel="triangular",
+                           h=1.0)
         assert shifted.beta[0] == pytest.approx(a + b * base.beta[0],
                                                 rel=1e-9, abs=1e-7)
         assert shifted.beta[1] == pytest.approx(b * base.beta[1],
@@ -206,9 +219,9 @@ class TestProperties:
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, 30)
         y = rng.normal(0, 1, 30)
-        base = fit_values(x, y, 0.0, p=1, kernel="triangular", h=1.0)
-        moved = fit_values(x + shift, y, shift, p=1, kernel="triangular",
-                           h=1.0)
+        base = fit_side(x, y, 0.0, p=1, kernel="triangular", h=1.0)
+        moved = fit_side(x + shift, y, shift, p=1, kernel="triangular",
+                         h=1.0)
         np.testing.assert_allclose(moved.beta, base.beta,
                                    rtol=1e-7, atol=1e-9)
 
@@ -219,8 +232,8 @@ class TestProperties:
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 1, 30)
         y = rng.normal(0, 1, 30)
-        base = fit_values(x, y, 0.0, p=1, kernel="triangular", h=0.8)
-        scaled = fit_values(scale * x, y, 0.0, p=1, kernel="triangular",
-                            h=0.8 * scale)
+        base = fit_side(x, y, 0.0, p=1, kernel="triangular", h=0.8)
+        scaled = fit_side(scale * x, y, 0.0, p=1, kernel="triangular",
+                          h=0.8 * scale)
         assert scaled.beta[0] == pytest.approx(base.beta[0], rel=1e-9)
         assert scaled.n_eff == base.n_eff

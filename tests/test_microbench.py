@@ -34,7 +34,7 @@ from rdtoolkit.locrand import (
     make_window,
     select_window,
 )
-from rdtoolkit.lpoly import fit_values
+from rdtoolkit.lpoly import fit_window, side_window
 from rdtoolkit.plotting import _sorted_side, build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 from rdtoolkit.validation import _locrand_balance, binomial_test
@@ -111,11 +111,17 @@ def test_sorted_side_ties(benchmark):
     assert ys.tobytes() == y[np.lexsort((~np.signbit(y), y, x))].tobytes()
 
 
+def _side_fit(xc, y, h):
+    """The side window of scores already centred at the cutoff, then
+    its local linear fit."""
+    return fit_window(side_window(xc, y, "triangular", h), 1)
+
+
 @pytest.mark.parametrize("h, n_eff", [(0.01, 1_000), (2.0, ROWS)])
-def test_fit_values(benchmark, h, n_eff):
+def test_side_fit(benchmark, h, n_eff):
     # one side of ROWS scores on [0, 1); h sets how many carry weight
     x, y, _, _ = _draw(ROWS)
-    fit = benchmark(fit_values, np.abs(x), y, 0.0, h=h)
+    fit = benchmark(_side_fit, np.abs(x), y, h)
     assert fit.n_eff == pytest.approx(n_eff, rel=0.1)
 
 

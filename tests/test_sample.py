@@ -650,11 +650,27 @@ class TestSampleModel:
         with pytest.raises(ValueError):
             step_sample.score[0] = 9.0
 
-    def test_subset_preserves_covariates(self, noisy_sample):
-        sub = noisy_sample.subset(noisy_sample.score > 0)
-        assert sub.n == int((noisy_sample.score > 0).sum())
-        assert set(sub.covariates) == {"age", "income"}
-        assert (sub.score > 0).all()
+    def test_subset_keeps_only_what_fits_read(self, noisy_sample):
+        # a cut holds score, outcome and receipt at the same cutoff
+        keep = noisy_sample.score > 0
+        sub = noisy_sample.subset(keep)
+        assert sub.n == int(keep.sum())
+        assert sub.cutoff == noisy_sample.cutoff
+        for name in ("score", "outcome", "received"):
+            np.testing.assert_array_equal(getattr(sub, name),
+                                          getattr(noisy_sample, name)[keep])
+        assert sub.covariates == {} and sub.unit_cutoffs is None
+        # so does a cut of multi-cutoff data, without its unit cutoffs
+        c = np.repeat([0.0, 1.0], 250)
+        multi = RdSample(score=noisy_sample.score,
+                         outcome=noisy_sample.outcome, cutoff=0.0,
+                         unit_cutoffs=c, covariates=noisy_sample.covariates)
+        cut = multi.subset(c == 1.0)
+        assert cut.unit_cutoffs is None and cut.covariates == {}
+        np.testing.assert_array_equal(cut.score, multi.score[250:])
+        # a mask that keeps every row is no cut: the sample itself
+        assert noisy_sample.subset(np.ones(noisy_sample.n, bool)) \
+            is noisy_sample
 
     def test_replace_outcome(self, noisy_sample):
         z = noisy_sample.covariates["age"]

@@ -12,6 +12,7 @@ from rdtoolkit.errors import (
     NoVariation,
 )
 from rdtoolkit.locrand import fisher_pvalue, make_window
+from rdtoolkit import validation
 from rdtoolkit.sample import RdSample
 from rdtoolkit.validation import (
     bandwidth_sensitivity,
@@ -290,6 +291,36 @@ class TestBattery:
         assert report.h_baseline > 0
         lo, hi = report.count_window
         assert lo < 0 < hi
+
+    def test_refits_hold_only_what_they_read(self, noisy_sample,
+                                             monkeypatch):
+        # every refit of the battery, in order: continuity balance per
+        # covariate, placebo cutoffs, donut radii, sensitivity bandwidths
+        fitted = []
+
+        def recording(sample, *args, **kwargs):
+            fitted.append(sample)
+            return rbc_inference(sample, *args, **kwargs)
+
+        monkeypatch.setattr(validation, "rbc_inference", recording)
+        report = run_battery(noisy_sample, draws=99, seed=1)
+        n_placebo = len(report.placebo_cutoffs)
+        assert len(fitted) == 2 + n_placebo + 3 + 5
+        balance, placebo = fitted[:2], fitted[2:2 + n_placebo]
+        donut, sensitivity = fitted[2 + n_placebo:-5], fitted[-5:]
+        # a sample that keeps every row is the battery's own: it reads
+        # its score and holds no covariate but the battery's own arrays
+        for sub in (*balance, donut[0], *sensitivity):
+            assert sub.score is noisy_sample.score
+            assert all(values is noisy_sample.covariates[name]
+                       for name, values in sub.covariates.items())
+        for sub, name in zip(balance, ("age", "income")):
+            np.testing.assert_array_equal(sub.outcome,
+                                          noisy_sample.covariates[name])
+        # a cut holds no covariates
+        for sub in (*placebo, *donut[1:]):
+            assert sub.n < noisy_sample.n
+            assert sub.covariates == {} and sub.unit_cutoffs is None
 
     def test_explicit_h_respected(self, noisy_sample):
         report = run_battery(noisy_sample, h=0.35, draws=299, seed=1)

@@ -9,9 +9,12 @@ from its own output.  Reports go to --output or stdout.
 Each subcommand imports its analysis modules inside its own body, so a
 call loads only the modules it runs; the parser reads its shared
 defaults from ``rdtoolkit.defaults``, which imports nothing else.  The
-parser shell (this module, ``reports``, ``errors``, ``defaults``) and
-``power`` import no numpy, so ``--help``, ``--version``, a usage error
-and ``power`` load only the standard library.
+same holds for the standard library: ``--help`` and ``--version`` load
+argparse and the shell (this module, ``errors``, ``defaults``) alone.
+The report writer (``reports``, with ``json``) loads once a report or
+an error is written, ``csv`` only with ``--table``, and ``dataclasses``
+arrives with the analysis modules.  None of these imports numpy, so a
+usage error and ``power`` load only the standard library.
 
 Each flag is declared once, in :func:`build_parser`.  Its type carries
 its range, and each rule that ties it to another flag is declared once
@@ -41,8 +44,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import errno
 import math
 import os
@@ -63,7 +64,6 @@ from .defaults import (
     SIMULATE_REPLICATIONS,
 )
 from .errors import DataError, EstimationError
-from .reports import canonical_json, make_report, write_report
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -370,6 +370,7 @@ def _config(args, **resolved):
 
 
 def _write_csv(path, header, rows):
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -552,6 +553,8 @@ def cmd_plot(args):
 
 
 def cmd_power(args):
+    import dataclasses
+
     from .powersim import power_curve, required_n
     result = power_curve(args.se, alpha=args.alpha, tau_grid=args.tau,
                          target_power=args.target_power)
@@ -576,6 +579,7 @@ def cmd_simulate(args):
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
+    from .reports import canonical_json
     doc = {"error": {"type": type(exc).__name__, "kind": kind,
                      "message": str(exc)}}
     sys.stderr.write(canonical_json(doc))
@@ -609,6 +613,7 @@ def main(argv=None) -> int:
                 raise UsageError(message)
         _check_output_paths(args)
         config, result, seed = args.run(args)
+        from .reports import canonical_json, make_report, write_report
         # exactly the subcommands that read a file set it
         report = make_report(args.command, result, config, seed=seed,
                              input_digest=getattr(args, "input_digest", None))

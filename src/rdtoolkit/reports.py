@@ -11,7 +11,6 @@ input is read, in :mod:`rdtoolkit.sample`, so this module reads no file.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -26,16 +25,18 @@ def jsonable(obj):
 
     Non-finite floats become null: they signal "not available" in every
     place they can legally appear (empty bins, degenerate ratios).
-    numpy values are converted last, without importing numpy: if it is
-    not loaded, no numpy value can exist.
+    Dataclasses and numpy values (converted last) are read through
+    ``sys.modules``, as neither module is imported here: if it is not
+    loaded, no value of its kind can exist.
     """
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    dc = sys.modules.get("dataclasses")
+    if dc is not None and dc.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+                for f in dc.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

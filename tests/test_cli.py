@@ -1041,6 +1041,9 @@ class TestSimulate:
 _ANALYSIS_MODULES = ("bandwidth", "continuity", "locrand", "validation",
                      "plotting", "powersim", "parallel", "dgps", "sample",
                      "lpoly")
+# standard-library and package modules the parse itself never runs
+_REPORT_WRITER = {"json", "rdtoolkit.reports"}
+_NOT_IN_SHELL = {"dataclasses", "inspect", "csv"}
 
 
 def _loaded_in_fresh_interpreter(statements):
@@ -1072,19 +1075,22 @@ class TestEntryPoint:
         assert not any(m.startswith("scipy") for m in loaded)
         # the parser shell only: each subcommand imports its own modules
         assert not loaded & {f"rdtoolkit.{m}" for m in _ANALYSIS_MODULES}
-        assert "numpy" not in loaded
+        assert not loaded & {"numpy", *_REPORT_WRITER, *_NOT_IN_SHELL}
 
-    @pytest.mark.parametrize("argv, code", [
-        (["--version"], 0),
-        (["estimate", "--help"], 0),
+    @pytest.mark.parametrize("argv, code, absent", [
+        (["--version"], 0, {*_REPORT_WRITER, *_NOT_IN_SHELL}),
+        (["estimate", "--help"], 0, {*_REPORT_WRITER, *_NOT_IN_SHELL}),
         (["estimate", "--input", "in.csv", "--score-col", "x",
-          "--outcome-col", "y", "--level", "2"], 1),
-        (["power", "--se", "0.1"], 0),
+          "--outcome-col", "y", "--level", "2"], 1, _NOT_IN_SHELL),
+        (["power", "--se", "0.1"], 0, {"csv"}),
         (["locrand", "--input", "in.csv", "--score-col", "x",
-          "--outcome-col", "y", "--window", "0.5", "--table", "t.csv"], 1),
+          "--outcome-col", "y", "--window", "0.5", "--table", "t.csv"], 1,
+         _NOT_IN_SHELL),
     ], ids=["version", "help", "usage-error", "power", "fixed-window-table"])
-    def test_shell_calls_load_no_numpy(self, argv, code):
-        # none of these touches an array, so none pays numpy's import
+    def test_shell_calls_load_no_numpy(self, argv, code, absent):
+        # none of these touches an array, so none pays numpy's import;
+        # the parse runs on argparse alone, the report writer loads with
+        # a report or an error, csv with a --table that is written
         loaded = _loaded_in_fresh_interpreter(
             "from rdtoolkit.cli import main\n"
             "try:\n"
@@ -1092,7 +1098,23 @@ class TestEntryPoint:
             "except SystemExit as stop:\n"
             "    code = stop.code\n"
             f"assert code == {code}, code")
-        assert "rdtoolkit.cli" in loaded and "numpy" not in loaded
+        assert "rdtoolkit.cli" in loaded
+        assert not loaded & {"numpy", *absent}
+
+    def test_serial_simulate_loads_no_thread_pool(self, tmp_path):
+        # the pool is imported only by a run that uses one, and the
+        # worker count changes no report byte
+        argv = ["simulate", "--n", "200", "--replications", "500"]
+        reports = {}
+        for threads in ([], ["--threads", "2"]):
+            out = tmp_path / f"threads{len(threads)}.json"
+            loaded = _loaded_in_fresh_interpreter(
+                "from rdtoolkit.cli import main\n"
+                f"assert main({[*argv, *threads, '--output', str(out)]!r})"
+                " == 0")
+            assert ("concurrent.futures" in loaded) == bool(threads)
+            reports[len(threads)] = out.read_bytes()
+        assert reports[0] == reports[2]
 
     @pytest.mark.parametrize("argv, runs, absent", [
         (["locrand", "--window", "0.5", "--draws", "99"], "locrand",

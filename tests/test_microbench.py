@@ -7,7 +7,8 @@ covariate session's heaviest shape, exhaustive enumeration and Bernoulli
 draws), window selection by covariate balance, Fisher test
 inversion alone and with its p-value, and the battery's permutation
 balance checks; one coverage replication and its draw and bandwidth
-stages at n = 1,000.
+stages at n = 1,000; and a fresh interpreter that imports the parser
+shell, the start of every CLI call.
 
 Tier-1 runs each body once: ``--benchmark-disable`` is set in
 ``pyproject.toml``.  For timings, run
@@ -16,6 +17,8 @@ Tier-1 runs each body once: ``--benchmark-disable`` is set in
 """
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,11 @@ def test_coverage_replication(benchmark):
 
     rbc = benchmark(replication)
     assert rbc.base.n_eff_below > 0 and rbc.ci_rbc[0] < rbc.ci_rbc[1]
+
+
+def test_parser_shell_import(benchmark):
+    # all that --help, --version, a usage error and `power` load before
+    # they run; the interpreter's own start is timed with it
+    argv = [sys.executable, "-c", "import rdtoolkit.cli"]
+    proc = benchmark(subprocess.run, argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

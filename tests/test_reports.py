@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +61,20 @@ class TestJsonable:
             "inner": {"values": [1.0, None], "label": "a"},
             "count": 3, "ratio": 0.5}
 
+    def test_dataclass_inside_containers(self):
+        inner = Inner(values=(0.5,), label="b")
+        expected = {"values": [0.5], "label": "b"}
+        assert jsonable({"k": inner}) == {"k": expected}
+        assert jsonable([inner, 1]) == [expected, 1]
+        assert jsonable((inner,)) == [expected]
+
+    def test_numpy_values_inside_a_dataclass(self):
+        doc = Outer(inner=Inner(values=np.array([1.0, np.inf]), label="c"),
+                    count=np.int64(2), ratio=np.float64(np.nan))
+        assert jsonable(doc) == {
+            "inner": {"values": [1.0, None], "label": "c"},
+            "count": 2, "ratio": None}
+
     def test_dict_keys_coerced_to_str(self):
         assert jsonable({1: "a"}) == {"1": "a"}
 
@@ -67,6 +83,26 @@ class TestJsonable:
             jsonable(object())
         with pytest.raises(TypeError):
             jsonable({"f": lambda: 0})
+
+    def test_dataclass_class_rejected(self):
+        # only an instance has field values to write
+        with pytest.raises(TypeError, match="type"):
+            jsonable(Inner)
+        with pytest.raises(TypeError):
+            jsonable({"cls": Outer})
+
+    def test_plain_document_loads_no_dataclasses(self):
+        # dataclasses are read through sys.modules, as numpy is
+        doc = {"a": [1.5, None]}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from rdtoolkit.reports import canonical_json\n"
+             f"sys.stdout.write(canonical_json({doc!r}))\n"
+             "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == canonical_json(doc) + "[]\n"
 
 
 class TestCanonicalJson:

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 import tempfile
@@ -17,6 +18,16 @@ from rdtoolkit.continuity import (
     per_cutoff_estimates,
     rbc_inference,
     sharp_estimate,
+)
+from rdtoolkit.dgps import (
+    _ABOVE,
+    _BELOW,
+    DgpSpec,
+    OneSided,
+    Uniform,
+    _poly,
+    curved_benchmark,
+    simulate_sample,
 )
 from rdtoolkit.errors import MissingTreatmentColumn, RdError, WeakFirstStage
 from rdtoolkit import locrand
@@ -376,3 +387,64 @@ class TestCutoffConvention:
                 (only,) = per_cutoff_estimates(sample, pooled)
                 assert only.cutoff == c and only.n == n
                 assert only.estimate == pooled
+
+
+# float.hex of every float in an RbcResult and its base RdEstimate, in
+# field order (tau_bc last), for one sample of 1,500 units at seed 7 per
+# design, with unequal side bandwidths; recorded before the side fit
+# lost its derivative accessors.  Every bit must hold.
+PINNED_CONTINUITY = {
+    ("sharp", 1, "triangular", 0.35, 0.5): (
+        "0x1.f551abb42bbb0p-4", "0x1.747f8b0a1e92fp-6",
+        "0x1.3ecc5a6acb2b8p-4", "0x1.55eb7e7ec6254p-3",
+        "0x1.6666666666666p-2", "0x1.0000000000000p-1",
+        "0x1.e666666666666p-1", "0x1.084e6d2535020p-4",
+        "0x1.0d22309af7742p-5", "-0x1.abbbdb2118320p-8",
+        "0x1.f4c23acffef52p-4", "0x1.da067d1ded720p-5"),
+    ("kink", 2, "epanechnikov", 0.6, 0.45): (
+        "0x1.512da1bcbad6ep-1", "0x1.18a34b49c4eaap-2",
+        "0x1.f143fa7cb71f8p-4", "0x1.32196214ef64ep+0",
+        "0x1.3333333333333p-1", "0x1.ccccccccccccdp-2",
+        "0x1.e666666666666p-1", "0x1.dac9e866685d8p-3",
+        "0x1.657ccd03d7eadp-1", "-0x1.e22e7a923842cp-1",
+        "0x1.cb9264ec3ce0ep+0", "0x1.b4f64f46417f0p-2"),
+    ("fuzzy", 1, "uniform", 0.4, 0.3): (
+        "0x1.f529336923845p-7", "0x1.ecc90506df22cp-5",
+        "-0x1.a4468993c438cp-4", "0x1.10c86b37068cfp-3",
+        "0x1.999999999999ap-2", "0x1.3333333333333p-2",
+        "0x1.e666666666666p-1", "0x1.30727ba6078c0p-1",
+        "-0x1.97c4035799338p-4", "0x1.598bea66df8ecp-4",
+        "-0x1.9db22bce0a0cep-5", "0x1.1eeada5c2013ap-2",
+        "0x1.d66929c4bda41p-4"),
+}
+PINNED_N_EFF = {"sharp": (258, 373), "kink": (443, 340), "fuzzy": (304, 225)}
+
+
+def float_hexes(value):
+    """float.hex of each float in a dataclass, depth first."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, float):
+        yield value.hex()
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from float_hexes(v)
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("kind, p, kernel, h_below, h_above",
+                             sorted(PINNED_CONTINUITY))
+    def test_continuity_bits(self, kind, p, kernel, h_below, h_above):
+        # one-sided refusal keeps the fuzzy first stage below one
+        dgp = curved_benchmark() if kind != "fuzzy" else DgpSpec(
+            mu0=_poly(_BELOW), mu1=_poly(_ABOVE), noise_sd=0.1295,
+            score_dist=Uniform(-1.0, 1.0), compliance=OneSided(0.3))
+        s = simulate_sample(dgp, 1500, seed=7)
+        res = rbc_inference(s, p=p, kernel=kernel, h_below=h_below,
+                            h_above=h_above, kind=kind)
+        got = (*float_hexes(res), res.tau_bc.hex())
+        assert got == PINNED_CONTINUITY[kind, p, kernel, h_below, h_above]
+        assert (res.base.n_eff_below, res.base.n_eff_above) == \
+            PINNED_N_EFF[kind]
+        assert (res.base.kind, res.base.p, res.base.kernel,
+                res.inference_order) == (kind, p, kernel, p + 1)

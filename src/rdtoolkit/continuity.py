@@ -39,7 +39,7 @@ from .errors import (
     RankDeficient,
     WeakFirstStage,
 )
-from .lpoly import LocalFit, fit_window, side_window
+from .lpoly import fit_window, side_window
 from .sample import RdSample
 
 
@@ -100,12 +100,6 @@ def _side_fit(window, p, side):
         raise type(err)(f"{side} side: {err}") from None
 
 
-def _difference(fit_b: LocalFit, fit_a: LocalFit, nu: int):
-    tau = fit_a.derivative(nu) - fit_b.derivative(nu)
-    var = fit_a.derivative_variance(nu) + fit_b.derivative_variance(nu)
-    return tau, float(np.sqrt(var))
-
-
 def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
     """Check a design's inputs and build its (below, above) side windows."""
     if kind not in _DESIGNS:
@@ -129,7 +123,11 @@ def _sides(kind: str, sample: RdSample, p, kernel, h_below, h_above):
 
 
 def _estimate(kind: str, windows, p: int, level: float) -> RdEstimate:
-    """The order-p estimate of a design from its (below, above) windows."""
+    """The order-p estimate of a design from its (below, above) windows.
+
+    The jump is read from coefficient nu of each side fit, nu = 1 for a
+    kink and 0 otherwise; nu! = 1 for both, so beta[nu] is the derivative.
+    """
     fit_b = _side_fit(windows[0], p, "below")
     fit_a = _side_fit(windows[1], p, "above")
     first_stage = None
@@ -147,14 +145,16 @@ def _estimate(kind: str, windows, p: int, level: float) -> RdEstimate:
         se = float(np.sqrt(max(var, 0.0)))
         first_stage = float(first_stage)
     else:
-        tau, se = _difference(fit_b, fit_a, 1 if kind == "kink" else 0)
+        nu = 1 if kind == "kink" else 0
+        tau = float(fit_a.beta[nu] - fit_b.beta[nu])
+        se = float(np.sqrt(fit_a.cov[nu, nu] + fit_b.cov[nu, nu]))
     z = _zvalue(level)
     return RdEstimate(
         kind=kind, tau_hat=float(tau), se_conventional=se,
         ci_conventional=(tau - z * se, tau + z * se),
-        h_below=fit_b.h, h_above=fit_a.h,
+        h_below=windows[0].h, h_above=windows[1].h,
         n_eff_below=fit_b.n_eff, n_eff_above=fit_a.n_eff,
-        p=p, kernel=fit_b.kernel, level=level, first_stage=first_stage)
+        p=p, kernel=windows[0].kernel, level=level, first_stage=first_stage)
 
 
 def sharp_estimate(sample: RdSample, p: int = 1, kernel: str = "triangular",

@@ -83,10 +83,6 @@ class RankDeficient(EstimationError):
     pass
 
 
-class DerivativeOrderTooHigh(EstimationError):
-    pass
-
-
 class WeakFirstStage(EstimationError):
     pass
 

@@ -1,7 +1,7 @@
 """Kernel-weighted local polynomial fits on one side of a cutoff.
 
 The design is centered at the cutoff: regressors are powers of (x - c),
-so the intercept estimates the boundary level mu(c) and nu! * beta_nu
+so the intercept estimates the boundary level mu(c) and nu! * beta[nu]
 estimates the nu-th derivative.  :func:`fit_window` is the one side-fit
 kernel behind every continuity-based method; :func:`side_window` selects
 the observations it fits, once per (side, bandwidth), from scores the
@@ -18,12 +18,11 @@ the outcome-treatment intercept covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
 from .defaults import KERNELS
-from .errors import DerivativeOrderTooHigh, EmptySide, RankDeficient
+from .errors import EmptySide, RankDeficient
 
 # Singular-value ratio below which the weighted design is declared
 # rank deficient.
@@ -52,37 +51,20 @@ def kernel_weight(u, kind: str = "triangular") -> np.ndarray:
 class LocalFit:
     """Result of a one-sided weighted polynomial fit.
 
-    ``beta`` has length p+1 for regressors 1, (x-c), ..., (x-c)^p.
+    ``beta`` has length p+1 for regressors 1, (x-c), ..., (x-c)^p, so
+    nu! * beta[nu] estimates the nu-th derivative at the cutoff.
     ``cov`` is the HC1 sandwich covariance of beta.  For k responses
     fitted together ``beta`` is (p+1, k) and ``cov`` is (p+1, k, p+1, k):
     ``cov[a, i, b, j]`` pairs coefficient a of response i with coefficient
     b of response j.  ``n_eff`` counts observations with positive kernel
     weight; ``condition`` is the singular-value ratio of the weighted
-    design.  The derivative methods apply to single-response fits.
+    design.
     """
 
     beta: np.ndarray
     cov: np.ndarray
     n_eff: int
     condition: float
-    p: int
-    kernel: str
-    h: float
-
-    def derivative(self, nu: int) -> float:
-        """nu-th derivative estimate nu! * beta_nu."""
-        if nu > self.p:
-            raise DerivativeOrderTooHigh(
-                f"derivative order {nu} exceeds polynomial order {self.p}")
-        return float(factorial(nu) * self.beta[nu])
-
-    def derivative_variance(self, nu: int) -> float:
-        """Sandwich variance of the nu-th derivative estimate."""
-        if nu > self.p:
-            raise DerivativeOrderTooHigh(
-                f"derivative order {nu} exceeds polynomial order {self.p}")
-        fac = factorial(nu)
-        return float(fac * fac * self.cov[nu, nu])
 
 
 def vander(x, n: int) -> np.ndarray:
@@ -131,8 +113,8 @@ class SideWindow:
     h: float
 
 
-def side_window(xc: np.ndarray, y: np.ndarray, kernel: str = "triangular",
-                h: float = np.nan) -> SideWindow:
+def side_window(xc: np.ndarray, y: np.ndarray, kernel: str,
+                h: float) -> SideWindow:
     """Kernel window of one side at bandwidth h, from scores ``xc``
     already centred at the cutoff; membership is w > 0 for
     w = kernel_weight(xc / h)."""
@@ -193,5 +175,4 @@ def fit_window(window: SideWindow, p: int = 1) -> LocalFit:
     cov = (influence.T @ influence * scale).reshape(p + 1, k, p + 1, k)
     if window.y.ndim == 1:
         beta, cov = beta[:, 0], cov[:, 0, :, 0]
-    return LocalFit(beta=beta, cov=cov, n_eff=n_eff, condition=condition,
-                    p=p, kernel=window.kernel, h=window.h)
+    return LocalFit(beta=beta, cov=cov, n_eff=n_eff, condition=condition)

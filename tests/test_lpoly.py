@@ -1,14 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdtoolkit.errors import (
-    DerivativeOrderTooHigh,
-    EmptySide,
-    RankDeficient,
-)
+from rdtoolkit.errors import EmptySide, RankDeficient
 from rdtoolkit.lpoly import (
+    LocalFit,
     fit_window,
     kernel_weight,
     polyfit_lstsq,
@@ -17,7 +16,7 @@ from rdtoolkit.lpoly import (
 )
 
 
-def fit_side(x, y, cutoff, p=1, kernel="triangular", h=np.nan):
+def fit_side(x, y, cutoff, p, kernel, h):
     """Order-p fit of one side's observations: the kernel window of the
     scores centred at ``cutoff``, then the fit of that window."""
     xc = np.asarray(x, dtype=float) - cutoff
@@ -176,21 +175,18 @@ class TestFitContract:
         assert fit.condition >= 1.0
 
     def test_derivative_scaling(self):
-        # y = 2 + 3x + 4x^2: derivative(1) = 3, derivative(2) = 8
+        # y = 2 + 3x + 4x^2: nu! * beta[nu] is the nu-th derivative at
+        # the cutoff, 2, 3 and 8; a fit holds only what it computed
         x = np.linspace(0.01, 1, 30)
         y = 2 + 3 * x + 4 * x ** 2
         fit = fit_side(x, y, 0.0, p=2, kernel="uniform", h=2.0)
-        assert fit.derivative(0) == pytest.approx(2.0, abs=1e-9)
-        assert fit.derivative(1) == pytest.approx(3.0, abs=1e-9)
-        assert fit.derivative(2) == pytest.approx(8.0, abs=1e-9)
-
-    def test_derivative_order_guard(self):
-        x = np.linspace(0.01, 1, 10)
-        fit = fit_side(x, x, 0.0, p=1, kernel="uniform", h=2.0)
-        with pytest.raises(DerivativeOrderTooHigh):
-            fit.derivative(2)
-        with pytest.raises(DerivativeOrderTooHigh):
-            fit.derivative_variance(2)
+        np.testing.assert_allclose(fit.beta * [1, 1, 2], [2.0, 3.0, 8.0],
+                                   atol=1e-9)
+        assert fit.cov.shape == (3, 3)
+        assert [f.name for f in dataclasses.fields(fit)] == \
+            ["beta", "cov", "n_eff", "condition"]
+        assert not [name for name, value in vars(LocalFit).items()
+                    if callable(value) and not name.startswith("__")]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,

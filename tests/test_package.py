@@ -225,8 +225,11 @@ def test_side_window_takes_centred_scores():
     # scores are centred once, by the caller; no call passes a cutoff
     from rdtoolkit.lpoly import side_window
 
-    assert list(inspect.signature(side_window).parameters) \
-        == ["xc", "y", "kernel", "h"]
+    params = inspect.signature(side_window).parameters
+    assert list(params) == ["xc", "y", "kernel", "h"]
+    # every caller names its kernel and bandwidth
+    assert all(param.default is inspect.Parameter.empty
+               for param in params.values())
     calls = 0
     for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
         for call in _calls(ast.parse(path.read_text()), "side_window"):

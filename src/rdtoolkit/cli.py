@@ -17,9 +17,10 @@ arrives with the analysis modules.  None of these imports numpy, so a
 usage error and ``power`` load only the standard library.
 
 Each flag is declared once, in :func:`build_parser`.  Its type carries
-its range, and each rule that ties it to another flag is declared once
-too: ``--cutoff`` and ``--cutoff-col`` form a mutually exclusive group,
-and the other rules are the rows of ``_RULES``.  A row may read values
+its range (``--covariate``'s action refuses a name given twice), and
+each rule that ties it to another flag is declared once too:
+``--cutoff`` and ``--cutoff-col`` form a mutually exclusive group, and
+the other rules are the rows of ``_RULES``.  A row may read values
 too: ``--window auto`` needs ascending ``--candidates``, and no
 ``--placebo`` cutoff may be the true one.  The report's config is
 built from the parsed arguments: it echoes every flag except
@@ -59,6 +60,8 @@ from .defaults import (
     KERNELS,
     MAX_EXHAUSTIVE,
     MIN_REPLICATIONS,
+    SELECT_DRAWS,
+    SELECT_MAX_EXHAUSTIVE,
     SENSITIVITY_FACTORS,
     SIMULATE_N,
     SIMULATE_REPLICATIONS,
@@ -115,6 +118,16 @@ def _auto_or_float(text: str):
             f"expected 'auto' or a number, got {text!r}")
 
 
+class _AppendOnce(argparse.Action):
+    """Append each value to a list; a value given twice is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        values = getattr(namespace, self.dest)
+        if value in values:
+            raise argparse.ArgumentError(self, f"{value!r} given twice")
+        setattr(namespace, self.dest, [*values, value])
+
+
 def _add_data_flags(parser, treatment=True):
     g = parser.add_argument_group("data")
     g.add_argument("--input", required=True, help="CSV file to analyze")
@@ -124,9 +137,9 @@ def _add_data_flags(parser, treatment=True):
     if treatment:
         g.add_argument("--treatment-col", default=None,
                        help="received-treatment column (0/1), fuzzy designs")
-    g.add_argument("--covariate", action="append", default=[],
+    g.add_argument("--covariate", action=_AppendOnce, default=[],
                    dest="covariates", metavar="NAME",
-                   help="covariate column; repeatable")
+                   help="covariate column; repeatable, each name once")
     # the cutoff column sets each unit's cutoff
     cutoff = g.add_mutually_exclusive_group()
     cutoff.add_argument("--cutoff-col", default=None,
@@ -211,10 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--alpha", type=_UNIT, default=0.05,
                      help="test level for intervals, in (0, 1)")
     loc.add_argument("--draws", type=_COUNT, default=DRAWS,
-                     help="Monte Carlo draws when enumeration is infeasible")
+                     help="Monte Carlo draws of the Fisher test when "
+                          "enumeration is infeasible; --window auto "
+                          f"selection draws its own {SELECT_DRAWS}")
     loc.add_argument("--max-exhaustive", type=_NATURAL,
                      default=MAX_EXHAUSTIVE,
-                     help="largest assignment count enumerated exactly")
+                     help="largest assignment count the Fisher test "
+                          "enumerates exactly; --window auto selection "
+                          "enumerates up to its own "
+                          f"{SELECT_MAX_EXHAUSTIVE}")
     loc.add_argument("--fisher-ci", action="store_true",
                      help="also invert the Fisher test into a CI")
     loc.add_argument("--seed", type=_NATURAL, default=0)

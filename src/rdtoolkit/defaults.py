@@ -16,6 +16,9 @@ WEAK_FIRST_STAGE_THRESHOLD = 0.05
 DRAWS = 9999
 MAX_EXHAUSTIVE = 200000
 BALANCE_ALPHA = 0.15
+# Window selection's own budget for its balance tests.
+SELECT_DRAWS = 999
+SELECT_MAX_EXHAUSTIVE = 2000
 
 # Validation battery: donut radii, bandwidth multipliers and density-test
 # histogram bins per side.

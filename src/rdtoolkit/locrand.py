@@ -44,6 +44,8 @@ from .defaults import (
     BALANCE_ALPHA,
     DRAWS,
     MAX_EXHAUSTIVE,
+    SELECT_DRAWS,
+    SELECT_MAX_EXHAUSTIVE,
     WEAK_FIRST_STAGE_THRESHOLD,
 )
 from .errors import (
@@ -453,6 +455,7 @@ def fisher_ci(sample: RdSample, window: Window, model=FixedMargins(),
     grid, so the whole inversion costs one enumeration plus O(grid x
     draws) arithmetic.  A non-interval acceptance region is flagged
     rather than hidden.  Studentized tests need 2 units per group.
+    A given ``tau_grid`` must be one-dimensional, finite and ascending.
     """
     return _fisher_pvalue_and_ci(sample, window, model, statistic, tau_grid,
                                  alpha, max_exhaustive, draws, seed)[1]
@@ -473,6 +476,10 @@ def _fisher_pvalue_and_ci(sample, window, model, statistic, tau_grid,
         span = 5.0 * se if se > 0 else max(1.0, abs(est.tau_hat))
         tau_grid = np.linspace(est.tau_hat - span, est.tau_hat + span, 201)
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if (tau_grid.ndim != 1 or not np.isfinite(tau_grid).all()
+            or (np.diff(tau_grid) < 0).any()):
+        raise ValueError("tau_grid must be a one-dimensional ascending "
+                         "grid of finite values")
     fisher, *grid = _fisher_tests([y], t, model, statistic, max_exhaustive,
                                   draws, seed, [0.0, *tau_grid])[0]
     pvals = np.array([res.p_value for res in grid])
@@ -583,7 +590,8 @@ def _as_pair(candidate):
 def select_window(sample: RdSample, candidates=None,
                   alpha: float = BALANCE_ALPHA, model=FixedMargins(),
                   statistic: str = "diff_means",
-                  max_exhaustive: int = 2000, draws: int = 999,
+                  max_exhaustive: int = SELECT_MAX_EXHAUSTIVE,
+                  draws: int = SELECT_DRAWS,
                   seed: int = 0) -> WindowSelection:
     """Pick the largest window with covariate balance at level alpha.
 

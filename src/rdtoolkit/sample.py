@@ -232,6 +232,9 @@ def _read_header(reader, bindings) -> tuple[list[int], int]:
         raise MissingColumn("file is empty (no header row)") from None
     except csv.Error as err:
         raise BadSpec(f"unreadable header row: {err}") from None
+    if header:
+        # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes it
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     for _, name in bindings:
         if name not in header:

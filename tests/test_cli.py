@@ -809,19 +809,24 @@ class TestUsageRules:
         ("--placebo", ["validate", "--placebo", "0"]),
         ("--placebo", ["validate", "--cutoff-col", "c", "--placebo", "0.5",
                        "-0"]),
-        ("--placebo", ["validate", "--cutoff=5", "--placebo", "0.5", "5"])],
+        ("--placebo", ["validate", "--cutoff=5", "--placebo", "0.5", "5"]),
+        *(("--covariate", [command, "--covariate", "c", "--covariate", "c"])
+          for command in ("estimate", "locrand", "validate", "plot"))],
         ids=["kink-p-0", "estimate-cutoff", "locrand-cutoff",
              "validate-cutoff", "plot-cutoff", "auto-window-no-covariate",
              "fixed-window-table", "target-mde-no-pilot",
              "fuzzy-no-treatment-column", "fixed-bandwidth-ce",
              "descending-candidates", "placebo-at-default-cutoff",
-             "placebo-at-cutoff-col-zero", "placebo-at-cutoff"])
+             "placebo-at-cutoff-col-zero", "placebo-at-cutoff",
+             "estimate-covariate-twice", "locrand-covariate-twice",
+             "validate-covariate-twice", "plot-covariate-twice"])
     def test_rule_exits_1_before_any_work(self, multi_cutoff_csv, tmp_path,
                                           flag, argv):
         # all but the fixed-window table rule used to be checked in
         # `_ingest` or a subcommand body, after numpy loaded and after the
         # output paths; the auto window without a covariate, descending
-        # candidates and a placebo at the true cutoff exited 2
+        # candidates, a placebo at the true cutoff and a covariate given
+        # twice exited 2
         if argv[0] != "power":  # power reads no file
             argv = [argv[0], "--input", str(multi_cutoff_csv),
                     "--score-col", "x", "--outcome-col", "y",

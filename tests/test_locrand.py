@@ -617,6 +617,25 @@ class TestFisherCi:
         assert ci.empty
         assert ci.lower is None and ci.upper is None
 
+    @pytest.mark.parametrize("grid", [
+        np.linspace(2, -2, 41), [0.0, 1.0, 0.5], [0.0, float("nan"), 1.0],
+        [-np.inf, 0.0], [[0.0, 1.0]]],
+        ids=["descending", "unsorted", "nan", "inf", "two-dimensional"])
+    def test_grid_must_be_ascending_and_finite(self, grid, monkeypatch):
+        # a descending grid used to report a lower bound above the upper
+        def unreachable(*args):
+            raise AssertionError("ensemble drawn for an invalid grid")
+
+        monkeypatch.setattr(locrand, "_build_ensemble", unreachable)
+        s = make_sample(np.linspace(-1, 1, 40), np.arange(40.0))
+        with pytest.raises(ValueError, match="tau_grid"):
+            fisher_ci(s, window_all(s), tau_grid=grid)
+
+    def test_empty_grid_tests_only_the_sharp_null(self):
+        s = make_sample(np.linspace(-1, 1, 40), np.arange(40.0))
+        ci = fisher_ci(s, window_all(s), tau_grid=())
+        assert ci.empty and ci.grid.shape == (0,)
+
 
 @pytest.mark.parametrize("test", [fisher_pvalue, fisher_ci])
 def test_studentized_needs_two_units_per_group(test):

@@ -157,7 +157,7 @@ def test_shared_defaults_are_written_once():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) \
                     and type(node.value) in (int, float) \
-                    and node.value in (9999, 200000, 0.15):
+                    and node.value in (9999, 200000, 0.15, 999, 2000):
                 assert path.name == "defaults.py", (path.name, node.lineno)
 
 

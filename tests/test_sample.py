@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import re
@@ -26,7 +27,7 @@ from rdtoolkit.errors import (
 )
 from rdtoolkit.parallel import run_indexed
 from rdtoolkit.defaults import READ_BLOCK
-from rdtoolkit.sample import RdSample, ingest_csv
+from rdtoolkit.sample import RdSample, ingest_csv, ingest_with_digest
 
 from conftest import make_sample, write_csv
 
@@ -643,6 +644,39 @@ class TestParseCache:
         ingest_csv(paths[2], self.COLUMNS)  # c's entry pushes b's out
         left = {owner.get(name, "c") for name in _entries(parse_cache)}
         assert left == {"a", "c"}
+
+
+class TestByteOrderMark:
+    """A header row that starts with a UTF-8 byte-order mark, as Excel's
+    "CSV UTF-8" export writes it, reads as the same file without it."""
+
+    COLUMNS = {"score": "x", "outcome": "y", "treatment": "t",
+               "covariates": ["z"]}
+
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["numeric_tier", "row_parser"])
+    def test_marked_header_reads_the_same_table(self, tmp_path, parse_cache,
+                                                monkeypatch, quoted):
+        # a quoted cell sends the file to the row parser
+        cell = '"0.5"' if quoted else "0.5"
+        text = f"x,y,t,z\n-0.5,1.0,0,2\n{cell},2.0,1,nan\n0.25,3.0,1,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        other = "_ingest_numeric" if quoted else "_ingest_rows"
+        with mock.patch.object(sample_module, other, _unparsed):
+            want = ingest_csv(str(plain), self.COLUMNS)
+            got, digest = ingest_with_digest(str(marked), self.COLUMNS, 0.0,
+                                             ",")
+        assert _same_sample(got, want)
+        # the digest is the file's own bytes, mark included
+        assert digest == hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert len(_entries(parse_cache)) == 2
+        monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
+        monkeypatch.setattr(sample_module, "_ingest_numeric", _unparsed)
+        hit, hit_digest = ingest_with_digest(str(marked), self.COLUMNS, 0.0,
+                                             ",")
+        assert _same_sample(hit, want) and hit_digest == digest
 
 
 class TestSampleModel:

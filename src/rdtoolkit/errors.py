@@ -47,6 +47,10 @@ class BadTreatmentCode(_BadValueAtRow):
     _prefix = "treatment code outside {0, 1}"
 
 
+class NonFiniteCutoff(_BadValueAtRow):
+    _prefix = "non-finite or missing cutoff"
+
+
 class MalformedRow(DataError):
     def __init__(self, row: int, reason: str):
         self.row = row

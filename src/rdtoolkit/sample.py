@@ -39,6 +39,7 @@ from .errors import (
     DataError,
     MalformedRow,
     MissingColumn,
+    NonFiniteCutoff,
     NonFiniteOutcome,
     NonFiniteScore,
 )
@@ -201,7 +202,7 @@ _CELL_CHECKS = {
     "score": (math.isfinite, NonFiniteScore),
     "outcome": (math.isfinite, NonFiniteOutcome),
     "treatment": (lambda value: value in (0.0, 1.0), BadTreatmentCode),
-    "cutoff": (math.isfinite, NonFiniteScore),
+    "cutoff": (math.isfinite, NonFiniteCutoff),
     "covariate": (lambda value: True, None),
 }
 
@@ -223,18 +224,20 @@ def _bindings(column_map: dict[str, object], cutoff: float):
             *(("covariate", name) for name in cov_cols))
 
 
-def _read_header(reader, bindings) -> tuple[list[int], int]:
-    """Read the header row: the column index of each binding, in table
-    order, and the header's width.  A bound name must name one column."""
+def _read_header(handle, bindings, delimiter):
+    """Read the header row of an open text file: a ``csv.reader`` past
+    it, the column index of each binding, in table order, and the
+    header's width.  A bound name must name one column."""
+    # drop a UTF-8 byte-order mark (Excel's "CSV UTF-8") before csv reads it
+    if handle.read(1) != "\ufeff":
+        handle.seek(0)
+    reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise MissingColumn("file is empty (no header row)") from None
     except csv.Error as err:
         raise BadSpec(f"unreadable header row: {err}") from None
-    if header:
-        # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes it
-        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     for _, name in bindings:
         if name not in header:
@@ -242,7 +245,7 @@ def _read_header(reader, bindings) -> tuple[list[int], int]:
         if header.count(name) > 1:
             raise BadSpec(f"column {name!r} appears more than once in the "
                           f"header {header}")
-    return [header.index(name) for _, name in bindings], len(header)
+    return reader, [header.index(name) for _, name in bindings], len(header)
 
 
 def _sample(table, bindings, cutoff) -> RdSample:
@@ -254,12 +257,14 @@ def _sample(table, bindings, cutoff) -> RdSample:
     unit_cutoffs = rows.get("cutoff")
     centred = unit_cutoffs is not None
     if centred:
-        # a non-finite cell is the sample's to reject; X - C of two finite
-        # cells can still pass the float range
-        with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(unit_cutoffs)
+        if bad.any():
+            raise NonFiniteCutoff(int(np.flatnonzero(bad)[0]))
+        # a non-finite score is the sample's to reject; X - C of two
+        # finite cells can still pass the float range
+        with np.errstate(over="ignore"):
             score = score - unit_cutoffs
-        overflow = (~np.isfinite(score) & np.isfinite(rows["score"])
-                    & np.isfinite(unit_cutoffs))
+        overflow = ~np.isfinite(score) & np.isfinite(rows["score"])
         if overflow.any():
             raise DataError("centred score X - C overflows at row "
                             f"{int(np.flatnonzero(overflow)[0])}")
@@ -309,18 +314,19 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
 
     The bound columns are parsed into one ``(k, n)`` float64 table, a
     row per binding in the order score, outcome, treatment, cutoff
-    column, covariates, by one of two tiers.  A file with no quote
-    character is read by numpy's C parser, which is given the path so
-    that it reads the file in chunks.  When numpy cannot parse it, or the
-    sample rejects the table numpy returns, the file is read by the row
-    parser, which alone handles missing-value tokens, quoted cells, short
-    rows and unparseable covariate cells, and raises the row-indexed
-    errors.  So is a file whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
-    ``.lzma``, which numpy would open as an archive: it is read as text.
-    Both tiers parse a number with the same routine, so on every file
-    the first tier accepts they return bit-identical tables.
+    column, covariates, by one of two tiers.  numpy's C parser reads the
+    file first; it is given the path so that it reads the file in chunks,
+    and it splits cells in quotes as the csv module does.  When numpy
+    cannot parse the file, or the sample rejects the table numpy
+    returns, the file is read by the row parser, which alone handles
+    missing-value tokens, short rows and unparseable covariate cells,
+    and raises the row-indexed errors.  So is a file whose name ends in
+    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would open as an
+    archive: it is read as text.  Both tiers parse a number with the same
+    routine, so on every file the first tier accepts they return
+    bit-identical tables.
 
-    The file is read once for its SHA-256 digest and the quote check.
+    The file is read once for its SHA-256 digest.
     A parsed table is stored as one ``.npy`` file under
     ``$XDG_CACHE_HOME/rd-toolkit`` (default ``~/.cache/rd-toolkit``),
     keyed by that digest, the delimiter, the bindings, the numpy version,
@@ -351,16 +357,13 @@ def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
     # the row parser by the name it was given.
     archive = os.fspath(path).endswith(_ARCHIVE_SUFFIXES)
     local = path if archive else os.path.join(os.curdir, path)
-    digest, quoted = _scan(local)
+    digest = sha256_file(local)
     entry = _cache_entry(digest, delimiter, bindings)
     stored = None if entry is None else _cache_load(entry, len(bindings))
     sample = _accepted(stored, bindings, cutoff)
     if sample is not None:
         return sample, digest
-    # A quoted cell may hold the delimiter, which only the csv module
-    # splits correctly.
-    table = None if archive or quoted else _ingest_numeric(
-        local, bindings, delimiter)
+    table = None if archive else _ingest_numeric(local, bindings, delimiter)
     sample = _accepted(table, bindings, cutoff)
     if sample is None:
         # The row parser names the row and value the sample rejects.
@@ -371,22 +374,14 @@ def ingest_with_digest(path, column_map: dict[str, object], cutoff: float,
     return sample, digest
 
 
-def _scan(path) -> tuple[str, bool]:
-    """One streamed read of the file: its SHA-256 hex digest, and whether
-    it holds a quote character."""
+def sha256_file(path) -> str:
+    """SHA-256 hex digest of the file's bytes, read in blocks: the digest
+    ingest computes and a report's ``input_digest`` carries."""
     digest = hashlib.sha256()
-    quoted = False
     with open(path, "rb") as raw:
         for block in iter(lambda: raw.read(READ_BLOCK), b""):
             digest.update(block)
-            quoted = quoted or b'"' in block
-    return digest.hexdigest(), quoted
-
-
-def sha256_file(path) -> str:
-    """SHA-256 hex digest of the file's bytes: the digest ingest computes
-    and a report's ``input_digest`` carries."""
-    return _scan(path)[0]
+    return digest.hexdigest()
 
 
 def _cache_entry(digest, delimiter, bindings) -> str | None:
@@ -441,7 +436,7 @@ def _cache_store(entry, table, path, digest) -> None:
     try:
         # Store the parse only if the file after it still holds the bytes
         # the digest pass read.
-        if _scan(path)[0] != digest:
+        if sha256_file(path) != digest:
             return
         directory = os.path.dirname(entry)
         os.makedirs(directory, mode=0o700, exist_ok=True)
@@ -476,12 +471,11 @@ def _evict(directory) -> None:
 
 
 def _ingest_numeric(path, bindings, delimiter) -> np.ndarray | None:
-    """The C-parser tier of :func:`ingest_csv`, for a file with no quote
-    character and no archive suffix: the table of the bound columns, or
-    None when numpy cannot parse the file."""
+    """The C-parser tier of :func:`ingest_csv`, for a file with no
+    archive suffix: the table of the bound columns, cells in quotes
+    included, or None when numpy cannot parse the file."""
     with open(path, newline="") as handle:
-        positions, _ = _read_header(csv.reader(handle, delimiter=delimiter),
-                                    bindings)
+        reader, positions, _ = _read_header(handle, bindings, delimiter)
         # numpy warns on a file without data rows; leave those to the
         # row parser, which raises BadSpec for them.
         if not any(line.strip("\r\n") for line in handle):
@@ -489,9 +483,12 @@ def _ingest_numeric(path, bindings, delimiter) -> np.ndarray | None:
     usecols = sorted(set(positions))
     try:
         # Given a path, numpy reads the file in chunks rather than one
-        # Python string per line.
+        # Python string per line.  It splits cells in quotes as the csv
+        # module does; a header cell in quotes may span lines, so skip
+        # every line the header took.
         parsed = np.loadtxt(path, delimiter=delimiter, comments=None,
-                            skiprows=1, usecols=usecols, ndmin=2, dtype=float)
+                            quotechar='"', skiprows=reader.line_num,
+                            usecols=usecols, ndmin=2, dtype=float)
     except (ValueError, TypeError):
         # Unparseable cell, missing column, or a delimiter numpy does
         # not accept.
@@ -505,8 +502,7 @@ def _ingest_rows(path, bindings, delimiter) -> np.ndarray:
     its role's test raises the row-indexed error."""
     checks = [_CELL_CHECKS[role] for role, _ in bindings]
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        positions, width = _read_header(reader, bindings)
+        reader, positions, width = _read_header(handle, bindings, delimiter)
         columns = [[] for _ in bindings]
         for row_idx, row in _data_rows(reader):
             if not row or all(not cell.strip() for cell in row):

@@ -236,15 +236,15 @@ class TestEstimate:
                                        "data")
         assert "directory" in message
 
-    @pytest.mark.parametrize("first", ["0.1", '"0.1"'],
+    @pytest.mark.parametrize("name", ["twice.csv", "twice.csv.gz"],
                              ids=["numpy-tier", "row-parser"])
-    def test_bound_column_named_twice_exits_2(self, tmp_path, first,
+    def test_bound_column_named_twice_exits_2(self, tmp_path, name,
                                               capsys):
-        # the first `score` used to be bound without a word; a quoted
-        # cell sends the file to the row parser
+        # the first `score` used to be bound without a word; a name with
+        # an archive suffix sends the file to the row parser
         rows = "".join(f"{x},{x + 1},{x}\n" for x in (-0.3, -0.2, 0.2, 0.3))
-        path = tmp_path / "twice.csv"
-        path.write_text(f"score,outcome,score\n{first},1,2\n{rows}")
+        path = tmp_path / name
+        path.write_text(f"score,outcome,score\n0.1,1,2\n{rows}")
         code, out, err = run_cli(
             ["estimate", "--input", str(path), "--score-col", "score",
              "--outcome-col", "outcome", "--h", "0.5"], capsys)

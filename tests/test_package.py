@@ -202,7 +202,8 @@ def _calls(tree, name):
 
 
 def test_files_are_hashed_in_one_place():
-    # sample._scan streams the digest; sample.sha256_file reads it
+    # sample.sha256_file streams the digest that ingest and the cache
+    # store read
     for path in pathlib.Path(rdtoolkit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

@@ -22,6 +22,7 @@ from rdtoolkit.errors import (
     BadTreatmentCode,
     DataError,
     MissingColumn,
+    NonFiniteCutoff,
     NonFiniteOutcome,
     NonFiniteScore,
 )
@@ -111,6 +112,7 @@ class TestIngest:
         (NonFiniteScore, "non-finite or missing score at row 7"),
         (NonFiniteOutcome, "non-finite or missing outcome at row 7"),
         (BadTreatmentCode, "treatment code outside {0, 1} at row 7"),
+        (NonFiniteCutoff, "non-finite or missing cutoff at row 7"),
     ])
     @pytest.mark.parametrize("value, suffix",
                              [("", ""), ("x'1", " (value \"x'1\")")])
@@ -181,14 +183,20 @@ class TestIngest:
 
 
 # Numeric cells; and missing-value tokens, non-finite, quoted and
-# unparseable cells, and treatment codes outside {0, 1}.
+# unparseable cells, and treatment codes outside {0, 1}.  Any number may
+# be quoted; the other quoted cells include doubled quotes, text after
+# the closing quote, quoted missing-value tokens and numbers with inner
+# spaces, and two cells hold a quote inside an unquoted cell.
 _NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
     st.integers(-5, 5).map(str),
-    st.sampled_from(["0", "1", "0.0", "1.0", "-0.0", " 2.5 ", "+.5", "1e-3"]))
+    st.sampled_from(["0", "1", "0.0", "1.0", "-0.0", " 2.5 ", "+.5", "1e-3"]),
+).flatmap(lambda cell: st.sampled_from([cell, f'"{cell}"']))
 _OTHER_CELLS = st.sampled_from(
     ["", " ", "NA", "na", "nan", "NaN", "n/a", "null", "None", ".", "inf",
-     "-inf", "Infinity", '"1.5"', '"2"', "abc", "1_0", "2", "-1", "0x10"])
+     "-inf", "Infinity", '"1.5"', '"2"', "abc", "1_0", "2", "-1", "0x10",
+     '"1""5"', '"a""b"', '"1"5', '"0" ', '1"5', 'a"b', '"NA"', '""',
+     '" 2.5 "', '" -1 "'])
 
 
 @st.composite
@@ -198,16 +206,20 @@ def _csv_case(draw):
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = ["x", "y", "t", "c", "z", "w"]
+    # a quoted header cell, which may span two lines; the spaces around
+    # a name are stripped, the line break with them
+    quote = st.sampled_from(["{}", '"{}"', '"{}' + newline + '"',
+                             '"' + newline + '{}"'])
+    names = [draw(quote).format(name) for name in header]
     dirty = draw(st.booleans())
     # a quoted cell holding delimiters shifts every later cell for any
     # parser that splits on the delimiter alone
     quoted = st.just(f'"1{delimiter}2{delimiter}3"')
     cell = (st.one_of(_NUMBER_CELLS, _OTHER_CELLS, quoted) if dirty
             else _NUMBER_CELLS)
-    treat_cell = (st.one_of(st.sampled_from(["0", "1", "0.0", "1.0"]),
-                            _OTHER_CELLS)
-                  if dirty else st.sampled_from(["0", "1", "0.0", "1.0"]))
-    lines = [delimiter.join(header)]
+    codes = st.sampled_from(["0", "1", "0.0", "1.0", '"0"', '"1"'])
+    treat_cell = st.one_of(codes, _OTHER_CELLS) if dirty else codes
+    lines = [delimiter.join(names)]
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(
             ["row"] * 6 + (["blank", "spaces", "short", "long"] if dirty
@@ -224,7 +236,9 @@ def _csv_case(draw):
             elif kind == "long":
                 row.append(draw(cell))
             lines.append(delimiter.join(row))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    # a byte-order mark may open the file
+    text = (draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines)
+            + draw(st.sampled_from(["", newline])))
     outcome = draw(st.sampled_from(["y", "x"]))  # "x": score == outcome
     column_map = {"score": "x", "outcome": outcome}
     if draw(st.booleans()):
@@ -264,6 +278,10 @@ def _same_sample(a, b):
             and list(a.covariates) == list(b.covariates)
             and all(same(a.covariates[k], b.covariates[k])
                     for k in a.covariates))
+
+
+def _unparsed(*args):
+    raise AssertionError("a parser was called that should not be")
 
 
 class TestParseTiers:
@@ -324,20 +342,12 @@ class TestParseTiers:
         assert s.score.tolist() == [4.0] and s.outcome.tolist() == [5.0]
 
     @pytest.mark.parametrize("where", ["past_first_block", "last_byte"])
-    def test_late_quote_sends_file_to_row_parser(self, tmp_path,
-                                                  monkeypatch, where):
-        # the quote check scans the file in blocks; a quote in any of
-        # them, down to the last byte, must still reach the row parser
-        calls = []
-        parse = sample_module._ingest_rows
-
-        def spy(*args):
-            calls.append(args)
-            return parse(*args)
-
-        monkeypatch.setattr(sample_module, "_ingest_rows", spy)
-        # the quote sits in an unmapped column, which numpy would read
-        # without complaint
+    def test_late_quote_is_read_by_numeric_tier(self, tmp_path, monkeypatch,
+                                                where):
+        # numpy splits a quoted cell as the csv module does, so a quote
+        # anywhere, down to the last byte, leaves the file to numpy
+        monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
+        # the quote sits in an unmapped column
         rows = [f"{-1 + i / 5000:.6f},{i % 7}.5,n\n" for i in range(10000)]
         head = "x,y,note\n" + "".join(rows)
         assert len(head) > READ_BLOCK
@@ -348,7 +358,6 @@ class TestParseTiers:
         path = tmp_path / "d.csv"
         path.write_text(text)
         s = ingest_csv(str(path), {"score": "x", "outcome": "y"})
-        assert len(calls) == 1
         assert s.score[10000] == 0.25 and s.outcome[10000] == 1.5
 
     def test_numeric_file_skips_row_parser(self, tmp_path, monkeypatch):
@@ -364,14 +373,25 @@ class TestParseTiers:
         assert s.received.tolist() == [0, 1]
         assert np.isnan(s.covariates["z"][1])
 
+    def test_r_style_file_skips_row_parser(self, tmp_path, monkeypatch):
+        # R's write.csv quotes every header cell and every row name
+        columns = np.random.default_rng(3).normal(size=(3, 200)).tolist()
+        text = '"","x","y","t","z"\n' + "".join(
+            f'"{i + 1}",{x!r},{y!r},{int(x >= 0)},{z!r}\n'
+            for i, (x, y, z) in enumerate(zip(*columns)))
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        column_map = {"score": "x", "outcome": "y", "treatment": "t",
+                      "covariates": ["z"]}
+        want = _row_parser(str(path), column_map, 0.0, ",")
+        monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
+        got = ingest_csv(str(path), column_map)
+        assert _same_sample(got, want) and got.n == 200
+
 
 def _entries(directory):
     """Names of the entries in a parse cache directory."""
     return sorted(p.name for p in pathlib.Path(directory).glob("*"))
-
-
-def _unparsed(*args):
-    raise AssertionError("a cached file was parsed again")
 
 
 # Cells numpy parses but the sample rejects: the row parser must name
@@ -382,8 +402,8 @@ _REJECTED_BY_SAMPLE = [
      "row 1 (value 'nan')"),
     ("x,y,t\n0.5,1,1\n-0.5,2,0.5\n", {"treatment": "t"}, BadTreatmentCode,
      "row 1 (value '0.5')"),
-    ("x,y,c\n0.5,1,0\n0.5,2,inf\n", {"cutoff": "c"}, NonFiniteScore,
-     "row 1 (value 'inf')"),
+    ("x,y,c\n0.5,1,0\n0.5,2,inf\n", {"cutoff": "c"}, NonFiniteCutoff,
+     "non-finite or missing cutoff at row 1 (value 'inf')"),
 ]
 _REJECTED_IDS = ["inf_score", "nan_outcome", "half_treatment",
                  "inf_cutoff_cell"]
@@ -434,9 +454,11 @@ class TestParseCache:
         ("x,y\n0.5,1\nNA,2\n", {}, NonFiniteScore, "row 1 (value 'NA')"),
         ("x,w\n0.5,1\n", {}, MissingColumn, "column 'y' not found"),
         ("x,y\n\n", {}, BadSpec, "at least one unit"),
+        ("x,y,c\n0.5,1,0\n0.2,2,\n", {"cutoff": "c"}, NonFiniteCutoff,
+         "non-finite or missing cutoff at row 1"),
         *_REJECTED_BY_SAMPLE,
     ], ids=["non_finite_score", "missing_column", "no_data_rows",
-            *_REJECTED_IDS])
+            "empty_cutoff_cell", *_REJECTED_IDS])
     def test_errors_are_not_stored(self, tmp_path, parse_cache, text,
                                    column_map, error, message):
         path = tmp_path / "d.csv"
@@ -471,16 +493,22 @@ class TestParseCache:
         # the float64 receipt every fit reads is the parsed table's own
         # row, beside the outcome, whichever source built the table; no
         # module keeps a narrower copy of a treatment column
-        rows = [(-0.5, 1.0, "-0"), (0.5, 2.0, 1), (0.25, 3.0, "-0.0")]
-        plain = write_csv(tmp_path / "d.csv", ["x", "y", "t"], rows)
-        quoted = tmp_path / "q.csv"
-        quoted.write_text('"x","y","t"\n' + "".join(
-            f"{x},{y},{t}\n" for x, y, t in rows))
-        column_map = {"score": "x", "outcome": "y", "treatment": "t"}
+        rows = [(-0.5, 1.0, "-0", 2.0), (0.5, 2.0, 1, 4.5),
+                (0.25, 3.0, "-0.0", 1.5)]
+        header = ["x", "y", "t", "z"]
+        plain = write_csv(tmp_path / "d.csv", header, rows)
+        # numpy cannot parse an NA cell, so the row parser reads this one
+        missing = write_csv(tmp_path / "m.csv", header,
+                            [(*row[:3], "NA") for row in rows])
+        column_map = {"score": "x", "outcome": "y", "treatment": "t",
+                      "covariates": ["z"]}
         with mock.patch.object(sample_module, "_ingest_rows", _unparsed):
             samples = [ingest_csv(plain, column_map)]
-        with mock.patch.object(sample_module, "_ingest_numeric", _unparsed):
-            samples.append(ingest_csv(quoted, column_map))
+        with mock.patch.object(
+                sample_module, "_ingest_rows",
+                mock.Mock(wraps=sample_module._ingest_rows)) as rows_spy:
+            samples.append(ingest_csv(missing, column_map))
+        assert rows_spy.call_count == 1
         monkeypatch.setattr(sample_module, "_ingest_rows", _unparsed)
         monkeypatch.setattr(sample_module, "_ingest_numeric", _unparsed)
         samples.append(ingest_csv(plain, column_map))  # a cache hit
@@ -653,21 +681,38 @@ class TestByteOrderMark:
     COLUMNS = {"score": "x", "outcome": "y", "treatment": "t",
                "covariates": ["z"]}
 
-    @pytest.mark.parametrize("quoted", [False, True],
-                             ids=["numeric_tier", "row_parser"])
+    TIERS = pytest.mark.parametrize("row_parser", [False, True],
+                                    ids=["numeric_tier", "row_parser"])
+
+    @TIERS
     def test_marked_header_reads_the_same_table(self, tmp_path, parse_cache,
-                                                monkeypatch, quoted):
-        # a quoted cell sends the file to the row parser
-        cell = '"0.5"' if quoted else "0.5"
-        text = f"x,y,t,z\n-0.5,1.0,0,2\n{cell},2.0,1,nan\n0.25,3.0,1,4\n"
+                                                monkeypatch, row_parser):
+        self._check(tmp_path, parse_cache, monkeypatch, "x,y,t,z",
+                    row_parser)
+
+    @TIERS
+    def test_mark_before_a_quoted_cell(self, tmp_path, parse_cache,
+                                       monkeypatch, row_parser):
+        # the csv module reads a quote after the mark as cell text
+        self._check(tmp_path, parse_cache, monkeypatch, '"x","y",t,z',
+                    row_parser)
+
+    def _check(self, tmp_path, parse_cache, monkeypatch, header,
+               row_parser):
+        # numpy cannot parse an NA cell, so the row parser reads the file
+        cell = "NA" if row_parser else "nan"
+        text = (f"{header}\n-0.5,1.0,0,2\n0.5,2.0,1,{cell}\n"
+                "0.25,3.0,1,4\n")
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        other = "_ingest_numeric" if quoted else "_ingest_rows"
-        with mock.patch.object(sample_module, other, _unparsed):
+        rows = mock.Mock(wraps=sample_module._ingest_rows)
+        with mock.patch.object(sample_module, "_ingest_rows",
+                               rows if row_parser else _unparsed):
             want = ingest_csv(str(plain), self.COLUMNS)
             got, digest = ingest_with_digest(str(marked), self.COLUMNS, 0.0,
                                              ",")
+        assert rows.call_count == (2 if row_parser else 0)
         assert _same_sample(got, want)
         # the digest is the file's own bytes, mark included
         assert digest == hashlib.sha256(marked.read_bytes()).hexdigest()

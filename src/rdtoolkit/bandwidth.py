@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import EmptySide, RankDeficient, TooFewObservations
+from .errors import EmptySide, TooFewObservations
 from .lpoly import kernel_weight, polyfit_lstsq, vander
 from .sample import RdSample
 
@@ -183,8 +183,6 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
 
     b = _silverman(sample.score)
     score_range = float(sample.score.max() - sample.score.min())
-    if score_range <= 0:
-        raise RankDeficient("score has zero range")
     if b <= 0:
         b = score_range / 4.0
     dist_b, dist_a = np.abs(x_b), np.abs(x_a)
@@ -201,7 +199,7 @@ def select_mse_bandwidth(sample: RdSample, p: int = 1,
     w_var = max(b, kth_b, kth_a)
     resid = np.concatenate([resid_b[dist_b <= w_var],
                             resid_a[dist_a <= w_var]])
-    sigma2 = float(np.mean(resid ** 2)) if resid.size else 0.0
+    sigma2 = float(np.mean(resid ** 2))
 
     c_k = mse_constant(p, kernel)
 

@@ -65,6 +65,7 @@ from .defaults import (
     SENSITIVITY_FACTORS,
     SIMULATE_N,
     SIMULATE_REPLICATIONS,
+    SMALLEST_ALPHA,
 )
 from .errors import DataError, EstimationError
 
@@ -98,6 +99,10 @@ def _at_least(least):
 
 
 _UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+# a level or alpha whose normal quantile is finite
+_LEVEL = _checked(float, lambda v: 0 < v < 1 - SMALLEST_ALPHA,
+                  "in (0, 1 - 2**-53)")
+_ALPHA = _checked(float, lambda v: SMALLEST_ALPHA < v < 1, "in (2**-53, 1)")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf,
                      "positive and finite")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
@@ -157,8 +162,8 @@ def _add_fit_flags(parser):
                    choices=range(0, 5), metavar="P",
                    help="local polynomial order (0-4)")
     g.add_argument("--kernel", default="triangular", choices=KERNELS)
-    g.add_argument("--level", type=_UNIT, default=0.95,
-                   help="confidence level, in (0, 1)")
+    g.add_argument("--level", type=_LEVEL, default=0.95,
+                   help="confidence level, in (0, 1 - 2**-53)")
 
 
 def _add_out_flags(parser):
@@ -221,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("diff_means", "studentized"))
     loc.add_argument("--framework", default="neyman",
                      choices=("neyman", "superpop"))
-    loc.add_argument("--alpha", type=_UNIT, default=0.05,
-                     help="test level for intervals, in (0, 1)")
+    loc.add_argument("--alpha", type=_ALPHA, default=0.05,
+                     help="test level for intervals, in (2**-53, 1)")
     loc.add_argument("--draws", type=_COUNT, default=DRAWS,
                      help="Monte Carlo draws of the Fisher test when "
                           "enumeration is infeasible; --window auto "
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     pow_ = sub.add_parser("power", help="power, MDE, and sample-size math")
     pow_.add_argument("--se", type=_POSITIVE, required=True,
                       help="standard error of the effect estimator")
-    pow_.add_argument("--alpha", type=_UNIT, default=0.05)
+    pow_.add_argument("--alpha", type=_ALPHA, default=0.05)
     pow_.add_argument("--target-power", type=_UNIT, default=0.80)
     pow_.add_argument("--tau", type=_FINITE, nargs="+", default=None,
                       metavar="T", help="effects to evaluate power at")

@@ -32,7 +32,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .defaults import WEAK_FIRST_STAGE_THRESHOLD
+from .defaults import SMALLEST_ALPHA, WEAK_FIRST_STAGE_THRESHOLD
 from .errors import (
     EmptySide,
     MissingTreatmentColumn,
@@ -87,8 +87,9 @@ class CutoffEstimate:
 
 
 def _zvalue(level: float) -> float:
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    if not 0 < level < 1 - SMALLEST_ALPHA:
+        raise ValueError(
+            f"confidence level must be in (0, 1 - 2**-53), got {level}")
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 

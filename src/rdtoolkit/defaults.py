@@ -11,11 +11,20 @@ KERNELS = ("triangular", "uniform", "epanechnikov")
 # First stages smaller than this in absolute value are rejected as weak.
 WEAK_FIRST_STAGE_THRESHOLD = 0.05
 
+# A two-sided normal quantile inv_cdf(1 - alpha/2) needs 1 - alpha/2 to
+# round below 1, so a test's alpha must exceed this and a confidence
+# level must stay below 1 minus it.
+SMALLEST_ALPHA = 2.0 ** -53
+
 # Permutation inference: Monte Carlo draws, the largest assignment count
 # enumerated exactly, and the balance p-value window selection requires.
 DRAWS = 9999
 MAX_EXHAUSTIVE = 200000
 BALANCE_ALPHA = 0.15
+# A Monte Carlo Bernoulli test redraws each assignment that leaves a
+# group empty; it refuses a probability that gives such assignments at
+# least this share of the draws.
+MAX_DEGENERATE_SHARE = 0.99
 # Window selection's own budget for its balance tests.
 SELECT_DRAWS = 999
 SELECT_MAX_EXHAUSTIVE = 2000

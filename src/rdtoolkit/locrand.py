@@ -43,9 +43,11 @@ import numpy as np
 from .defaults import (
     BALANCE_ALPHA,
     DRAWS,
+    MAX_DEGENERATE_SHARE,
     MAX_EXHAUSTIVE,
     SELECT_DRAWS,
     SELECT_MAX_EXHAUSTIVE,
+    SMALLEST_ALPHA,
     WEAK_FIRST_STAGE_THRESHOLD,
 )
 from .errors import (
@@ -318,6 +320,14 @@ def _build_ensemble(ys, t, model, max_exhaustive, draws, seed,
         observed = _padded(t[None, :] == 1)
         total = 2 ** n - 2
         exact = 2 ** n <= max_exhaustive
+        # each draw is redrawn until no group is empty, so refuse a
+        # probability under which nearly every draw leaves one empty
+        share = (1.0 - model.prob) ** n + model.prob ** n
+        if not exact and share >= MAX_DEGENERATE_SHARE:
+            raise EmptyGroup(
+                f"Bernoulli prob {model.prob} leaves a group of the {n} "
+                f"units empty in a share {share:.12g} of assignments; Monte "
+                f"Carlo draws need a share below {MAX_DEGENERATE_SHARE}")
 
         def block(a, b):
             if exact:
@@ -496,9 +506,9 @@ def _fisher_pvalue_and_ci(sample, window, model, statistic, tau_grid,
 
 
 def _check_alpha(alpha: float) -> None:
-    """An interval's level alpha must lie strictly between 0 and 1."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    """Alpha in (2**-53, 1), where 1 - alpha/2 rounds below 1 for inv_cdf."""
+    if not SMALLEST_ALPHA < alpha < 1:
+        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
 
 
 def _neyman_se(y, t):
@@ -605,7 +615,8 @@ def select_window(sample: RdSample, candidates=None,
     imbalanced, it is returned flagged ``no_balanced_window`` so the
     caller sees the most defensible window alongside the full trace.
     """
-    _check_alpha(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     names = sorted(sample.covariates)
     if not names:
         raise NoCovariates("window selection requires at least one covariate")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from math import ceil, inf
 from statistics import NormalDist
 
+from .defaults import SMALLEST_ALPHA
 from .errors import UnreachableTarget
 
 
@@ -34,10 +35,17 @@ class PowerResult:
     n_required: int | None = None
 
 
+def _check_alpha(alpha: float) -> None:
+    """Alpha in (2**-53, 1), where 1 - alpha/2 rounds below 1 for inv_cdf."""
+    if not SMALLEST_ALPHA < alpha < 1:
+        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
+
+
 def power_at(tau: float, se: float, alpha: float = 0.05) -> float:
     """Rejection probability of the two-sided normal test at effect tau."""
     if se <= 0:
         raise ValueError("se must be positive")
+    _check_alpha(alpha)
     std = NormalDist()
     z = std.inv_cdf(1.0 - alpha / 2.0)
     t = tau / se
@@ -56,8 +64,7 @@ def mde(se: float, alpha: float = 0.05, target_power: float = 0.80) -> float:
     """
     if se <= 0:
         raise ValueError("se must be positive")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     if not 0 < target_power < 1:
         raise ValueError("target power must be in (0, 1)")
     std = NormalDist()

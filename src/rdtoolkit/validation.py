@@ -306,7 +306,7 @@ def placebo_cutoffs(sample: RdSample, grid, p: int = 1,
         try:
             res = rbc_inference(sub, p=p, kernel=kernel, h_below=h_use,
                                 h_above=h_use)
-        except (EmptySide, RankDeficient, TooFewObservations) as err:
+        except (EmptySide, RankDeficient) as err:
             raise InsufficientSideData(
                 f"placebo cutoff {g:g}: {err}") from None
         records.append(PlaceboRecord(
@@ -352,7 +352,7 @@ def donut_hole(sample: RdSample, radii, p: int = 1,
         try:
             res = rbc_inference(sub, p=p, kernel=kernel, h_below=h,
                                 h_above=h, level=level)
-        except (EmptySide, RankDeficient, TooFewObservations) as err:
+        except (EmptySide, RankDeficient) as err:
             raise InsufficientData(f"donut radius {r:g}: {err}") from None
         records.append(DonutRecord(radius=r, tau_hat=res.base.tau_hat,
                                    ci=res.ci_rbc, n_dropped=sample.n - sub.n))

@@ -5,6 +5,11 @@ Each test prints exactly one PASS/FAIL line on the real terminal
 scoreboard.  Thresholds are deliberately loose enough to be stable
 across platforms at the fixed seed but tight enough that a regression
 in any estimator, selector, or randomization engine trips them.
+
+Lines 1, 5 and 6 run the published studies under ``scripts/`` (the
+coverage experiment, the bandwidth-oracle study and the window-selector
+study) through their own ``run``, at the configuration each line pins,
+so the scoreboard gates the numbers those studies report.
 """
 
 from fractions import Fraction
@@ -22,15 +27,8 @@ from rdtoolkit.continuity import (
     per_cutoff_estimates,
     sharp_estimate,
 )
-from rdtoolkit.dgps import (
-    curved_benchmark,
-    oracle_mse_bandwidth,
-    piecewise_balance_dgp,
-    replication_sample,
-    simulate_coverage,
-    simulate_sample,
-)
-from rdtoolkit.locrand import fisher_pvalue, make_window, select_window
+from rdtoolkit.dgps import curved_benchmark, replication_sample
+from rdtoolkit.locrand import fisher_pvalue, make_window
 from rdtoolkit.parallel import run_indexed
 from rdtoolkit.powersim import mde, power_at
 from rdtoolkit.rng import substream
@@ -42,6 +40,9 @@ from rdtoolkit.validation import (
     placebo_cutoffs,
 )
 
+import bandwidth_oracle_study
+import coverage_experiment
+import window_selector_study
 from conftest import make_sample, write_csv
 
 SEED = 20260814
@@ -59,11 +60,9 @@ def test_01_coverage_repair(capsys):
     # Conventional intervals on the curved benchmark under-cover at the
     # MSE bandwidth; the bias-corrected ones restore near-nominal
     # coverage on the same data.
-    dgp = curved_benchmark()
-    conv = simulate_coverage(dgp, estimator="conventional", n=1000,
-                             replications=2000, seed=SEED, threads=4)
-    rbc = simulate_coverage(dgp, estimator="rbc", n=1000,
-                            replications=2000, seed=SEED, threads=4)
+    results = coverage_experiment.run(coverage_experiment.Config(
+        n=1000, replications=2000, seed=SEED, threads=4))
+    conv, rbc = results["conventional"], results["rbc"]
     ok = 0.70 <= conv.coverage <= 0.90 and rbc.coverage >= 0.92
     scoreboard(capsys, 1, "coverage repair", ok,
                f"conventional={conv.coverage:.4f} (want [0.70, 0.90]), "
@@ -158,26 +157,15 @@ def test_05_bandwidth_selector_vs_oracle(capsys):
     # The plug-in bandwidth must land close enough to the grid-search
     # optimum that its Monte Carlo MSE is within 25% of the oracle
     # minimum, on the same 500 common-random-number replications.
-    dgp = curved_benchmark()
-    tau = dgp.true_tau()
-    grid = np.geomspace(0.08, 1.0, 50)
-    oracle = oracle_mse_bandwidth(dgp, p=1, kernel="triangular", grid=grid,
-                                  n=1000, replications=500, seed=SEED,
-                                  threads=4)
-    mse_star = float(oracle.mse.min())
-    interior = grid[1] < oracle.best_h < grid[-2]
-
-    def one(r):
-        s = replication_sample(dgp, 1000, SEED, r)
-        h = select_mse_bandwidth(s, p=1, kernel="triangular").h_mse
-        est = sharp_estimate(s, p=1, kernel="triangular", h_below=h)
-        return (est.tau_hat - tau) ** 2
-
-    mse_plugin = fsum(run_indexed(one, 500, threads=4)) / 500
-    ratio = mse_plugin / mse_star
+    oracle, mse_plugin, _ = bandwidth_oracle_study.run(
+        bandwidth_oracle_study.Config(
+            n=1000, replications=500, seed=SEED, grid_lo=0.08, grid_hi=1.0,
+            grid_points=50, p=1, kernel="triangular", threads=4))
+    ratio = mse_plugin / float(oracle.mse.min())
+    interior = oracle.grid[1] < oracle.best_h < oracle.grid[-2]
 
     sel = select_mse_bandwidth(
-        replication_sample(dgp, 1000, SEED, 0), p=1,
+        replication_sample(curved_benchmark(), 1000, SEED, 0), p=1,
         kernel="triangular")
     ce_exact = sel.h_ce == sel.h_mse * ce_factor(sel.n_used, 1)
 
@@ -191,17 +179,10 @@ def test_05_bandwidth_selector_vs_oracle(capsys):
 def test_06_window_selector_recovery(capsys):
     # Covariates are balanced inside half-width 0.5 and drift strongly
     # outside it; the selector should usually stop in [0.25, 1.0].
-    dgp = piecewise_balance_dgp()
-    candidates = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
-
-    def one(r):
-        draw = int(substream(SEED, 600, r).integers(0, 2 ** 63 - 1))
-        s = simulate_sample(dgp, 500, seed=draw)
-        sel = select_window(s, candidates=candidates, seed=r)
-        return 1.0 if 0.25 <= sel.w_left <= 1.0 else 0.0
-
-    hits = run_indexed(one, 500, threads=4)
-    rate = fsum(hits) / 500
+    widths, _ = window_selector_study.run(window_selector_study.Config(
+        n=500, replications=500, seed=SEED,
+        candidates=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0), threads=4))
+    rate = sum(c for w, c in widths.items() if 0.25 <= w <= 1.0) / 500
     scoreboard(capsys, 6, "window selector recovery", rate >= 0.80,
                f"selected half-width in [0.25, 1.0] in {rate:.1%} of 500 "
                "replications (want >= 80%)")

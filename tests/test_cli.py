@@ -17,6 +17,8 @@ from rdtoolkit.cli import _DGPS, build_parser, main
 from rdtoolkit.defaults import MIN_REPLICATIONS
 from rdtoolkit.dgps import simulate_coverage
 from rdtoolkit.locrand import (
+    Bernoulli,
+    diff_in_means,
     fisher_pvalue,
     fuzzy_locrand,
     make_window,
@@ -70,12 +72,12 @@ def multi_cutoff_csv(tmp_path):
     return path
 
 
-def _error_in_subprocess(argv, code, kind):
+def _error_in_subprocess(argv, code, kind, timeout=None):
     """Run the CLI in a fresh interpreter; check the error contract (exit
     ``code``, exactly one JSON error of ``kind`` on stderr, no traceback,
     nothing on stdout) and return the error message."""
     proc = subprocess.run([sys.executable, "-m", "rdtoolkit", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == code and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
@@ -143,6 +145,19 @@ class TestEstimate:
         sel = report["result"]["bandwidth_selection"]
         assert report["config"]["h_below"] == sel["h_mse"]
         assert sel["h_mse"] > 0
+        for spelled in ("auto", " AUTO "):
+            assert run_cli(["estimate", "--input", str(path), "--score-col",
+                            "x", "--outcome-col", "y", "--h", spelled],
+                           capsys) == (0, out, err)
+
+    def test_bandwidth_neither_auto_nor_a_number_exits_1(self, step_csv,
+                                                         capsys):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(step_csv), "--score-col", "x",
+             "--outcome-col", "y", "--h", "abc"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "argument --h: expected 'auto' or a number, got 'abc'")
 
     def test_ce_shrinks_the_auto_bandwidth(self, locrand_csv, capsys):
         code, out, err = run_cli(
@@ -501,7 +516,17 @@ class TestLocrand:
                        "--n-pilot", "0"]),
         ("--n", ["simulate", "--n", "0"]),
         ("--replications", ["simulate", "--replications", "499"]),
-        ("--p", ["estimate", "--h", "0.5", "--design", "kink", "--p", "0"])],
+        ("--p", ["estimate", "--h", "0.5", "--design", "kink", "--p", "0"]),
+        # the normal quantile of 0.5 + level/2 or 1 - alpha/2 rounds to
+        # 1.0; these used to exit 2 with the standard library's
+        # StatisticsError, naming no flag
+        ("--level", ["estimate", "--h", "0.5", "--level",
+                     "0.9999999999999999"]),
+        ("--level", ["validate", "--h", "0.5", "--level",
+                     "0.9999999999999999"]),
+        ("--level", ["simulate", "--level", "0.9999999999999999"]),
+        ("--alpha", ["locrand", "--window", "0.3", "--alpha", "1e-300"]),
+        ("--alpha", ["power", "--se", "1", "--alpha", "1e-17"])],
         ids=["candidates-inf", "candidates-nan", "candidates-negative",
              "draws-0", "draws-negative", "prob-1.5", "validate-draws-0",
              "count_halfwidth-inf", "count_halfwidth-0", "delimiter-two",
@@ -512,7 +537,9 @@ class TestLocrand:
              "sensitivity-0", "se-0", "se-inf", "tau-nan", "tau-inf",
              "max_exhaustive-negative", "target_mde-negative",
              "power-alpha-1.5", "target_power-1", "n_pilot-0", "n-0",
-             "replications-499", "kink-p-0"])
+             "replications-499", "kink-p-0", "level-rounds-to-1",
+             "validate-level-rounds-to-1", "simulate-level-rounds-to-1",
+             "alpha-1e-300", "power-alpha-1e-17"])
     def test_out_of_range_flag_exits_1(self, locrand_csv, flag, argv):
         # these used to exit 0 (a window over every row, a null
         # candidate or count window, p = 1 from zero draws, a negative
@@ -525,6 +552,31 @@ class TestLocrand:
         message = _error_in_subprocess([argv[0], *data, *argv[1:]], 1,
                                        "usage")
         assert flag in message
+
+    def test_bernoulli_prob_that_empties_a_group_exits_3(self, locrand_csv):
+        # nearly every draw leaves a group empty and is redrawn; this ran
+        # without end
+        message = _error_in_subprocess(
+            ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+             "--outcome-col", "y", "--window", "0.05", "--model",
+             "bernoulli", "--prob", "1e-9", "--max-exhaustive", "0",
+             "--draws", "99"], 3, "estimation", timeout=60)
+        assert "prob 1e-09" in message and "share" in message
+
+    def test_superpop_framework_estimate(self, locrand_csv, capsys):
+        argv = ["locrand", "--input", str(locrand_csv), "--score-col", "x",
+                "--outcome-col", "y", "--window", "0.5", "--draws", "99",
+                "--model", "bernoulli", "--prob", "0.4"]
+        code, out, _ = run_cli([*argv, "--framework", "superpop"], capsys)
+        code_n, out_n, _ = run_cli(argv, capsys)
+        assert code == code_n == 0
+        sample = ingest_csv(locrand_csv, {"score": "x", "outcome": "y"})
+        window = make_window(sample, 0.5)
+        estimate = json.loads(out)["result"]["estimate"]
+        assert _hex(estimate) == _hex(jsonable(diff_in_means(
+            sample, window, Bernoulli(0.4), "superpop")))
+        assert estimate["tau_hat"] \
+            != json.loads(out_n)["result"]["estimate"]["tau_hat"]
 
     def test_nonzero_cutoff_window_holds_the_units_analysed(self, tmp_path):
         # 3.57 - 0.04 and 3.57 + 0.04 are the doubles 3.53 and 3.61, so
@@ -1006,6 +1058,16 @@ class TestSimulate:
         assert report["config"]["true_tau"] == 0.0
         assert report["result"]["n_replications"] == 500
         assert 0.90 <= report["result"]["coverage"] <= 0.99
+
+    def test_rbc_estimator(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--dgp", "step", "--n", "150", "--replications",
+             "500", "--h", "0.5", "--seed", "3", "--estimator", "rbc"],
+            capsys)
+        assert code == 0
+        expected = simulate_coverage(dgps.step_dgp(), estimator="rbc", n=150,
+                                     replications=500, seed=3, h=0.5)
+        assert _hex(json.loads(out)["result"]) == _hex(jsonable(expected))
 
     def test_thread_flag_does_not_change_bytes(self, tmp_path, capsys):
         base = ["simulate", "--dgp", "step", "--n", "150", "--replications",

@@ -93,6 +93,20 @@ class TestSharp:
         assert one.tau_hat == two.tau_hat
         assert one.h_above == 0.4
 
+    def test_right_bandwidth_alone_fills_both_sides(self, noisy_sample):
+        one = sharp_estimate(noisy_sample, h_above=0.4)
+        assert one == sharp_estimate(noisy_sample, h_below=0.4, h_above=0.4)
+        assert one.h_below == 0.4
+
+    def test_level_whose_quantile_rounds_to_one_is_refused(self,
+                                                          noisy_sample):
+        # 0.5 + level/2 rounds to 1.0 for the largest double below 1, and
+        # inv_cdf(1.0) used to raise StatisticsError, naming no level
+        with pytest.raises(ValueError, match="level"):
+            sharp_estimate(noisy_sample, h_below=0.4, level=1 - 2 ** -53)
+        widest = sharp_estimate(noisy_sample, h_below=0.4, level=1 - 2 ** -52)
+        assert np.isfinite(widest.ci_conventional).all()
+
     def test_ci_widens_with_level(self, noisy_sample):
         lo = sharp_estimate(noisy_sample, h_below=0.4, level=0.90)
         hi = sharp_estimate(noisy_sample, h_below=0.4, level=0.99)

@@ -497,6 +497,26 @@ class TestBernoulli:
         assert not res.exact
         assert 0 < res.p_value <= 1
 
+    @pytest.mark.parametrize("prob", [1e-9, 1e-300, 1 - 1e-9])
+    def test_mc_refuses_a_prob_that_nearly_always_empties_a_group(self,
+                                                                  prob):
+        # every draw that leaves a group empty is redrawn; under these
+        # probabilities nearly every draw does, and the test used to run
+        # without end
+        s = make_sample(np.linspace(-1, 1, 30), np.arange(30.0))
+        with pytest.raises(EmptyGroup, match=f"prob {prob} .* share "):
+            fisher_pvalue(s, window_all(s), model=Bernoulli(prob),
+                          max_exhaustive=0, draws=99)
+        # enumeration never draws an empty group, so it still runs
+        small = make_sample(np.linspace(-1, 1, 6), np.arange(6.0))
+        assert fisher_pvalue(small, window_all(small), model=Bernoulli(prob),
+                             max_exhaustive=64).exact
+
+    def test_window_selection_refuses_the_same_prob(self):
+        with pytest.raises(EmptyGroup, match="prob 1e-09"):
+            select_window(balance_data(), candidates=[0.5],
+                          model=Bernoulli(1e-9), seed=1)
+
     def test_balanced_bernoulli_half_equals_fixed_margins_means(self):
         s = make_sample([-0.5, -0.2, 0.1, 0.4], [1.0, 2.0, 3.0, 4.0])
         w = window_all(s)
@@ -572,6 +592,11 @@ class TestNeyman:
         s = make_sample([-0.3, 0.2, 0.5], [1.0, 2.0, 3.0])
         with pytest.raises(TooFewObservations):
             neyman_ci(s, window_all(s))
+
+    def test_smallest_alpha_gives_a_finite_interval(self):
+        s = make_sample([-0.6, -0.3, 0.2, 0.5], [1.0, 3.0, 4.0, 6.0])
+        res = neyman_ci(s, window_all(s), alpha=np.nextafter(2.0 ** -53, 1))
+        assert np.isfinite(res.ci).all()
 
     @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
     def test_quantile_matches_mpmath(self, level):
@@ -671,7 +696,10 @@ def test_unknown_statistic_rejected_before_the_ensemble(test, monkeypatch):
         test(s, window_all(s), statistic="rank_sum")
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+# at 2**-53 and below, 1 - alpha/2 rounds to 1.0, and neyman_ci's
+# inv_cdf(1.0) used to raise StatisticsError, naming no alpha
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan"),
+                                   2.0 ** -53, 1e-300])
 @pytest.mark.parametrize("interval", [neyman_ci, fisher_ci])
 def test_alpha_outside_unit_interval_rejected(interval, alpha):
     s = make_sample([-0.6, -0.3, 0.2, 0.5], [1.0, 3.0, 4.0, 6.0])

@@ -87,11 +87,12 @@ def test_no_module_imports_from_the_package_root():
 
 def test_powersim_loads_no_monte_carlo_stack_at_import():
     # power math needs none of the sampling, fitting or threading
-    # modules; the Monte Carlo engine lives in dgps
+    # modules; the Monte Carlo engine lives in dgps, and defaults
+    # imports nothing
     path = pathlib.Path(rdtoolkit.__file__).parent / "powersim.py"
     relative = {node.module for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
-    assert relative == {"errors"}
+    assert relative == {"defaults", "errors"}
 
 
 def test_no_function_outside_the_cli_imports_numpy_or_the_package():

@@ -63,6 +63,12 @@ class TestPowerAt:
         with pytest.raises(ValueError):
             power_at(1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, 2.0 ** -53, 1e-17])
+    def test_bad_alpha(self, alpha):
+        # alpha 1.5 used to return 1.325 as a power
+        with pytest.raises(ValueError, match="alpha"):
+            power_at(1.0, 1.0, alpha=alpha)
+
 
 class TestMde:
     def test_reference_value(self):
@@ -98,6 +104,10 @@ class TestMde:
             mde(-1.0)
         with pytest.raises(ValueError):
             mde(1.0, alpha=0.0)
+        # 1 - alpha/2 rounds to 1.0, whose quantile is infinite
+        with pytest.raises(ValueError, match="alpha"):
+            mde(1.0, alpha=1e-17)
+        assert np.isfinite(mde(1.0, alpha=np.nextafter(2.0 ** -53, 1)))
         with pytest.raises(ValueError):
             mde(1.0, target_power=1.0)
 

@@ -8,6 +8,7 @@ from rdtoolkit.dgps import simulate_sample, step_dgp
 from rdtoolkit.errors import (
     EmptyGroup,
     GridContainsTrueCutoff,
+    InsufficientData,
     InsufficientSideData,
     NoVariation,
 )
@@ -262,6 +263,14 @@ class TestDonut:
         recs = donut_hole(noisy_sample, [0.2], h=0.5)
         expected = int((np.abs(noisy_sample.score) < 0.2).sum())
         assert recs[0].n_dropped == expected
+
+    def test_radius_that_empties_the_fit_window_names_the_radius(self):
+        # radius 0.5 drops every unit within h = 0.3 of the cutoff
+        x = np.linspace(-1, 1, 41)
+        s = make_sample(x, x + (x >= 0))
+        with pytest.raises(InsufficientData,
+                           match=r"^donut radius 0\.5: below side: 0 "):
+            donut_hole(s, [0.0, 0.5], h=0.3)
 
     def test_stable_design_is_robust(self, noisy_sample):
         recs = donut_hole(noisy_sample, [0.0, 0.05, 0.1], h=0.5)

@@ -87,10 +87,15 @@ def polyfit_lstsq(x, y, order: int, what: str):
     """Unweighted least-squares fit of y on 1, x, ..., x^order.
 
     Returns ``(design, coefs)`` from ``np.linalg.lstsq`` with its default
-    cut-off.  A design of rank below ``order + 1`` raises
-    ``RankDeficient``, whose message names the fit as ``what``.
+    cut-off.  A design that overflows the float range, or whose rank is
+    below ``order + 1``, raises ``RankDeficient``, whose message names
+    the fit as ``what``.
     """
-    design = vander(x, order + 1)
+    with np.errstate(over="ignore"):
+        design = vander(x, order + 1)
+    if not np.isfinite(design).all():
+        raise RankDeficient(
+            f"{what} of order {order} overflows the float range")
     coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < order + 1:
         raise RankDeficient(f"{what} of order {order} is rank deficient")

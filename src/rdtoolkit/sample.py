@@ -308,9 +308,10 @@ def ingest_csv(path, column_map: dict[str, object], cutoff: float = 0.0,
         One character; anything else raises ``BadSpec``.
 
     Rows whose score or outcome is missing or non-finite are rejected with
-    the offending row index (0-based data row, excluding the header).  A
-    row with fewer cells than the header reads its missing trailing cells
-    as empty, i.e. missing.
+    the offending row index: 0-based, counting every record after the
+    header, blank ones included, so when no quoted cell spans lines it is
+    the file's line number minus 2.  A row with fewer cells than the
+    header reads its missing trailing cells as empty, i.e. missing.
 
     The bound columns are parsed into one ``(k, n)`` float64 table, a
     row per binding in the order score, outcome, treatment, cutoff

@@ -1,9 +1,47 @@
 import csv
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rdtoolkit.sample import RdSample
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# seconds a child interpreter may run; the slowest tier-1 child takes
+# about 1 s, so one that reaches this has hung
+CHILD_TIMEOUT = 60
+
+
+def run_child(args, cwd=None):
+    """Run ``python *args`` in a fresh interpreter with the package source
+    first on its path, and return the finished process, its output as
+    text.  A child still running after ``CHILD_TIMEOUT`` seconds is
+    killed and raises ``subprocess.TimeoutExpired`` in its own test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT)
+
+
+def error_of(code, out, err, exit_code, kind):
+    """Check the failure contract on a call that exited ``code`` with
+    streams ``out`` and ``err``: exit ``exit_code``, the one for ``kind``;
+    nothing on stdout; no traceback; and exactly one canonical JSON error
+    of ``kind`` on stderr.  Return that error object."""
+    assert {"usage": 1, "data": 2, "estimation": 3}[kind] == exit_code
+    assert (code, out) == (exit_code, "")
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert err == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert list(doc) == ["error"]
+    assert sorted(doc["error"]) == ["kind", "message", "type"]
+    assert doc["error"]["kind"] == kind
+    return doc["error"]
 
 
 @pytest.fixture(autouse=True)

@@ -3,8 +3,6 @@ import csv
 import hashlib
 import inspect
 import json
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -29,7 +27,7 @@ from rdtoolkit.reports import SCHEMA, jsonable
 from rdtoolkit.sample import ingest_csv, sha256_file
 from rdtoolkit.validation import run_battery
 
-from conftest import multi_cutoff_rows, write_csv
+from conftest import error_of, multi_cutoff_rows, run_child, write_csv
 
 
 @pytest.fixture()
@@ -72,17 +70,12 @@ def multi_cutoff_csv(tmp_path):
     return path
 
 
-def _error_in_subprocess(argv, code, kind, timeout=None):
-    """Run the CLI in a fresh interpreter; check the error contract (exit
-    ``code``, exactly one JSON error of ``kind`` on stderr, no traceback,
-    nothing on stdout) and return the error message."""
-    proc = subprocess.run([sys.executable, "-m", "rdtoolkit", *argv],
-                          capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == code and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
-    assert doc["kind"] == kind
-    return doc["message"]
+def _error_in_subprocess(argv, code, kind):
+    """Run the CLI in a fresh interpreter, check the failure contract with
+    `error_of` and return the error message."""
+    proc = run_child(["-m", "rdtoolkit", *argv])
+    return error_of(proc.returncode, proc.stdout, proc.stderr, code,
+                    kind)["message"]
 
 
 def _estimate_argv(tmp_path, text):
@@ -152,11 +145,10 @@ class TestEstimate:
 
     def test_bandwidth_neither_auto_nor_a_number_exits_1(self, step_csv,
                                                          capsys):
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--h", "abc"], capsys)
-        assert code == 1 and out == ""
-        assert json.loads(err)["error"]["message"] == (
+             "--outcome-col", "y", "--h", "abc"], capsys), 1, "usage")
+        assert error["message"] == (
             "argument --h: expected 'auto' or a number, got 'abc'")
 
     def test_ce_shrinks_the_auto_bandwidth(self, locrand_csv, capsys):
@@ -189,9 +181,7 @@ class TestEstimate:
         named.write_bytes(step_csv.read_bytes())
         argv = ["estimate", "--score-col", "x", "--outcome-col", "y",
                 "--h", "0.5", "--input"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", *argv, str(named)],
-            capture_output=True, text=True)
+        proc = run_child(["-m", "rdtoolkit", *argv, str(named)])
         assert proc.returncode == 0 and proc.stderr == ""
         # the same bytes, parsed by numpy rather than loaded from the cache
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "plain"))
@@ -200,20 +190,15 @@ class TestEstimate:
         assert json.loads(proc.stdout)["result"] == json.loads(out)["result"]
 
     def test_missing_column_exits_2(self, step_csv, capsys):
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "runvar",
-             "--outcome-col", "y", "--h", "0.5"], capsys)
-        assert code == 2 and out == ""
-        doc = json.loads(err)
-        assert doc["error"]["kind"] == "data"
-        assert "runvar" in doc["error"]["message"]
+             "--outcome-col", "y", "--h", "0.5"], capsys), 2, "data")
+        assert "runvar" in error["message"]
 
     def test_missing_file_exits_2(self, capsys):
-        code, _, err = run_cli(
+        error_of(*run_cli(
             ["estimate", "--input", "/nonexistent.csv", "--score-col", "x",
-             "--outcome-col", "y"], capsys)
-        assert code == 2
-        assert json.loads(err)["error"]["kind"] == "data"
+             "--outcome-col", "y"], capsys), 2, "data")
 
     def test_short_row_exits_2(self, tmp_path):
         message = _error_in_subprocess(_estimate_argv(
@@ -260,12 +245,10 @@ class TestEstimate:
         rows = "".join(f"{x},{x + 1},{x}\n" for x in (-0.3, -0.2, 0.2, 0.3))
         path = tmp_path / name
         path.write_text(f"score,outcome,score\n0.1,1,2\n{rows}")
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["estimate", "--input", str(path), "--score-col", "score",
-             "--outcome-col", "outcome", "--h", "0.5"], capsys)
-        assert code == 2 and out == ""
-        doc = json.loads(err)["error"]
-        assert doc["type"] == "BadSpec" and "'score'" in doc["message"]
+             "--outcome-col", "outcome", "--h", "0.5"], capsys), 2, "data")
+        assert error["type"] == "BadSpec" and "'score'" in error["message"]
 
     def test_unbound_column_named_twice_is_read(self, step_csv, tmp_path,
                                                 capsys):
@@ -282,11 +265,10 @@ class TestEstimate:
         assert json.loads(out)["result"] == json.loads(plain)["result"]
 
     def test_bad_flag_exits_1(self, step_csv, capsys):
-        code, out, err = run_cli(
+        error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--kernel", "gaussian"], capsys)
-        assert code == 1 and out == ""
-        assert json.loads(err)["error"]["kind"] == "usage"
+             "--outcome-col", "y", "--kernel", "gaussian"], capsys),
+            1, "usage")
 
     @pytest.mark.parametrize("flags", [
         ["estimate", "--h", "nan"], ["estimate", "--h", "inf"],
@@ -303,11 +285,9 @@ class TestEstimate:
         assert "finite" in message
 
     def test_starved_fit_exits_3(self, step_csv, capsys):
-        code, _, err = run_cli(
+        error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--h", "1e-9"], capsys)
-        assert code == 3
-        assert json.loads(err)["error"]["kind"] == "estimation"
+             "--outcome-col", "y", "--h", "1e-9"], capsys), 3, "estimation")
 
     def test_pooled_design(self, tmp_path, capsys):
         rng = np.random.default_rng(17)
@@ -412,15 +392,11 @@ class TestMultiCutoff:
                                                command):
         # the cutoff column decides every unit's cutoff, so a scalar
         # --cutoff would only be echoed, never used
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", *command, "--input",
-             str(multi_cutoff_csv), "--score-col", "x", "--outcome-col",
-             "y", "--cutoff-col", "c", "--cutoff", "5"],
-            capture_output=True, text=True)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
-        assert doc["kind"] == "usage" and "--cutoff-col" in doc["message"]
+        message = _error_in_subprocess(
+            [*command, "--input", str(multi_cutoff_csv), "--score-col", "x",
+             "--outcome-col", "y", "--cutoff-col", "c", "--cutoff", "5"],
+            1, "usage")
+        assert "--cutoff-col" in message
 
     @pytest.mark.parametrize("score, cutoff, words", [
         (1.7e308, -1.7e308, "centred score X - C overflows at row 7"),
@@ -560,7 +536,7 @@ class TestLocrand:
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.05", "--model",
              "bernoulli", "--prob", "1e-9", "--max-exhaustive", "0",
-             "--draws", "99"], 3, "estimation", timeout=60)
+             "--draws", "99"], 3, "estimation")
         assert "prob 1e-09" in message and "share" in message
 
     def test_superpop_framework_estimate(self, locrand_csv, capsys):
@@ -586,11 +562,10 @@ class TestLocrand:
              3.70]
         path = tmp_path / "edges.csv"
         write_csv(path, ["x", "y"], ((f"{v:.2f}", i) for i, v in enumerate(x)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "locrand", "--input",
-             str(path), "--score-col", "x", "--outcome-col", "y",
-             "--cutoff", "3.57", "--window", "0.04"],
-            capture_output=True, text=True)
+        proc = run_child(
+            ["-m", "rdtoolkit", "locrand", "--input", str(path),
+             "--score-col", "x", "--outcome-col", "y", "--cutoff", "3.57",
+             "--window", "0.04"])
         assert proc.returncode == 0, proc.stderr
         res = json.loads(proc.stdout)["result"]
         window = res["window"]
@@ -711,13 +686,11 @@ class TestValidate:
     def test_placebo_grid_containing_cutoff_exits_1(self, locrand_csv,
                                                     capsys):
         # the true cutoff is a flag, so this is a usage rule
-        code, _, err = run_cli(
+        error = error_of(*run_cli(
             ["validate", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--h", "0.5", "--placebo", "0.5", "0.0"],
-            capsys)
-        assert code == 1
-        doc = json.loads(err)["error"]
-        assert doc["kind"] == "usage" and "--placebo" in doc["message"]
+            capsys), 1, "usage")
+        assert "--placebo" in error["message"]
 
 
 class TestPlot:
@@ -741,11 +714,10 @@ class TestPlot:
         assert sum(int(r["count"]) for r in rows) == 81
 
     def test_plot_rejects_treatment_flag(self, step_csv, capsys):
-        code, _, err = run_cli(
+        error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--treatment-col", "t"], capsys)
-        assert code == 1
-        assert json.loads(err)["error"]["kind"] == "usage"
+             "--outcome-col", "y", "--treatment-col", "t"], capsys),
+            1, "usage")
 
     @pytest.mark.parametrize("flag, value", [
         ("--bins-per-side", "0"), ("--bins-per-side", "-3"),
@@ -761,11 +733,28 @@ class TestPlot:
 
     def test_rank_deficient_curve_exits_3(self, step_csv, capsys):
         # order 30 on 40 rows a side is a rank-22 fit
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--poly-order", "30"], capsys)
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"]["type"] == "RankDeficient"
+             "--outcome-col", "y", "--poly-order", "30"], capsys),
+            3, "estimation")
+        assert error["type"] == "RankDeficient"
+
+    @pytest.mark.parametrize("command, score, words", [
+        ("plot", 1e100, "global polynomial of order 4"),
+        ("estimate", 1e180, "pilot design of order 3")])
+    def test_overflowing_global_fit_exits_3_quietly(self, tmp_path, command,
+                                                    score, words):
+        # the design's powers of one far score overflowed to inf: LAPACK
+        # printed "On entry to DLASCL" lines on stdout, numpy an overflow
+        # warning on stderr, and the call exited 2 with LinAlgError
+        x = np.linspace(-1, 1, 200)
+        rows = [[v, 0.5 * v + (v >= 0)] for v in x]
+        rows[150][0] = score
+        path = write_csv(tmp_path / "far.csv", ["x", "y"], rows)
+        message = _error_in_subprocess(
+            [command, "--input", path, "--score-col", "x", "--outcome-col",
+             "y"], 3, "estimation")
+        assert message == f"{words} overflows the float range"
 
 
 class TestOutputPaths:
@@ -776,27 +765,25 @@ class TestOutputPaths:
             self, locrand_csv, tmp_path, monkeypatch, capsys):
         # the window selection used to run and write t.csv first
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--covariate", "z", "--candidates",
              "0.25", "0.5", "--draws", "99", "--table", "t.csv",
-             "--output", "missing_dir/r.json"], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            '{\n  "error": {\n    "kind": "data",\n    "message": '
-            '"[Errno 2] No such file or directory: \'missing_dir/r.json\'",'
-            '\n    "type": "FileNotFoundError"\n  }\n}\n')
+             "--output", "missing_dir/r.json"], capsys), 2, "data")
+        assert error == {
+            "kind": "data", "type": "FileNotFoundError",
+            "message": "[Errno 2] No such file or directory: "
+                       "'missing_dir/r.json'"}
         assert not (tmp_path / "t.csv").exists()
 
     def test_missing_svg_directory_writes_no_report(self, step_csv, tmp_path,
                                                     monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(
+        error = error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--svg", "missing_dir/p.svg",
-             "--output", "r.json"], capsys)
-        assert code == 2
-        assert "'missing_dir/p.svg'" in json.loads(err)["error"]["message"]
+             "--output", "r.json"], capsys), 2, "data")
+        assert "'missing_dir/p.svg'" in error["message"]
         assert not (tmp_path / "r.json").exists()
 
     def test_fixed_window_table_is_a_usage_error(self, locrand_csv,
@@ -806,14 +793,12 @@ class TestOutputPaths:
         # fixed window's --table used to exit 0 and write nothing.  The
         # usage error comes before the output paths are checked.
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.5", "--draws", "99",
              "--table", "missing/t.csv", "--output", "missing/r.json"],
-            capsys)
-        assert (code, out) == (1, "")
-        doc = json.loads(err)["error"]
-        assert doc["kind"] == "usage" and "--window auto" in doc["message"]
+            capsys), 1, "usage")
+        assert "--window auto" in error["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["loc.csv"]
 
     @pytest.mark.parametrize("flag", ["--output", "--table", "--svg"])
@@ -830,11 +815,9 @@ class TestOutputPaths:
         (work / "file.txt").write_text("not a directory\n")
         with pytest.raises(OSError) as opened:
             open(path, "w")
-        code, out, err = run_cli(
+        assert error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, path], capsys)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == {
+             "--outcome-col", "y", flag, path], capsys), 2, "data") == {
             "type": type(opened.value).__name__, "kind": "data",
             "message": str(opened.value)}
         assert [p.name for p in work.iterdir()] == ["file.txt"]
@@ -885,8 +868,8 @@ class TestUsageRules:
                     *(["--cutoff-col", "c"] if "--cutoff" in argv else []),
                     *argv[1:]]
         calls = [argv, [*argv, "--output", "missing/r.json"]]
-        proc = subprocess.run(
-            [sys.executable, "-c",
+        proc = run_child(
+            ["-c",
              "import io, json, os, sys\n"
              "from rdtoolkit.cli import main\n"
              f"os.chdir({str(tmp_path)!r})\n"
@@ -897,15 +880,12 @@ class TestUsageRules:
              "    runs.append([code, sys.stdout.getvalue(),\n"
              "                 sys.stderr.getvalue()])\n"
              "print(json.dumps([runs, 'numpy' in sys.modules]),\n"
-             "      file=sys.__stdout__)"],
-            capture_output=True, text=True)
+             "      file=sys.__stdout__)"])
         assert proc.returncode == 0, proc.stderr
         runs, numpy_loaded = json.loads(proc.stdout)
         assert not numpy_loaded
-        for code, out, err in runs:
-            assert (code, out) == (1, "")
-            doc = json.loads(err)["error"]  # exactly one JSON document
-            assert doc["kind"] == "usage" and flag in doc["message"]
+        for run in runs:
+            assert flag in error_of(*run, 1, "usage")["message"]
         assert runs[0] == runs[1]
 
 
@@ -981,10 +961,8 @@ class TestPower:
 
     def test_target_mde_without_pilot_exits_1(self, capsys):
         # a missing companion flag is a usage error, not a data error
-        code, _, err = run_cli(
-            ["power", "--se", "1.0", "--target-mde", "0.5"], capsys)
-        assert code == 1
-        assert json.loads(err)["error"]["kind"] == "usage"
+        error_of(*run_cli(["power", "--se", "1.0", "--target-mde", "0.5"],
+                          capsys), 1, "usage")
 
     # sha256 of each report, recorded while the default grid was still
     # np.linspace and required_n still walked back from its bound
@@ -1026,9 +1004,7 @@ class TestPower:
     def test_extreme_se_exits_0_quietly(self, se, digest):
         # the MDE of 1e308 overflows: numpy's grid warned "invalid value
         # encountered in multiply" on stderr
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "power", "--se", se],
-            capture_output=True, text=True)
+        proc = run_child(["-m", "rdtoolkit", "power", "--se", se])
         assert proc.returncode == 0 and proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
@@ -1090,19 +1066,16 @@ class TestSimulate:
         ["power", "--se", "0.1"]])
     def test_thread_flag_only_on_simulate(self, argv, capsys):
         # only simulate has workers; elsewhere the flag is a usage error
-        code, out, err = run_cli(argv + ["--threads", "2"], capsys)
-        assert code == 1 and out == ""
-        doc = json.loads(err)["error"]
-        assert doc["kind"] == "usage" and "--threads" in doc["message"]
+        error = error_of(*run_cli(argv + ["--threads", "2"], capsys),
+                         1, "usage")
+        assert "--threads" in error["message"]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_exits_1(self, threads, capsys):
-        code, out, err = run_cli(
+        error = error_of(*run_cli(
             ["simulate", "--dgp", "step", "--n", "150", "--threads", threads],
-            capsys)
-        assert code == 1 and out == ""
-        doc = json.loads(err)["error"]
-        assert doc["kind"] == "usage" and "--threads" in doc["message"]
+            capsys), 1, "usage")
+        assert "--threads" in error["message"]
 
 
 _ANALYSIS_MODULES = ("bandwidth", "continuity", "locrand", "validation",
@@ -1116,22 +1089,18 @@ _NOT_IN_SHELL = {"dataclasses", "inspect", "csv"}
 def _loaded_in_fresh_interpreter(statements):
     """Names of the modules a new interpreter holds after `statements`;
     what they print to stdout is discarded."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import io, sys\nsys.stdout = io.StringIO()\n{statements}\n"
-         "print(*sorted(sys.modules), file=sys.__stdout__)"],
-        capture_output=True, text=True)
+    proc = run_child(
+        ["-c", f"import io, sys\nsys.stdout = io.StringIO()\n{statements}\n"
+         "print(*sorted(sys.modules), file=sys.__stdout__)"])
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
 class TestEntryPoint:
     def test_module_invocation(self, step_csv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "estimate", "--input",
-             str(step_csv), "--score-col", "x", "--outcome-col", "y",
-             "--h", "0.5"],
-            capture_output=True, text=True)
+        proc = run_child(
+            ["-m", "rdtoolkit", "estimate", "--input", str(step_csv),
+             "--score-col", "x", "--outcome-col", "y", "--h", "0.5"])
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["result"]["estimate"]["tau_hat"] == pytest.approx(
@@ -1232,9 +1201,7 @@ class TestEntryPoint:
         assert "numpy.ma" not in loaded
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rdtoolkit", "--version"],
-            capture_output=True, text=True)
+        proc = run_child(["-m", "rdtoolkit", "--version"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("rd-toolkit ")
 
@@ -1311,11 +1278,10 @@ class TestFlagDeclarations:
         ("--level", "abc", "float"), ("--seed", "1.5", "int")])
     def test_unconvertible_value_keeps_argparse_message(
             self, step_csv, flag, value, kind, capsys):
-        code, _, err = run_cli(
+        error = error_of(*run_cli(
             ["validate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, value], capsys)
-        assert code == 1
-        assert json.loads(err)["error"]["message"] == (
+             "--outcome-col", "y", flag, value], capsys), 1, "usage")
+        assert error["message"] == (
             f"argument {flag}: invalid {kind} value: {value!r}")
 
     @pytest.mark.parametrize("argv, keys", [

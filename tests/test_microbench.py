@@ -17,8 +17,6 @@ Tier-1 runs each body once: ``--benchmark-disable`` is set in
 """
 
 import itertools
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -41,6 +39,8 @@ from rdtoolkit.lpoly import fit_window, side_window
 from rdtoolkit.plotting import _sorted_side, build_rdplot
 from rdtoolkit.sample import RdSample, ingest_csv
 from rdtoolkit.validation import _locrand_balance, binomial_test
+
+from conftest import run_child
 
 ROWS = 100_000
 COLUMN_MAP = {"score": "score", "outcome": "outcome",
@@ -268,6 +268,5 @@ def test_coverage_replication(benchmark):
 def test_parser_shell_import(benchmark):
     # all that --help, --version, a usage error and `power` load before
     # they run; the interpreter's own start is timed with it
-    argv = [sys.executable, "-c", "import rdtoolkit.cli"]
-    proc = benchmark(subprocess.run, argv, capture_output=True, text=True)
+    proc = benchmark(run_child, ["-c", "import rdtoolkit.cli"])
     assert proc.returncode == 0, proc.stderr

@@ -4,13 +4,13 @@ import ast
 import importlib
 import inspect
 import pathlib
-import subprocess
-import sys
 import typing
 
 import pytest
 
 import rdtoolkit
+
+from conftest import run_child
 
 PUBLIC = [
     "BalanceRecord", "BandwidthSelection", "Bernoulli", "BinomialRecord",
@@ -51,11 +51,9 @@ def test_names_resolve_to_their_home(module):
 
 
 def test_import_loads_no_submodule():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rdtoolkit; "
-         "print(sorted(m for m in sys.modules if m.startswith('rdtoolkit.')))"],
-        capture_output=True, text=True)
+    proc = run_child(
+        ["-c", "import sys, rdtoolkit; "
+         "print(sorted(m for m in sys.modules if m.startswith('rdtoolkit.')))"])
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 

@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,6 +16,8 @@ from rdtoolkit.reports import (
     write_report,
 )
 from rdtoolkit.sample import sha256_file
+
+from conftest import run_child
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,13 +94,11 @@ class TestJsonable:
     def test_plain_document_loads_no_dataclasses(self):
         # dataclasses are read through sys.modules, as numpy is
         doc = {"a": [1.5, None]}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys\n"
+        proc = run_child(
+            ["-c", "import sys\n"
              "from rdtoolkit.reports import canonical_json\n"
              f"sys.stdout.write(canonical_json({doc!r}))\n"
-             "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"],
-            capture_output=True, text=True)
+             "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == canonical_json(doc) + "[]\n"
 

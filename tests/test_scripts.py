@@ -7,24 +7,17 @@ renamed library call fails here rather than in a study.
 
 import csv
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from rdtoolkit.sample import ingest_csv
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_child
 
 
 def _run(script, *args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
-        cwd=cwd, env=env, capture_output=True, text=True)
+    proc = run_child([str(ROOT / "scripts" / script), *map(str, args)],
+                     cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

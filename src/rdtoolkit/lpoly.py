@@ -93,7 +93,9 @@ def polyfit_lstsq(x, y, order: int, what: str):
     """
     with np.errstate(over="ignore"):
         design = vander(x, order + 1)
-    if not np.isfinite(design).all():
+    # for finite x a row's powers grow in magnitude once |x| > 1, so the
+    # highest power overflows whenever any power in its row does
+    if not np.isfinite(design[:, -1]).all():
         raise RankDeficient(
             f"{what} of order {order} overflows the float range")
     coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)

@@ -28,13 +28,12 @@ def run_child(args, cwd=None):
                           timeout=CHILD_TIMEOUT)
 
 
-def error_of(code, out, err, exit_code, kind):
+def error_of(code, out, err, kind):
     """Check the failure contract on a call that exited ``code`` with
-    streams ``out`` and ``err``: exit ``exit_code``, the one for ``kind``;
-    nothing on stdout; no traceback; and exactly one canonical JSON error
-    of ``kind`` on stderr.  Return that error object."""
-    assert {"usage": 1, "data": 2, "estimation": 3}[kind] == exit_code
-    assert (code, out) == (exit_code, "")
+    streams ``out`` and ``err``: the exit code of ``kind``; nothing on
+    stdout; no traceback; and exactly one canonical JSON error of
+    ``kind`` on stderr.  Return that error object."""
+    assert (code, out) == ({"usage": 1, "data": 2, "estimation": 3}[kind], "")
     assert "Traceback" not in err
     doc = json.loads(err)
     assert err == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -70,11 +70,11 @@ def multi_cutoff_csv(tmp_path):
     return path
 
 
-def _error_in_subprocess(argv, code, kind):
+def _error_in_subprocess(argv, kind):
     """Run the CLI in a fresh interpreter, check the failure contract with
     `error_of` and return the error message."""
     proc = run_child(["-m", "rdtoolkit", *argv])
-    return error_of(proc.returncode, proc.stdout, proc.stderr, code,
+    return error_of(proc.returncode, proc.stdout, proc.stderr,
                     kind)["message"]
 
 
@@ -147,7 +147,7 @@ class TestEstimate:
                                                          capsys):
         error = error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--h", "abc"], capsys), 1, "usage")
+             "--outcome-col", "y", "--h", "abc"], capsys), "usage")
         assert error["message"] == (
             "argument --h: expected 'auto' or a number, got 'abc'")
 
@@ -192,17 +192,17 @@ class TestEstimate:
     def test_missing_column_exits_2(self, step_csv, capsys):
         error = error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "runvar",
-             "--outcome-col", "y", "--h", "0.5"], capsys), 2, "data")
+             "--outcome-col", "y", "--h", "0.5"], capsys), "data")
         assert "runvar" in error["message"]
 
     def test_missing_file_exits_2(self, capsys):
         error_of(*run_cli(
             ["estimate", "--input", "/nonexistent.csv", "--score-col", "x",
-             "--outcome-col", "y"], capsys), 2, "data")
+             "--outcome-col", "y"], capsys), "data")
 
     def test_short_row_exits_2(self, tmp_path):
         message = _error_in_subprocess(_estimate_argv(
-            tmp_path, "score,outcome\n0.1,1\n-0.2\n"), 2, "data")
+            tmp_path, "score,outcome\n0.1,1\n-0.2\n"), "data")
         assert "row 1" in message
 
     def test_oversized_cell_in_row_parser_exits_2(self, tmp_path):
@@ -211,13 +211,13 @@ class TestEstimate:
         big = "a" * 200_000
         message = _error_in_subprocess(_estimate_argv(
             tmp_path, f"score,outcome,note\n0.1,1,x\n-0.2,2,{big}\n"
-                      "0.3,NA,x\n"), 2, "data")
+                      "0.3,NA,x\n"), "data")
         assert "row 1" in message and "field limit" in message
 
     def test_header_only_exits_2(self, tmp_path):
         # no warning text may precede the one JSON error on stderr
         message = _error_in_subprocess(
-            _estimate_argv(tmp_path, "score,outcome\n"), 2, "data")
+            _estimate_argv(tmp_path, "score,outcome\n"), "data")
         assert "at least one unit" in message
 
     @pytest.mark.parametrize("argv", [
@@ -232,8 +232,7 @@ class TestEstimate:
         data = ["--input", str(locrand_csv), "--score-col", "x",
                 "--outcome-col", "y"]
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
-        message = _error_in_subprocess([argv[0], *data, *argv[1:]], 2,
-                                       "data")
+        message = _error_in_subprocess([argv[0], *data, *argv[1:]], "data")
         assert "directory" in message
 
     @pytest.mark.parametrize("name", ["twice.csv", "twice.csv.gz"],
@@ -247,7 +246,7 @@ class TestEstimate:
         path.write_text(f"score,outcome,score\n0.1,1,2\n{rows}")
         error = error_of(*run_cli(
             ["estimate", "--input", str(path), "--score-col", "score",
-             "--outcome-col", "outcome", "--h", "0.5"], capsys), 2, "data")
+             "--outcome-col", "outcome", "--h", "0.5"], capsys), "data")
         assert error["type"] == "BadSpec" and "'score'" in error["message"]
 
     def test_unbound_column_named_twice_is_read(self, step_csv, tmp_path,
@@ -268,7 +267,7 @@ class TestEstimate:
         error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--kernel", "gaussian"], capsys),
-            1, "usage")
+            "usage")
 
     @pytest.mark.parametrize("flags", [
         ["estimate", "--h", "nan"], ["estimate", "--h", "inf"],
@@ -281,13 +280,13 @@ class TestEstimate:
         # nan used to exit 2 or 3 from deep in the fit; inf exited 0
         message = _error_in_subprocess(
             [flags[0], "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", *flags[1:]], 1, "usage")
+             "--outcome-col", "y", *flags[1:]], "usage")
         assert "finite" in message
 
     def test_starved_fit_exits_3(self, step_csv, capsys):
         error_of(*run_cli(
             ["estimate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", "--h", "1e-9"], capsys), 3, "estimation")
+             "--outcome-col", "y", "--h", "1e-9"], capsys), "estimation")
 
     def test_pooled_design(self, tmp_path, capsys):
         rng = np.random.default_rng(17)
@@ -395,7 +394,7 @@ class TestMultiCutoff:
         message = _error_in_subprocess(
             [*command, "--input", str(multi_cutoff_csv), "--score-col", "x",
              "--outcome-col", "y", "--cutoff-col", "c", "--cutoff", "5"],
-            1, "usage")
+            "usage")
         assert "--cutoff-col" in message
 
     @pytest.mark.parametrize("score, cutoff, words", [
@@ -412,7 +411,7 @@ class TestMultiCutoff:
         path = write_csv(tmp_path / "far.csv", ["x", "y", "c"], rows)
         message = _error_in_subprocess(
             ["estimate", "--input", path, "--score-col", "x",
-             "--outcome-col", "y", "--cutoff-col", "c"], 2, "data")
+             "--outcome-col", "y", "--cutoff-col", "c"], "data")
         assert words in message
 
 
@@ -447,7 +446,7 @@ class TestLocrand:
         message = _error_in_subprocess(
             ["locrand", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.5", "--fisher-ci",
-             "--alpha", alpha], 1, "usage")
+             "--alpha", alpha], "usage")
         assert "--alpha" in message
 
     @pytest.mark.parametrize("flag, argv", [
@@ -525,8 +524,7 @@ class TestLocrand:
         data = [] if argv[0] in ("power", "simulate") else [
             "--input", str(locrand_csv), "--score-col", "x",
             "--outcome-col", "y", "--covariate", "z"]
-        message = _error_in_subprocess([argv[0], *data, *argv[1:]], 1,
-                                       "usage")
+        message = _error_in_subprocess([argv[0], *data, *argv[1:]], "usage")
         assert flag in message
 
     def test_bernoulli_prob_that_empties_a_group_exits_3(self, locrand_csv):
@@ -536,7 +534,7 @@ class TestLocrand:
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.05", "--model",
              "bernoulli", "--prob", "1e-9", "--max-exhaustive", "0",
-             "--draws", "99"], 3, "estimation")
+             "--draws", "99"], "estimation")
         assert "prob 1e-09" in message and "share" in message
 
     def test_superpop_framework_estimate(self, locrand_csv, capsys):
@@ -583,7 +581,7 @@ class TestLocrand:
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--covariate", "z", "--candidates",
              "0.25", "0.5", "--draws", "99", "--balance-alpha", alpha],
-            1, "usage")
+            "usage")
         assert "--balance-alpha" in message
 
     def test_auto_window_selection_and_trace(self, locrand_csv, tmp_path,
@@ -689,7 +687,7 @@ class TestValidate:
         error = error_of(*run_cli(
             ["validate", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--h", "0.5", "--placebo", "0.5", "0.0"],
-            capsys), 1, "usage")
+            capsys), "usage")
         assert "--placebo" in error["message"]
 
 
@@ -717,7 +715,7 @@ class TestPlot:
         error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--treatment-col", "t"], capsys),
-            1, "usage")
+            "usage")
 
     @pytest.mark.parametrize("flag, value", [
         ("--bins-per-side", "0"), ("--bins-per-side", "-3"),
@@ -728,7 +726,7 @@ class TestPlot:
         # with all-zero curves; negative counts exited 2 from numpy
         message = _error_in_subprocess(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, value], 1, "usage")
+             "--outcome-col", "y", flag, value], "usage")
         assert flag in message
 
     def test_rank_deficient_curve_exits_3(self, step_csv, capsys):
@@ -736,7 +734,7 @@ class TestPlot:
         error = error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--poly-order", "30"], capsys),
-            3, "estimation")
+            "estimation")
         assert error["type"] == "RankDeficient"
 
     @pytest.mark.parametrize("command, score, words", [
@@ -753,7 +751,7 @@ class TestPlot:
         path = write_csv(tmp_path / "far.csv", ["x", "y"], rows)
         message = _error_in_subprocess(
             [command, "--input", path, "--score-col", "x", "--outcome-col",
-             "y"], 3, "estimation")
+             "y"], "estimation")
         assert message == f"{words} overflows the float range"
 
 
@@ -769,7 +767,7 @@ class TestOutputPaths:
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--covariate", "z", "--candidates",
              "0.25", "0.5", "--draws", "99", "--table", "t.csv",
-             "--output", "missing_dir/r.json"], capsys), 2, "data")
+             "--output", "missing_dir/r.json"], capsys), "data")
         assert error == {
             "kind": "data", "type": "FileNotFoundError",
             "message": "[Errno 2] No such file or directory: "
@@ -782,7 +780,7 @@ class TestOutputPaths:
         error = error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
              "--outcome-col", "y", "--svg", "missing_dir/p.svg",
-             "--output", "r.json"], capsys), 2, "data")
+             "--output", "r.json"], capsys), "data")
         assert "'missing_dir/p.svg'" in error["message"]
         assert not (tmp_path / "r.json").exists()
 
@@ -797,7 +795,7 @@ class TestOutputPaths:
             ["locrand", "--input", str(locrand_csv), "--score-col", "x",
              "--outcome-col", "y", "--window", "0.5", "--draws", "99",
              "--table", "missing/t.csv", "--output", "missing/r.json"],
-            capsys), 1, "usage")
+            capsys), "usage")
         assert "--window auto" in error["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["loc.csv"]
 
@@ -817,7 +815,7 @@ class TestOutputPaths:
             open(path, "w")
         assert error_of(*run_cli(
             ["plot", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, path], capsys), 2, "data") == {
+             "--outcome-col", "y", flag, path], capsys), "data") == {
             "type": type(opened.value).__name__, "kind": "data",
             "message": str(opened.value)}
         assert [p.name for p in work.iterdir()] == ["file.txt"]
@@ -885,7 +883,7 @@ class TestUsageRules:
         runs, numpy_loaded = json.loads(proc.stdout)
         assert not numpy_loaded
         for run in runs:
-            assert flag in error_of(*run, 1, "usage")["message"]
+            assert flag in error_of(*run, "usage")["message"]
         assert runs[0] == runs[1]
 
 
@@ -962,7 +960,7 @@ class TestPower:
     def test_target_mde_without_pilot_exits_1(self, capsys):
         # a missing companion flag is a usage error, not a data error
         error_of(*run_cli(["power", "--se", "1.0", "--target-mde", "0.5"],
-                          capsys), 1, "usage")
+                          capsys), "usage")
 
     # sha256 of each report, recorded while the default grid was still
     # np.linspace and required_n still walked back from its bound
@@ -1020,7 +1018,7 @@ class TestPower:
     def test_unrepresentable_n_exits_3(self, argv):
         # the first three used to print an OverflowError traceback and
         # exit 1; the last never ended, stepping down from an n of ~1e102
-        message = _error_in_subprocess(["power", *argv], 3, "estimation")
+        message = _error_in_subprocess(["power", *argv], "estimation")
         assert "unreachable" in message
 
 
@@ -1067,14 +1065,14 @@ class TestSimulate:
     def test_thread_flag_only_on_simulate(self, argv, capsys):
         # only simulate has workers; elsewhere the flag is a usage error
         error = error_of(*run_cli(argv + ["--threads", "2"], capsys),
-                         1, "usage")
+                         "usage")
         assert "--threads" in error["message"]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_exits_1(self, threads, capsys):
         error = error_of(*run_cli(
             ["simulate", "--dgp", "step", "--n", "150", "--threads", threads],
-            capsys), 1, "usage")
+            capsys), "usage")
         assert "--threads" in error["message"]
 
 
@@ -1280,7 +1278,7 @@ class TestFlagDeclarations:
             self, step_csv, flag, value, kind, capsys):
         error = error_of(*run_cli(
             ["validate", "--input", str(step_csv), "--score-col", "x",
-             "--outcome-col", "y", flag, value], capsys), 1, "usage")
+             "--outcome-col", "y", flag, value], capsys), "usage")
         assert error["message"] == (
             f"argument {flag}: invalid {kind} value: {value!r}")
 

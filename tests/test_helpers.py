@@ -29,20 +29,19 @@ def test_child_runs_on_the_package_source():
 
 
 def test_error_of_returns_the_error_object():
-    assert error_of(2, "", ERROR, 2, "data") == {
+    assert error_of(2, "", ERROR, "data") == {
         "kind": "data", "message": "m", "type": "T"}
 
 
-@pytest.mark.parametrize("code, out, err, exit_code, kind", [
-    (3, "", ERROR, 3, "data"),
-    (1, "", ERROR, 2, "data"),
-    (2, "** On entry to DLASCL\n", ERROR, 2, "data"),
-    (2, "", "RuntimeWarning: overflow\n" + ERROR, 2, "data"),
-    (2, "", ERROR + ERROR, 2, "data"),
-    (2, "", json.dumps(json.loads(ERROR)), 2, "data"),
-    (2, "", ERROR.replace('"data"', '"usage"'), 2, "data"),
-], ids=["code-not-the-kinds", "other-code", "stdout", "warning",
-        "two-documents", "not-canonical", "other-kind"])
-def test_error_of_refuses_a_breach(code, out, err, exit_code, kind):
+@pytest.mark.parametrize("code, out, err, kind", [
+    (1, "", ERROR, "data"),
+    (2, "** On entry to DLASCL\n", ERROR, "data"),
+    (2, "", "RuntimeWarning: overflow\n" + ERROR, "data"),
+    (2, "", ERROR + ERROR, "data"),
+    (2, "", json.dumps(json.loads(ERROR)), "data"),
+    (2, "", ERROR.replace('"data"', '"usage"'), "data"),
+], ids=["other-code", "stdout", "warning", "two-documents", "not-canonical",
+        "other-kind"])
+def test_error_of_refuses_a_breach(code, out, err, kind):
     with pytest.raises((AssertionError, ValueError)):
-        error_of(code, out, err, exit_code, kind)
+        error_of(code, out, err, kind)

@@ -51,9 +51,8 @@ def test_names_resolve_to_their_home(module):
 
 
 def test_import_loads_no_submodule():
-    proc = run_child(
-        ["-c", "import sys, rdtoolkit; "
-         "print(sorted(m for m in sys.modules if m.startswith('rdtoolkit.')))"])
+    proc = run_child(["-c", "import sys, rdtoolkit; print(sorted(m for m in "
+                      "sys.modules if m.startswith('rdtoolkit.')))"])
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
